@@ -44,28 +44,40 @@
 //!
 //! # Durability
 //!
-//! [`Coordinator::start_durable`] adds a write-ahead log
-//! ([`WalStore`](crate::wal)): every routing decision and observed
-//! transition is appended (and flushed) before it is visible, and a
-//! restart over the same state directory re-adopts the fleet — replaying
-//! the log, probing every node once, adopting live exports, resuming
-//! orphans, declaring the unreachable dead — before accepting traffic.
-//! See the [`wal`](crate::wal) module docs for the format and the
-//! recovery rules.
+//! Durable state — the job table, the cluster id counter, the dead-node
+//! set and the routing counters — is one [`CoordState`], and it changes
+//! in exactly one way: a transition (submit, observation, checkpoint
+//! adoption, move, cancel request, node death or revival) builds one
+//! [`WalRecord`], appends it to the write-ahead log when the coordinator
+//! was started durable ([`Coordinator::start_durable`]), and then applies
+//! it with [`CoordState::apply`] — the function recovery replays the log
+//! through. A live coordinator and one recovered from its log therefore
+//! agree by construction. Progress alone is committed from the
+//! heartbeat's replication, at most once per job per beat; a client's
+//! status poll answers the node's live progress and commits only a state
+//! change, so reads do not grow the log. A restart over the same state directory
+//! replays the log, presumes every node alive, and re-adopts the fleet —
+//! probing every node once, adopting live exports, resuming orphans,
+//! declaring the unreachable dead — before accepting traffic. See the
+//! [`wal`](crate::wal) module docs for the format and the recovery
+//! rules. Only ephemeral state lives beside `CoordState`: liveness and
+//! probe counters, in-flight window reservations, migration flags,
+//! replicated cache entries, and the id reservation counter.
 //!
 //! # Lock discipline
 //!
-//! One registry mutex (`inner`: job table, liveness, windows) paired
-//! with a condvar for state transitions, one mutex per node client, one
-//! for the WAL (ordered strictly after `inner`), and a heartbeat parking
-//! mutex. The registry lock is never held across an RPC, and no client
-//! lock is acquired while holding it — RPC stalls never serialise the
-//! control plane.
+//! One registry mutex (`inner`: the `CoordState` and the ephemeral
+//! state) paired with a condvar notified on every committed record, one
+//! mutex per node client, one for the WAL (taken only while committing,
+//! strictly after `inner`, so the log's record order is the apply
+//! order), and a heartbeat parking mutex. The registry lock is never
+//! held across an RPC, and no client lock is acquired while holding it —
+//! RPC stalls never serialise the control plane.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -81,7 +93,7 @@ use breaksym_testkit::{fault, real_clock, FaultAction, SharedClock};
 use crate::client::NodeClient;
 use crate::protocol::{fold_stats, ClusterHealthz, ClusterStats, JobInspect, NodeReport};
 use crate::ring::HashRing;
-use crate::wal::{CoordState, PersistedCounters, PersistedJob, WalRecord, WalStore};
+use crate::wal::{CoordState, PersistedJob, WalRecord, WalStore};
 
 /// Failpoint hit once per forward attempt (submit and death-resume
 /// alike), before the RPC goes out. `Fail` and `Drop` actions simulate a
@@ -144,44 +156,21 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Everything the coordinator tracks about one routed job.
-#[derive(Debug)]
-struct RoutedJob {
-    /// The spec as submitted (its own `checkpoint` field untouched).
-    spec: JobSpec,
-    /// Node currently responsible.
-    node: usize,
-    /// The job's id on that node.
-    node_job_id: u64,
-    /// Last observed state; terminal is sticky.
-    state: JobState,
-    /// Last observed progress.
-    status: Option<RunStatus>,
-    /// Replicated checkpoint — what a death-resume restarts from.
-    checkpoint: Option<Box<RunCheckpoint>>,
-    /// Hot eval-cache entries replicated alongside the checkpoint — what
-    /// a resume elsewhere warm-starts from. Not persisted: the first
-    /// post-restart replication beat rebuilds them.
-    cache: Vec<CacheExportEntry>,
-    cancel_requested: bool,
-    /// A rejoin migration owns this job right now: terminal states
-    /// observed from its (old) node are the migration's own cancel and
-    /// must not settle the job.
-    migrating: bool,
-    /// Submit-time fallback detours.
-    detours: u32,
-    /// Times the job moved: death-resumes, rejoin migrations, restart
-    /// reconciliations.
-    resumes: u32,
-}
-
 /// The mutable registry behind the `inner` lock.
 #[derive(Debug)]
 struct Inner {
-    /// Routed jobs by cluster id. A `BTreeMap` so every iteration —
-    /// replication matching, death-resume order, exports — is in id
-    /// order, deterministically.
-    jobs: BTreeMap<u64, RoutedJob>,
+    /// Durable job table and counters, changed only through [`commit`].
+    /// Jobs are in ascending id order, so every iteration — replication
+    /// matching, death-resume order, exports — is deterministic.
+    state: CoordState,
+    /// Hot eval-cache entries replicated alongside each job's checkpoint
+    /// — what a resume elsewhere warm-starts from. Not persisted: the
+    /// first post-restart replication beat rebuilds them.
+    cache: HashMap<u64, Vec<CacheExportEntry>>,
+    /// Jobs a rejoin migration owns right now: terminal states observed
+    /// from their (old) node are the migration's own cancel and must not
+    /// settle them.
+    migrating: HashSet<u64>,
     alive: Vec<bool>,
     /// Consecutive missed heartbeats per node.
     misses: Vec<u32>,
@@ -190,7 +179,28 @@ struct Inner {
     revive_hits: Vec<u32>,
     /// Non-terminal jobs currently mapped to each node — the window.
     inflight: Vec<usize>,
+    /// Last id `submit` reserved. A reserved id enters `state` only once
+    /// its forward succeeds.
     next_id: u64,
+}
+
+impl Inner {
+    /// Whether `node` is alive. An index this fleet does not have (a job
+    /// recovered from a larger, older fleet) counts as dead.
+    fn is_alive(&self, node: usize) -> bool {
+        self.alive.get(node).copied().unwrap_or(false)
+    }
+
+    /// Frees one window slot on `node`.
+    fn release(&mut self, node: usize) {
+        if let Some(slots) = self.inflight.get_mut(node) {
+            *slots = slots.saturating_sub(1);
+        }
+    }
+
+    fn job(&self, id: JobId) -> Result<&PersistedJob, ServeError> {
+        self.state.job(id.0).ok_or(ServeError::UnknownJob { id })
+    }
 }
 
 #[derive(Debug)]
@@ -202,13 +212,12 @@ struct CoordShared {
     clients: Vec<Mutex<NodeClient>>,
     inner: Mutex<Inner>,
     /// The write-ahead log, when started durable. Lock order: `inner`
-    /// first, then this — appends happen under `inner` so the log's
-    /// record order matches the order transitions were applied.
+    /// first, then this — only [`commit`] takes it.
     wal: Option<Mutex<WalStore>>,
     /// Last successful per-node `/stats` snapshot — what the fold falls
     /// back to when a node is dead or a fetch races its death.
     last_stats: Mutex<Vec<Option<ServerStats>>>,
-    /// Notified on every observed job transition; pairs with `inner`.
+    /// Notified on every committed record; pairs with `inner`.
     state_cv: Condvar,
     /// The heartbeat thread parks here between beats.
     beat_mx: Mutex<()>,
@@ -216,15 +225,6 @@ struct CoordShared {
     draining: AtomicBool,
     stop: AtomicBool,
     started: Instant,
-    jobs_routed: AtomicU64,
-    reroutes: AtomicU64,
-    node_deaths: AtomicU64,
-    node_revivals: AtomicU64,
-    jobs_resumed: AtomicU64,
-    jobs_done: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_timed_out: AtomicU64,
-    jobs_cancelled: AtomicU64,
 }
 
 /// A running coordinator: owns the heartbeat thread. Talk to it through
@@ -303,38 +303,11 @@ impl Coordinator {
         let nodes = addrs.len();
         let started = clock.now();
         let adopted = recovered.is_some();
-        let counters = recovered.as_ref().map(|state| state.counters).unwrap_or_default();
-        let mut jobs = BTreeMap::new();
+        let state = recovered.unwrap_or_default();
         let mut inflight = vec![0usize; nodes];
-        let mut next_id = 0;
-        let mut was_dead = Vec::new();
-        if let Some(state) = recovered {
-            next_id = state.next_id;
-            was_dead = state.dead_nodes.into_iter().filter(|&node| node < nodes).collect();
-            for job in state.jobs {
-                // A node index from a larger, older fleet maps nowhere
-                // now; park the job on node 0 — reconciliation will not
-                // find it there and will resume it properly.
-                let node = if job.node < nodes { job.node } else { 0 };
-                if !job.state.is_terminal() {
-                    inflight[node] += 1;
-                }
-                jobs.insert(
-                    job.id,
-                    RoutedJob {
-                        spec: job.spec,
-                        node,
-                        node_job_id: job.node_job_id,
-                        state: job.state,
-                        status: job.status,
-                        checkpoint: job.checkpoint,
-                        cache: Vec::new(),
-                        cancel_requested: job.cancel_requested,
-                        migrating: false,
-                        detours: job.detours,
-                        resumes: job.resumes,
-                    },
-                );
+        for job in state.jobs.iter().filter(|job| !job.state.is_terminal()) {
+            if let Some(slots) = inflight.get_mut(job.node) {
+                *slots += 1;
             }
         }
         let shared = Arc::new(CoordShared {
@@ -347,12 +320,14 @@ impl Coordinator {
             cfg,
             clock,
             inner: Mutex::new(Inner {
-                jobs,
+                next_id: state.next_id,
+                state,
+                cache: HashMap::new(),
+                migrating: HashSet::new(),
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
                 revive_hits: vec![0; nodes],
                 inflight,
-                next_id,
             }),
             wal: wal.map(Mutex::new),
             last_stats: Mutex::new(vec![None; nodes]),
@@ -362,15 +337,6 @@ impl Coordinator {
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             started,
-            jobs_routed: AtomicU64::new(counters.jobs_routed),
-            reroutes: AtomicU64::new(counters.reroutes),
-            node_deaths: AtomicU64::new(counters.node_deaths),
-            node_revivals: AtomicU64::new(counters.node_revivals),
-            jobs_resumed: AtomicU64::new(counters.jobs_resumed),
-            jobs_done: AtomicU64::new(counters.jobs_done),
-            jobs_failed: AtomicU64::new(counters.jobs_failed),
-            jobs_timed_out: AtomicU64::new(counters.jobs_timed_out),
-            jobs_cancelled: AtomicU64::new(counters.jobs_cancelled),
         });
         // A test-clock advance must wake the heartbeat thread and every
         // wait() deadline so they re-read virtual time. Lock-notify-drop,
@@ -391,7 +357,7 @@ impl Coordinator {
         // before the caller can submit: reconciliation is synchronous
         // and single-threaded.
         if adopted {
-            reconcile(&shared, &was_dead);
+            reconcile(&shared);
         }
         let beat = {
             let shared = Arc::clone(&shared);
@@ -464,51 +430,29 @@ impl ClusterHandle {
             inner.next_id
         };
         let placed = forward(&self.shared, id, &spec, true)?;
-        let replicated = spec.checkpoint.clone();
-        let mut inner = self.shared.inner.lock().expect(POISONED);
-        let record = WalRecord::Routed {
-            job: Box::new(PersistedJob {
-                id,
-                spec: spec.clone(),
-                node: placed.node,
-                node_job_id: placed.node_job_id,
-                state: JobState::Queued,
-                status: None,
-                checkpoint: replicated.clone(),
-                cancel_requested: false,
-                detours: placed.detours,
-                resumes: 0,
-            }),
-        };
-        inner.jobs.insert(
+        let job = PersistedJob {
             id,
-            RoutedJob {
-                spec,
-                node: placed.node,
-                node_job_id: placed.node_job_id,
-                state: JobState::Queued,
-                status: None,
-                checkpoint: replicated,
-                cache: Vec::new(),
-                cancel_requested: false,
-                migrating: false,
-                detours: placed.detours,
-                resumes: 0,
-            },
-        );
-        self.shared.jobs_routed.fetch_add(1, Ordering::Relaxed);
-        self.shared.reroutes.fetch_add(u64::from(placed.detours), Ordering::Relaxed);
-        wal_append(&self.shared, &inner, record);
-        self.shared.state_cv.notify_all();
+            checkpoint: spec.checkpoint.clone(),
+            spec,
+            node: placed.node,
+            node_job_id: placed.node_job_id,
+            state: JobState::Queued,
+            status: None,
+            cancel_requested: false,
+            detours: placed.detours,
+            resumes: 0,
+        };
+        let mut inner = self.shared.inner.lock().expect(POISONED);
+        commit(&self.shared, &mut inner, WalRecord::Routed { job: Box::new(job) });
         Ok(JobId(id))
     }
 
     /// The job's state: live from its node when reachable, otherwise the
     /// coordinator's replicated view (which is also what dead-node and
-    /// mid-migration jobs show while their move is pending). The answer
+    /// mid-migration jobs show while their move is pending). The state
     /// is always the coordinator's *settled* view — a live poll is
     /// folded through the same sticky-terminal observation every other
-    /// path uses.
+    /// path uses — and the progress is the poll's own.
     ///
     /// # Errors
     ///
@@ -517,8 +461,10 @@ impl ClusterHandle {
     pub fn status(&self, id: JobId) -> Result<StatusResponse, ServeError> {
         let (node, node_job_id, poll_live, cached) = {
             let inner = self.shared.inner.lock().expect(POISONED);
-            let job = inner.jobs.get(&id.0).ok_or(ServeError::UnknownJob { id })?;
-            let poll_live = !job.state.is_terminal() && inner.alive[job.node] && !job.migrating;
+            let job = inner.job(id)?;
+            let poll_live = !job.state.is_terminal()
+                && inner.is_alive(job.node)
+                && !inner.migrating.contains(&id.0);
             (
                 job.node,
                 job.node_job_id,
@@ -540,12 +486,7 @@ impl ClusterHandle {
         };
         match fetched {
             Ok(resp) if resp.status == 200 => match resp.json::<StatusResponse>() {
-                Ok(live) => {
-                    let mut inner = self.shared.inner.lock().expect(POISONED);
-                    observe(&self.shared, &mut inner, id.0, live.state, live.status);
-                    drop(inner);
-                    self.cached_status(id)
-                }
+                Ok(live) => self.settle_poll(id, live),
                 Err(_) => Ok(cached),
             },
             // Unreachable node or node-side eviction: the replicated view
@@ -567,8 +508,8 @@ impl ClusterHandle {
     pub fn report(&self, id: JobId) -> Result<RunReport, ServeError> {
         let (node, node_job_id, alive, terminal) = {
             let inner = self.shared.inner.lock().expect(POISONED);
-            let job = inner.jobs.get(&id.0).ok_or(ServeError::UnknownJob { id })?;
-            (job.node, job.node_job_id, inner.alive[job.node], job.state.is_terminal())
+            let job = inner.job(id)?;
+            (job.node, job.node_job_id, inner.is_alive(job.node), job.state.is_terminal())
         };
         let resuming = |reason: String| ServeError::NotReady { reason };
         if !alive {
@@ -612,11 +553,11 @@ impl ClusterHandle {
     pub fn checkpoint(&self, id: JobId) -> Result<Option<RunCheckpoint>, ServeError> {
         let (node, node_job_id, alive, replicated) = {
             let inner = self.shared.inner.lock().expect(POISONED);
-            let job = inner.jobs.get(&id.0).ok_or(ServeError::UnknownJob { id })?;
+            let job = inner.job(id)?;
             (
                 job.node,
                 job.node_job_id,
-                inner.alive[job.node],
+                inner.is_alive(job.node),
                 job.checkpoint.as_deref().cloned(),
             )
         };
@@ -648,28 +589,27 @@ impl ClusterHandle {
     pub fn cancel(&self, id: JobId) -> Result<StatusResponse, ServeError> {
         let (node, node_job_id, alive, terminal, migrating) = {
             let mut inner = self.shared.inner.lock().expect(POISONED);
-            let job = inner.jobs.get_mut(&id.0).ok_or(ServeError::UnknownJob { id })?;
-            let terminal = job.state.is_terminal();
-            let newly_flagged = !terminal && !job.cancel_requested;
-            if !terminal {
-                job.cancel_requested = true;
+            let job = inner.job(id)?;
+            let (node, node_job_id, terminal) =
+                (job.node, job.node_job_id, job.state.is_terminal());
+            if !terminal && !job.cancel_requested {
+                commit(&self.shared, &mut inner, WalRecord::CancelRequested { id: id.0 });
             }
-            let (node, node_job_id, migrating) = (job.node, job.node_job_id, job.migrating);
-            let out = (node, node_job_id, inner.alive[node], terminal, migrating);
-            if newly_flagged {
-                wal_append(&self.shared, &inner, WalRecord::CancelRequested { id: id.0 });
-            }
-            out
+            (
+                node,
+                node_job_id,
+                inner.is_alive(node),
+                terminal,
+                inner.migrating.contains(&id.0),
+            )
         };
         if terminal || migrating {
             return self.cached_status(id);
         }
         if !alive {
-            // Pending a death-resume: cancel it here, keeping the
-            // replicated checkpoint resumable.
+            // Pending a death-resume: cancel it here instead.
             let mut inner = self.shared.inner.lock().expect(POISONED);
-            let resumable = inner.jobs.get(&id.0).is_some_and(|job| job.checkpoint.is_some());
-            observe(&self.shared, &mut inner, id.0, JobState::Cancelled { resumable }, None);
+            cancel_in_place(&self.shared, &mut inner, id.0);
             drop(inner);
             return self.cached_status(id);
         }
@@ -679,12 +619,7 @@ impl ClusterHandle {
         };
         match fetched {
             Ok(resp) if resp.status == 200 => match resp.json::<StatusResponse>() {
-                Ok(live) => {
-                    let mut inner = self.shared.inner.lock().expect(POISONED);
-                    observe(&self.shared, &mut inner, id.0, live.state, live.status);
-                    drop(inner);
-                    self.cached_status(id)
-                }
+                Ok(live) => self.settle_poll(id, live),
                 Err(_) => self.cached_status(id),
             },
             // The cancel flag is recorded: if the node later dies, the
@@ -693,9 +628,28 @@ impl ClusterHandle {
         }
     }
 
+    /// Folds a node's answer to a client poll into the settled view.
+    /// Only a state change is committed (with the progress it carries);
+    /// the poll's progress is answered live but left to the heartbeat,
+    /// which commits it once per beat — so reads, however often a client
+    /// polls, append to the WAL only when a job changes state.
+    fn settle_poll(&self, id: JobId, live: StatusResponse) -> Result<StatusResponse, ServeError> {
+        let mut inner = self.shared.inner.lock().expect(POISONED);
+        if inner.job(id)?.state != live.state {
+            observe(&self.shared, &mut inner, id.0, live.state, live.status);
+        }
+        let job = inner.job(id)?;
+        Ok(StatusResponse {
+            id,
+            state: job.state.clone(),
+            status: live.status.or(job.status),
+            warnings: Vec::new(),
+        })
+    }
+
     fn cached_status(&self, id: JobId) -> Result<StatusResponse, ServeError> {
         let inner = self.shared.inner.lock().expect(POISONED);
-        let job = inner.jobs.get(&id.0).ok_or(ServeError::UnknownJob { id })?;
+        let job = inner.job(id)?;
         Ok(StatusResponse {
             id,
             state: job.state.clone(),
@@ -749,24 +703,27 @@ impl ClusterHandle {
         }
         drop(last);
         let fold = fold_stats(nodes.iter().filter_map(|node| node.stats.as_ref()));
-        let jobs_inflight = {
+        let (jobs_inflight, counters) = {
             let inner = self.shared.inner.lock().expect(POISONED);
-            inner.jobs.values().filter(|job| !job.state.is_terminal()).count() as u64
+            let jobs = &inner.state.jobs;
+            (
+                jobs.iter().filter(|job| !job.state.is_terminal()).count() as u64,
+                inner.state.counters,
+            )
         };
-        let shared = &self.shared;
         ClusterStats {
-            nodes_total: shared.addrs.len(),
+            nodes_total: self.shared.addrs.len(),
             nodes_alive: alive.iter().filter(|&&a| a).count(),
-            jobs_routed: shared.jobs_routed.load(Ordering::Relaxed),
+            jobs_routed: counters.jobs_routed,
             jobs_inflight,
-            jobs_done: shared.jobs_done.load(Ordering::Relaxed),
-            jobs_failed: shared.jobs_failed.load(Ordering::Relaxed),
-            jobs_timed_out: shared.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_cancelled: shared.jobs_cancelled.load(Ordering::Relaxed),
-            reroutes: shared.reroutes.load(Ordering::Relaxed),
-            node_deaths: shared.node_deaths.load(Ordering::Relaxed),
-            node_revivals: shared.node_revivals.load(Ordering::Relaxed),
-            jobs_resumed: shared.jobs_resumed.load(Ordering::Relaxed),
+            jobs_done: counters.jobs_done,
+            jobs_failed: counters.jobs_failed,
+            jobs_timed_out: counters.jobs_timed_out,
+            jobs_cancelled: counters.jobs_cancelled,
+            reroutes: counters.reroutes,
+            node_deaths: counters.node_deaths,
+            node_revivals: counters.node_revivals,
+            jobs_resumed: counters.jobs_resumed,
             fold,
             nodes,
         }
@@ -797,14 +754,15 @@ impl ClusterHandle {
     pub fn export_jobs(&self) -> Vec<JobExport> {
         let inner = self.shared.inner.lock().expect(POISONED);
         inner
+            .state
             .jobs
             .iter()
-            .map(|(&id, job)| JobExport {
-                id: JobId(id),
+            .map(|job| JobExport {
+                id: JobId(job.id),
                 state: job.state.clone(),
                 status: job.status,
                 checkpoint: job.checkpoint.clone(),
-                cache: job.cache.clone(),
+                cache: inner.cache.get(&job.id).cloned().unwrap_or_default(),
             })
             .collect()
     }
@@ -813,10 +771,11 @@ impl ClusterHandle {
     pub fn inspect(&self) -> Vec<JobInspect> {
         let inner = self.shared.inner.lock().expect(POISONED);
         inner
+            .state
             .jobs
             .iter()
-            .map(|(&id, job)| JobInspect {
-                id,
+            .map(|job| JobInspect {
+                id: job.id,
                 node: job.node,
                 node_job_id: job.node_job_id,
                 state: job.state.label().to_string(),
@@ -921,76 +880,38 @@ impl JobApi for ClusterHandle {
 
 // ------------------------------------------------------------ durability
 
-/// Appends one record to the WAL (when durable) and compacts when due.
-/// Callers hold the `inner` lock: the lock order is `inner` → `wal`, and
-/// holding it keeps the log's record order identical to the order the
-/// transitions were applied.
-fn wal_append(shared: &CoordShared, inner: &Inner, record: WalRecord) {
-    let Some(wal) = &shared.wal else { return };
-    let mut wal = wal.lock().expect(POISONED);
-    wal.append(&record);
-    if wal.wants_compaction() {
-        let state = persisted_state(shared, inner);
-        if let Err(e) = wal.compact(&state) {
+/// The one way durable state changes, live or recovered: appends
+/// `record` to the WAL (when durable), applies it with
+/// [`CoordState::apply`] — the function recovery replays the log through
+/// — compacts from the applied state when due, and wakes waiters.
+/// Callers hold the `inner` lock, so the log's record order is the order
+/// the records were applied.
+fn commit(shared: &CoordShared, inner: &mut Inner, record: WalRecord) {
+    let mut wal = shared.wal.as_ref().map(|wal| wal.lock().expect(POISONED));
+    if let Some(wal) = &mut wal {
+        wal.append(&record);
+    }
+    inner.state.apply(record);
+    if let Some(wal) = wal.as_mut().filter(|wal| wal.wants_compaction()) {
+        if let Err(e) = wal.compact(&inner.state) {
             eprintln!("breaksym-cluster: WAL compaction failed: {e}");
         }
     }
-}
-
-/// The durable projection of the current registry, for compaction.
-fn persisted_state(shared: &CoordShared, inner: &Inner) -> CoordState {
-    CoordState {
-        next_id: inner.next_id,
-        jobs: inner
-            .jobs
-            .iter()
-            .map(|(&id, job)| PersistedJob {
-                id,
-                spec: job.spec.clone(),
-                node: job.node,
-                node_job_id: job.node_job_id,
-                state: job.state.clone(),
-                status: job.status,
-                checkpoint: job.checkpoint.clone(),
-                cancel_requested: job.cancel_requested,
-                detours: job.detours,
-                resumes: job.resumes,
-            })
-            .collect(),
-        dead_nodes: inner
-            .alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &alive)| !alive)
-            .map(|(node, _)| node)
-            .collect(),
-        counters: PersistedCounters {
-            jobs_routed: shared.jobs_routed.load(Ordering::Relaxed),
-            reroutes: shared.reroutes.load(Ordering::Relaxed),
-            node_deaths: shared.node_deaths.load(Ordering::Relaxed),
-            node_revivals: shared.node_revivals.load(Ordering::Relaxed),
-            jobs_resumed: shared.jobs_resumed.load(Ordering::Relaxed),
-            jobs_done: shared.jobs_done.load(Ordering::Relaxed),
-            jobs_failed: shared.jobs_failed.load(Ordering::Relaxed),
-            jobs_timed_out: shared.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_cancelled: shared.jobs_cancelled.load(Ordering::Relaxed),
-        },
-    }
+    shared.state_cv.notify_all();
 }
 
 /// Restart reconciliation, run synchronously before the heartbeat thread
 /// exists: probe every node once (ascending, deterministically), adopt
 /// live exports, resume jobs the live nodes no longer hold, and declare
 /// the unreachable dead — their jobs move to survivors through the usual
-/// death path. A node the *previous* coordinator had declared dead
-/// (`was_dead`, from the recovered state) that answers again counts as a
-/// revival, and after the whole fleet is adopted its home-keyed jobs are
-/// rebalanced back exactly as a live rejoin would. The probes and
-/// adoption consult no failpoints — reconciliation is startup, and
-/// keeping it off the fault registry keeps chaos hit cadences
-/// beat-aligned — though the rebalance migrations still consume their
-/// usual [`FAIL_REBALANCE`] hits.
-fn reconcile(shared: &CoordShared, was_dead: &[usize]) {
+/// death path. A node the recovered state lists as dead that answers
+/// again counts as a revival, and after the whole fleet is adopted its
+/// home-keyed jobs are rebalanced back exactly as a live rejoin would.
+/// The probes and adoption consult no failpoints — reconciliation is
+/// startup, and keeping it off the fault registry keeps chaos hit
+/// cadences beat-aligned — though the rebalance migrations still consume
+/// their usual [`FAIL_REBALANCE`] hits.
+fn reconcile(shared: &CoordShared) {
     let mut revived = Vec::new();
     for node in 0..shared.addrs.len() {
         let healthy = {
@@ -1001,54 +922,65 @@ fn reconcile(shared: &CoordShared, was_dead: &[usize]) {
             declare_dead(shared, node);
             continue;
         }
-        if was_dead.contains(&node) {
-            shared.node_revivals.fetch_add(1, Ordering::Relaxed);
-            let inner = shared.inner.lock().expect(POISONED);
-            wal_append(shared, &inner, WalRecord::NodeRevived { node });
-            drop(inner);
-            revived.push(node);
+        {
+            let mut inner = shared.inner.lock().expect(POISONED);
+            if inner.state.dead_nodes.contains(&node) {
+                commit(shared, &mut inner, WalRecord::NodeRevived { node });
+                revived.push(node);
+            }
         }
         let exports = pull_exports(shared, node).unwrap_or_default();
         let exported: HashSet<u64> = exports.iter().map(|export| export.id.0).collect();
         adopt_exports(shared, node, exports);
         // Non-terminal jobs the coordinator maps to this node but the
         // node does not hold (it restarted, or evicted them while the
-        // coordinator was down): orphans, resumed from the replicated
-        // checkpoint like any other move. A cancel-requested orphan is
-        // cancelled in place instead.
-        let orphans: Vec<u64> = {
-            let inner = shared.inner.lock().expect(POISONED);
-            inner
-                .jobs
-                .iter()
-                .filter(|(_, job)| {
-                    job.node == node
-                        && !job.state.is_terminal()
-                        && !exported.contains(&job.node_job_id)
-                })
-                .map(|(&id, _)| id)
-                .collect()
-        };
-        for id in orphans {
-            let cancel_requested = {
-                let mut inner = shared.inner.lock().expect(POISONED);
-                let requested = inner.jobs.get(&id).is_some_and(|job| job.cancel_requested);
-                if requested {
-                    let resumable = inner.jobs.get(&id).is_some_and(|job| job.checkpoint.is_some());
-                    observe(shared, &mut inner, id, JobState::Cancelled { resumable }, None);
-                }
-                requested
-            };
-            if !cancel_requested {
-                resume_job(shared, id, Some(node));
-            }
-        }
+        // coordinator was down).
+        let orphans =
+            unfinished_jobs(shared, |job| job.node == node && !exported.contains(&job.node_job_id));
+        resume_orphans(shared, orphans, Some(node));
     }
+    // Jobs recovered on a node index this fleet does not have are
+    // orphans too; no window slot was ever reserved for them.
+    let nodes = shared.addrs.len();
+    resume_orphans(shared, unfinished_jobs(shared, |job| job.node >= nodes), None);
     // Rebalance after the whole fleet is adopted, so migrations see
     // final liveness and the freshest replicated checkpoints.
     for node in revived {
         rebalance(shared, node);
     }
+}
+
+/// Ids of the non-terminal jobs matching `filter`, ascending.
+fn unfinished_jobs(shared: &CoordShared, filter: impl Fn(&PersistedJob) -> bool) -> Vec<u64> {
+    let inner = shared.inner.lock().expect(POISONED);
+    let unfinished = inner.state.jobs.iter().filter(|job| !job.state.is_terminal());
+    unfinished.filter(|job| filter(job)).map(|job| job.id).collect()
+}
+
+/// Resumes jobs that no node holds any more from their replicated
+/// checkpoints, like any other move. A cancel-requested orphan is
+/// cancelled in place instead.
+fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>, vacated: Option<usize>) {
+    for id in orphans {
+        let cancelled = {
+            let mut inner = shared.inner.lock().expect(POISONED);
+            let requested = inner.state.job(id).is_some_and(|job| job.cancel_requested);
+            if requested {
+                cancel_in_place(shared, &mut inner, id);
+            }
+            requested
+        };
+        if !cancelled {
+            resume_job(shared, id, vacated);
+        }
+    }
+}
+
+/// Cancels a job the coordinator cannot reach on any node, keeping its
+/// replicated checkpoint resumable.
+fn cancel_in_place(shared: &CoordShared, inner: &mut Inner, id: u64) {
+    let resumable = inner.state.job(id).is_some_and(|job| job.checkpoint.is_some());
+    observe(shared, inner, id, JobState::Cancelled { resumable }, None);
 }
 
 // ------------------------------------------------------------ forwarding
@@ -1120,10 +1052,7 @@ fn forward(
             }
             inner.inflight[node] += 1;
         }
-        let release = || {
-            let mut inner = shared.inner.lock().expect(POISONED);
-            inner.inflight[node] = inner.inflight[node].saturating_sub(1);
-        };
+        let release = || shared.inner.lock().expect(POISONED).release(node);
         let injected = matches!(
             fault::hit(FAIL_FORWARD),
             Some(FaultAction::Fail { .. }) | Some(FaultAction::Drop)
@@ -1166,15 +1095,18 @@ fn forward(
 
 // ------------------------------------------------------------ observation
 
-/// Records an observed job transition under the `inner` lock: updates
-/// the cached state/progress, and on the *first* transition to terminal
-/// releases the window slot and bumps the matching coordinator counter —
-/// exactly once per job, whatever mixture of polls, heartbeats, and
-/// cancels observed it. Terminal is sticky: nothing a node says later
-/// can resurrect a job the coordinator has settled. While a migration
-/// owns the job, terminal states from its old node are the migration's
-/// own cancel at work and are ignored here. State *changes* (not
-/// progress refreshes) are write-ahead logged.
+/// Records an observation of a job under the `inner` lock. Terminal is
+/// sticky: nothing a node says later can resurrect a job the coordinator
+/// has settled. While a migration owns the job, terminal states from its
+/// old node are the migration's own cancel at work and are ignored. A new
+/// state or new progress is committed as one `Observed` record, whose
+/// apply bumps the matching terminal counter on the first transition to
+/// terminal — exactly once per job, whatever mixture of polls,
+/// heartbeats, and cancels observed it; that transition also frees the
+/// job's window slot. An observation that changes nothing records
+/// nothing. Client polls call this only for a state change (see
+/// `ClusterHandle::settle_poll`); progress-only records come from the
+/// heartbeat's replication, at most one per job per beat.
 fn observe(
     shared: &CoordShared,
     inner: &mut Inner,
@@ -1182,42 +1114,20 @@ fn observe(
     state: JobState,
     status: Option<RunStatus>,
 ) {
-    let (node, now_terminal, settled, logged_status);
-    {
-        let Some(job) = inner.jobs.get_mut(&id) else {
-            return;
-        };
-        if let Some(status) = status {
-            job.status = Some(status);
-        }
-        if job.state.is_terminal() {
-            return;
-        }
-        if job.migrating && state.is_terminal() {
-            return;
-        }
-        let changed = job.state != state;
-        job.state = state;
-        node = job.node;
-        now_terminal = job.state.is_terminal();
-        settled = changed.then(|| job.state.clone());
-        logged_status = job.status;
+    let Some(job) = inner.state.job(id) else {
+        return;
+    };
+    let held = job.state.is_terminal() || (state.is_terminal() && inner.migrating.contains(&id));
+    let state = if held { job.state.clone() } else { state };
+    let status = status.filter(|&status| job.status != Some(status));
+    if state == job.state && status.is_none() {
+        return;
     }
-    if now_terminal {
-        inner.inflight[node] = inner.inflight[node].saturating_sub(1);
-        let counter = match inner.jobs[&id].state {
-            JobState::Done => &shared.jobs_done,
-            JobState::Failed { .. } => &shared.jobs_failed,
-            JobState::TimedOut { .. } => &shared.jobs_timed_out,
-            JobState::Cancelled { .. } => &shared.jobs_cancelled,
-            _ => unreachable!("is_terminal covers exactly these"),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+    let (node, settles) = (job.node, !held && state.is_terminal());
+    commit(shared, inner, WalRecord::Observed { id, state, status });
+    if settles {
+        inner.release(node);
     }
-    if let Some(state) = settled {
-        wal_append(shared, inner, WalRecord::Observed { id, state, status: logged_status });
-    }
-    shared.state_cv.notify_all();
 }
 
 // ------------------------------------------------------------ heartbeat
@@ -1317,41 +1227,28 @@ fn pull_exports(shared: &CoordShared, node: usize) -> Option<Vec<JobExport>> {
 fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
     let mut inner = shared.inner.lock().expect(POISONED);
     let by_node_id: HashMap<u64, u64> = inner
+        .state
         .jobs
         .iter()
-        .filter(|(_, job)| job.node == node)
-        .map(|(&id, job)| (job.node_job_id, id))
+        .filter(|job| job.node == node)
+        .map(|job| (job.node_job_id, job.id))
         .collect();
     for export in exports {
         let Some(&id) = by_node_id.get(&export.id.0) else {
             continue;
         };
-        if let Some(ckpt) = export.checkpoint {
-            let fresher = inner.jobs.get(&id).is_some_and(|job| {
-                job.checkpoint.as_ref().is_none_or(|old| ckpt.evals > old.evals)
+        if let Some(checkpoint) = export.checkpoint {
+            let fresher = inner.state.job(id).is_some_and(|job| {
+                job.checkpoint.as_ref().is_none_or(|old| checkpoint.evals > old.evals)
             });
             if fresher {
-                if let Some(job) = inner.jobs.get_mut(&id) {
-                    job.checkpoint = Some(ckpt);
-                    if !export.cache.is_empty() {
-                        job.cache = export.cache;
-                    }
+                if !export.cache.is_empty() {
+                    inner.cache.insert(id, export.cache);
                 }
-                wal_append_checkpoint(shared, &inner, id);
+                commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
             }
         }
         observe(shared, &mut inner, id, export.state, export.status);
-    }
-}
-
-/// Logs the job's current replicated checkpoint. Split out so the borrow
-/// on the job ends before the WAL needs `&Inner`.
-fn wal_append_checkpoint(shared: &CoordShared, inner: &Inner, id: u64) {
-    if shared.wal.is_none() {
-        return;
-    }
-    if let Some(ckpt) = inner.jobs.get(&id).and_then(|job| job.checkpoint.clone()) {
-        wal_append(shared, inner, WalRecord::Checkpoint { id, checkpoint: ckpt });
     }
 }
 
@@ -1371,64 +1268,39 @@ fn replicate(shared: &CoordShared, node: usize) {
 
 /// Re-forwards one non-terminal job — death-resume, rejoin migration, or
 /// restart reconciliation — with its replicated checkpoint and warm
-/// cache attached, updating the mapping and the resume accounting
-/// (`+1` resume, `1 + detours` reroutes). `vacated` names a node whose
-/// window slot the job leaves behind, when the caller has not already
-/// zeroed it.
+/// cache attached, and commits the move (`+1` resume, `1 + detours`
+/// reroutes). `vacated` names a node whose window slot the job leaves
+/// behind, when the caller has not already zeroed it.
 fn resume_job(shared: &CoordShared, id: u64, vacated: Option<usize>) {
     let spec = {
         let inner = shared.inner.lock().expect(POISONED);
-        let Some(job) = inner.jobs.get(&id) else {
+        let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
             return;
         };
-        if job.state.is_terminal() {
-            return;
-        }
         let mut spec = job.spec.clone();
         spec.checkpoint = job.checkpoint.clone();
-        spec.warm_cache = job.cache.clone();
+        spec.warm_cache = inner.cache.get(&id).cloned().unwrap_or_default();
         spec
     };
-    match forward(shared, id, &spec, false) {
+    let placed = forward(shared, id, &spec, false);
+    let mut inner = shared.inner.lock().expect(POISONED);
+    inner.migrating.remove(&id);
+    match placed {
         Ok(placed) => {
-            let mut inner = shared.inner.lock().expect(POISONED);
             if let Some(node) = vacated {
-                inner.inflight[node] = inner.inflight[node].saturating_sub(1);
+                inner.release(node);
             }
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                job.node = placed.node;
-                job.node_job_id = placed.node_job_id;
-                job.state = JobState::Queued;
-                job.resumes += 1;
-                job.detours += placed.detours;
-                job.migrating = false;
-            }
-            shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-            shared.reroutes.fetch_add(1 + u64::from(placed.detours), Ordering::Relaxed);
-            wal_append(
-                shared,
-                &inner,
-                WalRecord::Moved {
-                    id,
-                    node: placed.node,
-                    node_job_id: placed.node_job_id,
-                    detours_added: placed.detours,
-                },
-            );
-            shared.state_cv.notify_all();
+            let record = WalRecord::Moved {
+                id,
+                node: placed.node,
+                node_job_id: placed.node_job_id,
+                detours_added: placed.detours,
+            };
+            commit(shared, &mut inner, record);
         }
         Err(e) => {
-            let mut inner = shared.inner.lock().expect(POISONED);
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                job.migrating = false;
-            }
-            observe(
-                shared,
-                &mut inner,
-                id,
-                JobState::Failed { error: format!("resume after a move failed: {e}") },
-                None,
-            );
+            let failed = JobState::Failed { error: format!("resume after a move failed: {e}") };
+            observe(shared, &mut inner, id, failed, None);
         }
     }
 }
@@ -1438,7 +1310,7 @@ fn resume_job(shared: &CoordShared, id: u64, vacated: Option<usize>) {
 /// resubmitted, in ascending cluster-id order, to the ring's surviving
 /// fallback with their replicated checkpoints and warm caches attached.
 fn declare_dead(shared: &CoordShared, node: usize) {
-    let to_resume: Vec<u64> = {
+    {
         let mut inner = shared.inner.lock().expect(POISONED);
         if !inner.alive[node] {
             return;
@@ -1446,28 +1318,9 @@ fn declare_dead(shared: &CoordShared, node: usize) {
         inner.alive[node] = false;
         inner.inflight[node] = 0;
         inner.revive_hits[node] = 0;
-        shared.node_deaths.fetch_add(1, Ordering::Relaxed);
-        wal_append(shared, &inner, WalRecord::NodeDead { node });
-        let affected: Vec<u64> = inner
-            .jobs
-            .iter()
-            .filter(|(_, job)| job.node == node && !job.state.is_terminal())
-            .map(|(&id, _)| id)
-            .collect();
-        let mut resume = Vec::new();
-        for id in affected {
-            if inner.jobs[&id].cancel_requested {
-                let resumable = inner.jobs[&id].checkpoint.is_some();
-                observe(shared, &mut inner, id, JobState::Cancelled { resumable }, None);
-                continue;
-            }
-            resume.push(id);
-        }
-        resume
-    };
-    for id in to_resume {
-        resume_job(shared, id, None);
+        commit(shared, &mut inner, WalRecord::NodeDead { node });
     }
+    resume_orphans(shared, unfinished_jobs(shared, |job| job.node == node), None);
 }
 
 // ------------------------------------------------------------ rejoin
@@ -1482,9 +1335,7 @@ fn revive(shared: &CoordShared, node: usize) {
         inner.alive[node] = true;
         inner.misses[node] = 0;
         inner.revive_hits[node] = 0;
-        shared.node_revivals.fetch_add(1, Ordering::Relaxed);
-        wal_append(shared, &inner, WalRecord::NodeRevived { node });
-        shared.state_cv.notify_all();
+        commit(shared, &mut inner, WalRecord::NodeRevived { node });
     }
     rebalance(shared, node);
 }
@@ -1496,21 +1347,11 @@ fn revive(shared: &CoordShared, node: usize) {
 /// its survivor, which is always correct.
 fn rebalance(shared: &CoordShared, home: usize) {
     let whole_fleet = vec![true; shared.addrs.len()];
-    let candidates: Vec<u64> = {
-        let inner = shared.inner.lock().expect(POISONED);
-        inner
-            .jobs
-            .iter()
-            .filter(|(&id, job)| {
-                !job.state.is_terminal()
-                    && !job.cancel_requested
-                    && !job.migrating
-                    && job.node != home
-                    && shared.ring.route(id, &whole_fleet) == Some(home)
-            })
-            .map(|(&id, _)| id)
-            .collect()
-    };
+    let candidates = unfinished_jobs(shared, |job| {
+        !job.cancel_requested
+            && job.node != home
+            && shared.ring.route(job.id, &whole_fleet) == Some(home)
+    });
     for id in candidates {
         if matches!(
             fault::hit(FAIL_REBALANCE),
@@ -1529,14 +1370,15 @@ fn rebalance(shared: &CoordShared, home: usize) {
 /// throughout so no racing poll can settle it on the survivor's cancel.
 fn migrate(shared: &CoordShared, id: u64) {
     let Some((survivor, node_job_id)) = ({
-        let mut inner = shared.inner.lock().expect(POISONED);
-        match inner.jobs.get_mut(&id) {
-            Some(job) if !job.state.is_terminal() && !job.cancel_requested && !job.migrating => {
-                job.migrating = true;
-                Some((job.node, job.node_job_id))
-            }
-            _ => None,
-        }
+        let mut guard = shared.inner.lock().expect(POISONED);
+        let inner = &mut *guard;
+        inner
+            .state
+            .job(id)
+            .filter(|job| !job.state.is_terminal() && !job.cancel_requested)
+            .map(|job| (job.node, job.node_job_id))
+            // Claim the job; one another migration already owns is skipped.
+            .filter(|_| inner.migrating.insert(id))
     }) else {
         return;
     };
@@ -1586,22 +1428,15 @@ fn migrate(shared: &CoordShared, id: u64) {
                 .map(Box::new);
         }
     }
+    let mut inner = shared.inner.lock().expect(POISONED);
     if let Some((state, status)) = finished_instead {
-        let mut inner = shared.inner.lock().expect(POISONED);
-        if let Some(job) = inner.jobs.get_mut(&id) {
-            job.migrating = false;
-        }
+        inner.migrating.remove(&id);
         observe(shared, &mut inner, id, state, status);
         return;
     }
-    {
-        let mut inner = shared.inner.lock().expect(POISONED);
-        if let Some(ckpt) = fresh_ckpt {
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                job.checkpoint = Some(ckpt);
-            }
-            wal_append_checkpoint(shared, &inner, id);
-        }
+    if let Some(checkpoint) = fresh_ckpt {
+        commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
     }
+    drop(inner);
     resume_job(shared, id, Some(survivor));
 }

@@ -30,12 +30,12 @@
 //!   survivor, resume at home — keeping the
 //!   `reroutes == detours + resumes` accounting identity;
 //! - **coordinator durability** ([`wal`]): started with a state
-//!   directory ([`Coordinator::start_durable`]), every routing decision
-//!   and observed transition is write-ahead logged, and a restarted
-//!   coordinator re-adopts the fleet — replaying the log, probing every
-//!   node, adopting live exports, resuming orphans from replicated
-//!   checkpoints — before accepting traffic, so a SIGKILLed coordinator
-//!   loses zero jobs;
+//!   directory ([`Coordinator::start_durable`]), every change to the
+//!   job table and counters is one write-ahead-logged record, and a
+//!   restarted coordinator re-adopts the fleet — replaying the log,
+//!   probing every node, adopting live exports, resuming orphans from
+//!   replicated checkpoints — before accepting traffic, so a SIGKILLed
+//!   coordinator loses zero jobs;
 //! - **cross-node cache sharing**: the hot eval-cache entries each node
 //!   exports alongside its checkpoints are replicated too, and every
 //!   resume carries them as the spec's warm cache, so a moved job

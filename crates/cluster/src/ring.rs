@@ -4,11 +4,13 @@
 //! points hashed onto a `u64` circle, and a job id routes to the owner
 //! of the first point at or clockwise-after the id's own hash. Dead
 //! nodes are skipped by continuing around the ring, so a job's fallback
-//! order is itself deterministic. The hash is FNV-1a — stable across
-//! processes, platforms, and runs, unlike `DefaultHasher`, which is
-//! randomly keyed per process. Cross-run stability is what makes the
-//! chaos harness's run-twice determinism possible, and it means a
-//! restarted coordinator routes identically to its predecessor.
+//! order is itself deterministic. The hash is FNV-1a — a specified
+//! algorithm, so it is stable across processes, platforms, runs and
+//! toolchains. `DefaultHasher` is not: std leaves its algorithm
+//! unspecified and free to change between releases (it is `RandomState`
+//! that keys hashers randomly per process). Cross-run stability is what
+//! makes the chaos harness's run-twice determinism possible, and it
+//! means a restarted coordinator routes identically to its predecessor.
 
 /// FNV-1a over a byte string: tiny, dependency-free, and stable — the
 /// properties that matter here; cryptographic strength does not.

@@ -15,8 +15,11 @@
 //! Recovery reads the snapshot (if any) and replays the log over it
 //! ([`WalStore::load`]). A torn trailing line — the crash interrupted
 //! the write — ends the replay; everything before it was flushed whole.
-//! Replay re-derives the counters exactly the way the live coordinator
-//! bumps them, so restart accounting is indistinguishable from an
+//! The live coordinator changes its durable state only by appending a
+//! record and then applying it with [`CoordState::apply`], and replay
+//! applies the same records with the same function. So the recovered
+//! job table and counters equal the live ones as of the last flushed
+//! record, and restart accounting is indistinguishable from an
 //! uninterrupted run.
 //!
 //! Replicated eval-cache entries are deliberately *not* persisted: they
@@ -59,9 +62,9 @@ const LOG: &str = "wal.jsonl";
 /// Appends between automatic compactions ([`WalStore::wants_compaction`]).
 const COMPACT_EVERY: u64 = 256;
 
-/// One routed job, as persisted. Mirrors the coordinator's in-memory
-/// record minus what is rebuilt at recovery (liveness, windows, the
-/// replicated cache entries).
+/// One routed job: the coordinator's durable record of it. What is
+/// rebuilt at recovery (liveness, windows, migration flags, replicated
+/// cache entries) lives outside it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedJob {
     /// The cluster-wide job id.
@@ -126,10 +129,9 @@ pub struct CoordState {
     pub dead_nodes: Vec<usize>,
 }
 
-/// One logged state transition. Replay applies these with the same
-/// sticky-terminal, exactly-once-counter semantics the live coordinator
-/// uses, so a recovered coordinator's accounting matches an
-/// uninterrupted one.
+/// One logged state transition. The live coordinator and replay both
+/// apply these through [`CoordState::apply`], so a recovered
+/// coordinator's state matches an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "op", rename_all = "snake_case")]
 pub enum WalRecord {
@@ -138,11 +140,12 @@ pub enum WalRecord {
         /// The job as routed (boxed: it dwarfs every other record).
         job: Box<PersistedJob>,
     },
-    /// A state transition was observed (polls, heartbeats, cancels).
+    /// A job changed state (polls, heartbeats, cancels), or a heartbeat
+    /// replicated new progress.
     Observed {
         /// Cluster job id.
         id: u64,
-        /// The newly observed state.
+        /// The job's state after the observation.
         state: JobState,
         /// Progress observed alongside, if any.
         #[serde(default)]
@@ -186,28 +189,35 @@ pub enum WalRecord {
 }
 
 impl CoordState {
-    fn job_mut(&mut self, id: u64) -> Option<&mut PersistedJob> {
-        self.jobs.iter_mut().find(|job| job.id == id)
+    /// The job with cluster id `id`, found by binary search (ids only
+    /// grow, so `jobs` stays sorted).
+    pub(crate) fn job(&self, id: u64) -> Option<&PersistedJob> {
+        self.jobs.binary_search_by_key(&id, |job| job.id).ok().map(|at| &self.jobs[at])
     }
 
-    /// Applies one record, mirroring the live coordinator's transition
-    /// rules: terminal states are sticky, terminal counters bump exactly
-    /// once per job, every move counts one resume and `1 + detours`
-    /// reroutes.
+    fn job_mut(&mut self, id: u64) -> Option<&mut PersistedJob> {
+        let at = self.jobs.binary_search_by_key(&id, |job| job.id).ok()?;
+        Some(&mut self.jobs[at])
+    }
+
+    /// Applies one record — the only way a coordinator's durable state
+    /// changes, live or replayed. Terminal states are sticky, terminal
+    /// counters bump exactly once per job, and every move counts one
+    /// resume and `1 + detours` reroutes.
     pub fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::Routed { job } => {
                 self.next_id = self.next_id.max(job.id);
-                if self.jobs.iter().any(|existing| existing.id == job.id) {
-                    // A replayed duplicate — the crash fell between the
-                    // snapshot rename and the log truncation, so the
-                    // snapshot already accounts for this job.
+                // A replayed duplicate — the crash fell between the
+                // snapshot rename and the log truncation, so the snapshot
+                // already accounts for this job.
+                let Err(at) = self.jobs.binary_search_by_key(&job.id, |existing| existing.id)
+                else {
                     return;
-                }
+                };
                 self.counters.jobs_routed += 1;
                 self.counters.reroutes += u64::from(job.detours);
-                self.jobs.push(*job);
-                self.jobs.sort_by_key(|job| job.id);
+                self.jobs.insert(at, *job);
             }
             WalRecord::Observed { id, state, status } => {
                 let mut bump: Option<fn(&mut PersistedCounters) -> &mut u64> = None;

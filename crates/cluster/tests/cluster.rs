@@ -4,22 +4,22 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use breaksym_cluster::{
-    run_cluster_chaos, ClusterChaosConfig, ClusterConfig, Coordinator, NodeClient, FAIL_HEARTBEAT,
-    FAIL_REBALANCE, FAIL_STATS,
+    run_cluster_chaos, ClusterChaosConfig, ClusterConfig, ClusterHandle, Coordinator, NodeClient,
+    WalStore, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
 };
 use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport};
 use breaksym_serve::{
     Healthz, HttpServer, JobSpec, JobState, ServeConfig, ServeEngine, ServeError, SubmitResponse,
-    TaskSpec,
+    TaskSpec, FAIL_SLICE,
 };
-use breaksym_testkit::{fault, FaultAction, FaultPlan, TestClock};
+use breaksym_testkit::{fault, FaultAction, FaultPlan, FaultTrigger, TestClock};
 
 /// The fault registry is process-global, and several tests here arm it
 /// (directly or via the chaos harness). Running them concurrently would
@@ -44,6 +44,30 @@ fn job(seed: u64, max_evals: u64, slice: u64) -> JobSpec {
     let mut spec = JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(cfg));
     spec.slice_evals = Some(slice);
     spec
+}
+
+/// Adds to `plan` a [`FAIL_SLICE`] delay before every slice the fleet
+/// runs while the plan is installed. Jobs then crawl from one slice
+/// boundary to the next, so a scripted heartbeat history cannot race a
+/// job to its finish; dropping the plan's guard releases them.
+fn holding_slices(mut plan: FaultPlan) -> FaultPlan {
+    plan.triggers.push(FaultTrigger {
+        site: FAIL_SLICE.to_string(),
+        at: 1,
+        count: 100_000,
+        action: FaultAction::DelayMs { ms: 100 },
+    });
+    plan
+}
+
+/// Waits, with virtual time frozen, until no heartbeat is between its
+/// two node probes. Installing a plan resets the hit counters, and a
+/// beat straddling the install would consume hits out of alignment; a
+/// plan installed after this counts heartbeat hits from a beat boundary.
+/// Needs a 2-node fleet and an installed plan (which counts the hits).
+fn settle_beats() {
+    thread::sleep(Duration::from_millis(50));
+    assert!(poll_until(Duration::from_secs(10), || fault::hits(FAIL_HEARTBEAT).is_multiple_of(2)));
 }
 
 struct Node {
@@ -305,7 +329,8 @@ fn durable_coordinator_survives_an_abrupt_restart() {
 /// Drives the full death-then-rejoin cycle on the virtual clock: kill
 /// the job's home node with scripted heartbeat misses (its server never
 /// stops), watch the job resume on the survivor, then let the revival
-/// hysteresis re-admit the node. With `rebalance_blocked` the
+/// hysteresis re-admit the node. The job is held at slice boundaries
+/// until the rebalance has dealt with it. With `rebalance_blocked` the
 /// [`FAIL_REBALANCE`] failpoint eats the migration and the job must
 /// simply finish on its survivor.
 fn rejoin_round(rebalance_blocked: bool) {
@@ -323,6 +348,7 @@ fn rejoin_round(rebalance_blocked: bool) {
     );
     let handle = coordinator.handle();
 
+    let hold = fault::install(holding_slices(FaultPlan::new()));
     let id = handle.submit(job(11, 600, 8)).expect("submit");
     let home = handle.inspect()[0].node;
     // Drive beats until a mid-run checkpoint replicates, so the kill
@@ -336,23 +362,21 @@ fn rejoin_round(rebalance_blocked: bool) {
         handle.inspect()
     );
 
-    // Let any beat triggered by the last advance finish: installing
-    // resets the hit counters, and a beat straddling the install would
-    // consume hits out of alignment.
-    thread::sleep(Duration::from_millis(50));
+    settle_beats();
 
     // Installing resets the hit counters, so beats count from zero here:
     // with 2 nodes every beat consumes two heartbeat hits in node order,
     // and node `home`'s probe on beat b is hit (b-1)*2 + home + 1. Three
     // consecutive beats' worth is exactly the failure threshold.
     let miss = |beat: u64| (beat - 1) * 2 + home as u64 + 1;
-    let mut plan = FaultPlan::new()
+    let mut plan = holding_slices(FaultPlan::new())
         .with(FAIL_HEARTBEAT, miss(1), FaultAction::Fail { what: "miss".into() })
         .with(FAIL_HEARTBEAT, miss(2), FaultAction::Fail { what: "miss".into() })
         .with(FAIL_HEARTBEAT, miss(3), FaultAction::Fail { what: "miss".into() });
     if rebalance_blocked {
         plan = plan.with(FAIL_REBALANCE, 1, FaultAction::Drop);
     }
+    drop(hold);
     let guard = fault::install(plan);
 
     assert!(
@@ -370,6 +394,17 @@ fn rejoin_round(rebalance_blocked: bool) {
             handle.node_alive(home)
         }),
         "home node not revived"
+    );
+    // The revival's rebalance runs on the heartbeat thread: release the
+    // job only once it has moved home, or had its move blocked.
+    assert!(
+        poll_until(Duration::from_secs(30), || if rebalance_blocked {
+            fault::hits(FAIL_REBALANCE) == 1
+        } else {
+            handle.inspect()[0].resumes == 2
+        }),
+        "rebalance did not reach the job: {:?}",
+        handle.inspect()
     );
     drop(guard);
 
@@ -411,6 +446,223 @@ fn revived_node_takes_back_its_home_jobs() {
 fn rebalance_failpoint_leaves_the_job_on_its_survivor() {
     let _serial = serial();
     rejoin_round(true);
+}
+
+/// Asserts that the coordinator's view equals the state its WAL
+/// recovers: every job's state, progress, replicated checkpoint, node and
+/// accounting, and every routing counter.
+fn assert_live_equals_recovered(handle: &ClusterHandle, dir: &Path) {
+    let recovered = WalStore::open(dir)
+        .and_then(|store| store.load())
+        .expect("state loads")
+        .expect("the log holds state");
+    let (inspect, exports) = (handle.inspect(), handle.export_jobs());
+    assert_eq!(recovered.jobs.len(), inspect.len());
+    for ((job, live), export) in recovered.jobs.iter().zip(&inspect).zip(&exports) {
+        assert_eq!(job.id, live.id);
+        assert_eq!(job.state, export.state, "job {} state", job.id);
+        assert_eq!(job.status, export.status, "job {} progress", job.id);
+        assert_eq!(
+            job.checkpoint.as_ref().map(|ckpt| ckpt.evals),
+            export.checkpoint.as_ref().map(|ckpt| ckpt.evals),
+            "job {} checkpoint",
+            job.id
+        );
+        assert_eq!(
+            (job.node, job.node_job_id, job.resumes, job.detours, job.cancel_requested),
+            (live.node, live.node_job_id, live.resumes, live.detours, live.cancel_requested),
+            "job {} routing",
+            job.id
+        );
+    }
+    let (c, stats) = (recovered.counters, handle.stats());
+    assert_eq!(
+        [
+            c.jobs_routed,
+            c.jobs_done,
+            c.jobs_failed,
+            c.jobs_timed_out,
+            c.jobs_cancelled,
+            c.reroutes,
+            c.node_deaths,
+            c.node_revivals,
+            c.jobs_resumed,
+        ],
+        [
+            stats.jobs_routed,
+            stats.jobs_done,
+            stats.jobs_failed,
+            stats.jobs_timed_out,
+            stats.jobs_cancelled,
+            stats.reroutes,
+            stats.node_deaths,
+            stats.node_revivals,
+            stats.jobs_resumed,
+        ],
+        "routing counters"
+    );
+}
+
+/// Scripts a history on the virtual clock — two submits, replicated
+/// progress and checkpoints, a cancel, a death of the second job's home
+/// node with progress observed on the survivor, the home node's revival
+/// and the migration back — and checks, at quiescent points, that the
+/// live coordinator and the state its WAL recovers are the same.
+#[test]
+fn live_state_equals_recovered_state() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(2);
+    let dir = state_dir("live-equals-recovered");
+    let clock = TestClock::new();
+    let cfg = ClusterConfig {
+        heartbeat_interval: Duration::from_millis(100),
+        failure_threshold: 3,
+        rpc_timeout: Duration::from_secs(2),
+        ..ClusterConfig::default()
+    };
+    let beat = || {
+        clock.advance_ms(100);
+        thread::sleep(Duration::from_millis(5));
+    };
+    let hold = fault::install(holding_slices(FaultPlan::new()));
+    let coordinator =
+        Coordinator::start_durable_with_clock(addrs.clone(), cfg, &dir, clock.to_shared())
+            .expect("durable start");
+    let handle = coordinator.handle();
+    let cancelled = handle.submit(job(51, 600, 8)).expect("submit");
+    let moved = handle.submit(job(52, 600, 8)).expect("submit");
+
+    // Beats replicate progress and checkpoints; the first job is
+    // cancelled once it has some, and its node stops it at a slice
+    // boundary.
+    let replicated = |index: usize| handle.inspect()[index].has_checkpoint;
+    assert!(poll_until(Duration::from_secs(30), || {
+        beat();
+        replicated(0)
+    }));
+    handle.cancel(cancelled).expect("cancel");
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            beat();
+            handle.inspect()[0].state == "cancelled" && replicated(1)
+        }),
+        "{:?}",
+        handle.inspect()
+    );
+
+    // Kill the second job's home node with scripted misses, and keep its
+    // revival probes failing until the survivor has reported progress
+    // twice within one state — a progress-only observation.
+    let home = handle.inspect()[1].node;
+    settle_beats();
+    let miss = |beat: u64| (beat - 1) * 2 + home as u64 + 1;
+    let plan = (1..=400).fold(holding_slices(FaultPlan::new()), |plan, beat| {
+        plan.with(FAIL_HEARTBEAT, miss(beat), FaultAction::Fail { what: "miss".into() })
+    });
+    drop(hold);
+    let hold = fault::install(plan);
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            beat();
+            handle.inspect()[1].resumes == 1
+        }),
+        "the second job did not move off its dead home: {:?}",
+        handle.inspect()
+    );
+    let mut first_seen = None;
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            beat();
+            let export = &handle.export_jobs()[1];
+            export.state == JobState::Running
+                && *first_seen.get_or_insert(export.status) != export.status
+        }),
+        "no progress replicated from the survivor"
+    );
+
+    // Let the home node answer again: the revival migrates the job back.
+    drop(hold);
+    let hold = fault::install(holding_slices(FaultPlan::new()));
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            beat();
+            handle.inspect()[1].resumes == 2
+        }),
+        "the second job did not migrate home: {:?}",
+        handle.inspect()
+    );
+    let handle = coordinator.shutdown();
+    let stats = handle.stats();
+    assert_eq!((stats.node_deaths, stats.node_revivals, stats.jobs_resumed), (1, 1, 2));
+    assert_eq!(handle.inspect()[1].node, home);
+    assert_live_equals_recovered(&handle, &dir);
+
+    // Recover from the log, release the jobs and finish the second one
+    // through status polls: the states agree at the end too.
+    let coordinator = Coordinator::start_durable_with_clock(addrs, cfg, &dir, clock.to_shared())
+        .expect("restart recovers");
+    drop(hold);
+    let handle = coordinator.handle();
+    let done = handle.wait(moved, Duration::from_secs(120)).expect("job settles");
+    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
+    let handle = coordinator.shutdown();
+    assert_live_equals_recovered(&handle, &dir);
+
+    teardown(nodes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Client polls commit a job's state changes but not its progress. With
+/// the heartbeat frozen on a virtual clock, a job polled to its finish
+/// logs its `routed` record plus one record per state change the polls
+/// saw, however many progress updates they answered.
+#[test]
+fn status_polls_log_state_changes_only() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(1);
+    let dir = state_dir("polls-log-states");
+    let clock = TestClock::new();
+    let coordinator = Coordinator::start_durable_with_clock(
+        addrs,
+        ClusterConfig::default(),
+        &dir,
+        clock.to_shared(),
+    )
+    .expect("durable start");
+    let handle = coordinator.handle();
+    // A short pause before every slice, so the polls see many of them.
+    let mut plan = FaultPlan::new();
+    plan.triggers.push(FaultTrigger {
+        site: FAIL_SLICE.to_string(),
+        at: 1,
+        count: 100_000,
+        action: FaultAction::DelayMs { ms: 10 },
+    });
+    let pause = fault::install(plan);
+    let id = handle.submit(job(53, 600, 8)).expect("submit");
+    let (mut states, mut evals, mut progress_only) = (vec![JobState::Queued], None, 0);
+    assert!(poll_until(Duration::from_secs(120), || {
+        let resp = handle.status(id).expect("status");
+        let seen = resp.status.map(|status| status.evals);
+        if states.last() != Some(&resp.state) {
+            states.push(resp.state.clone());
+        } else if seen != evals {
+            progress_only += 1;
+        }
+        evals = seen;
+        resp.state.is_terminal()
+    }));
+    drop(pause);
+    assert!(matches!(states.last(), Some(JobState::Done)), "{states:?}");
+    assert!(progress_only >= 2, "too few progress-only updates seen: {progress_only}");
+
+    let handle = coordinator.shutdown();
+    let log = std::fs::read_to_string(dir.join("wal.jsonl")).expect("the log exists");
+    assert_eq!(log.lines().count(), states.len(), "records for states {states:?}");
+    assert_live_equals_recovered(&handle, &dir);
+
+    teardown(nodes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -76,7 +76,7 @@ pub use op_report::{DeviceOp, OpReport, Region};
 pub use stamp::{ExtraElement, MnaContext};
 pub use testbench::{EvalOptions, Testbench};
 pub use tran::{TransientResult, TransientSolver};
-pub use workspace::{SolverWorkspace, StructurePlan};
+pub use workspace::SolverWorkspace;
 
 // Re-export what callers need alongside this crate.
 pub use breaksym_lde::{LdeModel, ParamShift};

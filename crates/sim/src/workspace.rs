@@ -14,18 +14,12 @@
 //! The workspace is an *arena*, not an algorithm change: every `*_ws`
 //! solver entry point performs exactly the same floating-point operations
 //! in exactly the same order as its allocating twin, so results are
-//! bit-identical whether or not a workspace is reused. In particular the
-//! pivot *plan* recorded from a representative factorisation is advisory —
-//! partial pivoting compares runtime magnitudes, so reusing a recorded
-//! permutation to skip the pivot search would change which row divides
-//! which and break bit-identity. The plan exists for structure analysis
-//! and drift diagnostics (see [`SolverWorkspace::pivot_drift`]), never to
-//! shortcut arithmetic.
+//! bit-identical whether or not a workspace is reused. In particular a
+//! factorisation never replays an earlier pivot order: partial pivoting
+//! compares runtime magnitudes, so reusing a recorded permutation to skip
+//! the pivot search would change which row divides which and break
+//! bit-identity.
 
-use breaksym_netlist::Circuit;
-
-use crate::dc::DcSolver;
-use crate::stamp::{ExtraElement, MnaContext};
 use crate::Complex;
 
 /// Complex LU arena: matrix, RHS, solution, and the pivot permutation of
@@ -40,15 +34,6 @@ pub(crate) struct LinearScratch {
     pub(crate) x: Vec<Complex>,
     /// Pivot row chosen per elimination column in the last factorisation.
     pub(crate) pivots: Vec<usize>,
-}
-
-impl LinearScratch {
-    fn reserve(&mut self, n: usize) {
-        self.a.reserve(n * n);
-        self.b.reserve(n);
-        self.x.reserve(n);
-        self.pivots.reserve(n);
-    }
 }
 
 /// Real Newton arena: Jacobian, residual, and line-search trial state.
@@ -68,55 +53,12 @@ pub(crate) struct NewtonScratch {
     pub(crate) delta: Vec<f64>,
 }
 
-impl NewtonScratch {
-    fn reserve(&mut self, n: usize) {
-        self.jac.reserve(n * n);
-        self.rhs.reserve(n);
-        self.tj.reserve(n * n);
-        self.tf.reserve(n);
-        self.trial.reserve(n);
-        self.delta.reserve(n);
-    }
-}
-
-/// What one structural analysis of a circuit's MNA system records.
-///
-/// Captured by [`SolverWorkspace::for_circuit`] from a representative
-/// nominal factorisation. Advisory only — see the module docs for why the
-/// pivot order must never be replayed into the numeric path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructurePlan {
-    /// Total MNA unknowns (`num_nodes + num_branches`).
-    pub size: usize,
-    /// Voltage unknowns (non-ground nets).
-    pub num_nodes: usize,
-    /// Branch-current unknowns (voltage sources and clamps).
-    pub num_branches: usize,
-    /// Pivot row per elimination column of the representative
-    /// factorisation (empty if the representative solve failed).
-    pub pivots: Vec<usize>,
-}
-
 /// Arena-allocated scratch shared across evaluations of one circuit.
 ///
 /// Create one per circuit (or per worker thread) and thread it through the
 /// `*_ws` solver entry points; the buffers grow to the circuit's MNA size
-/// on first use and are reused afterwards. A [`Default`]-constructed
-/// workspace is valid for any circuit — [`SolverWorkspace::for_circuit`]
-/// additionally pre-sizes the arena and records a [`StructurePlan`].
-///
-/// # Examples
-///
-/// ```
-/// use breaksym_netlist::circuits;
-/// use breaksym_sim::SolverWorkspace;
-///
-/// let circuit = circuits::current_mirror_medium();
-/// let ws = SolverWorkspace::for_circuit(&circuit, &[]);
-/// let plan = ws.plan().expect("representative factorization succeeded");
-/// assert_eq!(plan.size, plan.num_nodes + plan.num_branches);
-/// assert_eq!(plan.pivots.len(), plan.size);
-/// ```
+/// on first use and are reused afterwards. A workspace is valid for any
+/// circuit.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     /// DC solution vector (node voltages then branch currents).
@@ -125,8 +67,6 @@ pub struct SolverWorkspace {
     pub(crate) newton: NewtonScratch,
     /// Complex LU scratch (shared by the real solve via promotion).
     pub(crate) lin: LinearScratch,
-    /// Structural record from the representative factorisation.
-    plan: Option<StructurePlan>,
 }
 
 impl SolverWorkspace {
@@ -135,93 +75,14 @@ impl SolverWorkspace {
         SolverWorkspace::default()
     }
 
-    /// Analyzes `circuit`'s MNA structure once: pre-sizes the arena for its
-    /// system size and records node/branch layout plus the pivot order of a
-    /// representative nominal factorisation (the first Newton step of a
-    /// nominal DC solve).
-    ///
-    /// The solve warms every buffer, so subsequent `*_ws` evaluations are
-    /// allocation-free. If the nominal solve fails (pathological circuit)
-    /// the workspace is still usable; the plan's pivot list is just empty.
-    pub fn for_circuit(circuit: &Circuit, extras: &[ExtraElement]) -> Self {
-        let ctx = MnaContext::new(circuit, extras);
-        let mut ws = SolverWorkspace::new();
-        ws.reserve(ctx.size());
-        let pivots = match DcSolver::new(circuit, &[], extras).solve_ws(&ctx, &mut ws) {
-            Ok(_) => ws.lin.pivots.clone(),
-            Err(_) => Vec::new(),
-        };
-        ws.plan = Some(StructurePlan {
-            size: ctx.size(),
-            num_nodes: ctx.num_nodes(),
-            num_branches: ctx.num_branches(),
-            pivots,
-        });
-        ws
-    }
-
-    /// Pre-sizes every buffer for an `n`-unknown system.
-    pub fn reserve(&mut self, n: usize) {
-        self.x.reserve(n);
-        self.newton.reserve(n);
-        self.lin.reserve(n);
-    }
-
-    /// The structural record, if this workspace was built with
-    /// [`SolverWorkspace::for_circuit`].
-    pub fn plan(&self) -> Option<&StructurePlan> {
-        self.plan.as_ref()
-    }
-
     /// Pivot rows chosen by the most recent factorisation run through this
     /// workspace (empty before the first solve).
     pub fn last_pivots(&self) -> &[usize] {
         &self.lin.pivots
     }
 
-    /// How many elimination columns of the last factorisation picked a
-    /// different pivot row than the representative plan — a cheap proxy for
-    /// "how far the current operating point drifted from nominal". `None`
-    /// without a plan or before the first solve.
-    pub fn pivot_drift(&self) -> Option<usize> {
-        let plan = self.plan.as_ref()?;
-        if plan.pivots.is_empty() || self.lin.pivots.is_empty() {
-            return None;
-        }
-        Some(
-            plan.pivots.iter().zip(self.lin.pivots.iter()).filter(|(a, b)| a != b).count()
-                + plan.pivots.len().abs_diff(self.lin.pivots.len()),
-        )
-    }
-
     /// Splits the workspace into the disjoint parts a DC solve needs.
     pub(crate) fn dc_parts(&mut self) -> (&mut Vec<f64>, &mut NewtonScratch, &mut LinearScratch) {
         (&mut self.x, &mut self.newton, &mut self.lin)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use breaksym_netlist::circuits;
-
-    #[test]
-    fn for_circuit_records_a_plan_and_warms_buffers() {
-        let c = circuits::current_mirror_medium();
-        let ws = SolverWorkspace::for_circuit(&c, &[]);
-        let plan = ws.plan().expect("plan recorded");
-        assert!(plan.size > 0);
-        assert_eq!(plan.size, plan.num_nodes + plan.num_branches);
-        assert_eq!(plan.pivots.len(), plan.size, "representative solve factorises");
-        assert!(ws.newton.jac.capacity() >= plan.size * plan.size);
-        assert_eq!(ws.pivot_drift(), Some(0), "last factorisation IS the representative one");
-    }
-
-    #[test]
-    fn empty_workspace_has_no_plan() {
-        let ws = SolverWorkspace::new();
-        assert!(ws.plan().is_none());
-        assert!(ws.last_pivots().is_empty());
-        assert_eq!(ws.pivot_drift(), None);
     }
 }
