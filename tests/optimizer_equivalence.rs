@@ -17,6 +17,7 @@ use breaksym::core::{
 use breaksym::lde::LdeModel;
 use breaksym::netlist::circuits;
 use breaksym::sim::{EvalCache, Evaluator, SimCounter, DEFAULT_CACHE_CAPACITY};
+use serde_json::{json, Value};
 
 fn benchmark_tasks() -> Vec<(&'static str, PlacementTask)> {
     vec![
@@ -143,6 +144,98 @@ fn driver_reproduces_the_flat_closure_loop() {
     let golden = placer.run(&mut env, |e| oracle.sample(e));
     let report = runner::run_flat(&task, &quick_q(17)).unwrap();
     assert_tracker_matches("CM/flat", &report, golden.best_cost, &golden.trajectory, golden.evals);
+}
+
+/// Every run pinned in `golden/run_fingerprints.json`: the three benchmark
+/// circuits under MLMA, SA and random search with two seeds each, the flat
+/// ablation on CM, and one MLMA run that stops at a primary target. The
+/// budgets carry the Q placers past episode 2 (the first reset to the best
+/// placement) and SA past its calibration probes and a cooling step.
+fn pinned_runs() -> Vec<(String, PlacementTask, MethodSpec)> {
+    let q = |seed| MlmaConfig {
+        episodes: 4,
+        steps_per_episode: 4,
+        max_evals: 150,
+        seed,
+        ..MlmaConfig::default()
+    };
+    let sa = |seed| SaConfig { max_evals: 120, seed, ..SaConfig::default() };
+    let mut runs = Vec::new();
+    for (name, task) in benchmark_tasks() {
+        for seed in [11u64, 12] {
+            for spec in [
+                MethodSpec::Mlma(q(seed)),
+                MethodSpec::Sa(sa(seed)),
+                MethodSpec::Random(sa(seed)),
+            ] {
+                runs.push((format!("{name}/{}/{seed}", spec.label()), task.clone(), spec));
+            }
+            if name == "CM" {
+                let spec = MethodSpec::Flat(q(seed));
+                runs.push((format!("{name}/{}/{seed}", spec.label()), task.clone(), spec));
+            }
+        }
+    }
+    let (name, task) = benchmark_tasks().swap_remove(0);
+    let spec = MethodSpec::Mlma(MlmaConfig { target_primary: Some(TARGET_CM), ..q(11) });
+    runs.push((format!("{name}/{}/11/target", spec.label()), task, spec));
+    runs
+}
+
+/// A CM mismatch target (%) the MLMA run first meets in its episode 2.
+const TARGET_CM: f64 = 2.5;
+
+fn bits(x: f64) -> String {
+    format!("{:016x}", x.to_bits())
+}
+
+/// What a run's report pins: every search-determined field, floats as exact
+/// bits, and for MLMA the greedy rollout of its learned tables. Nothing here
+/// depends on a `DefaultHasher` value, only on key equality.
+fn fingerprint(task: &PlacementTask, spec: &MethodSpec) -> Value {
+    let mut opt = spec.build(task).unwrap();
+    let r = Driver::new(spec.budget()).run(task, opt.as_mut()).unwrap();
+    let trajectory: Vec<Value> = r.trajectory.iter().map(|&(e, c)| json!([e, bits(c)])).collect();
+    let placement: Vec<[i32; 2]> =
+        r.best_placement.positions().iter().map(|p| [p.x, p.y]).collect();
+    let mut fp = json!({
+        "method": r.method,
+        "evaluations": r.evaluations,
+        "simulations": r.simulations,
+        "reached_target": r.reached_target,
+        "sims_to_target": r.sims_to_target,
+        "qtable_states": r.qtable_states,
+        "initial_cost": bits(r.initial_cost),
+        "best_cost": bits(r.best_cost),
+        "best_primary": bits(r.best_metrics.primary()),
+        "trajectory": trajectory,
+        "best_placement": placement
+    });
+    if let MethodSpec::Mlma(_) = spec {
+        let placer: MultiLevelPlacer = serde_json::from_value(opt.snapshot().unwrap()).unwrap();
+        let mut env = task.initial_env().unwrap();
+        let moves: Vec<String> =
+            placer.greedy_rollout(&mut env, 8).iter().map(ToString::to_string).collect();
+        fp.as_object_mut().unwrap().insert("greedy_rollout".into(), json!(moves));
+    }
+    fp
+}
+
+#[test]
+fn driver_runs_match_the_pinned_fingerprints() {
+    let pins: Value = serde_json::from_str(include_str!("golden/run_fingerprints.json")).unwrap();
+    let pins = pins.as_object().unwrap();
+    let runs = pinned_runs();
+    assert_eq!(pins.len(), runs.len(), "one pin per run");
+    for (id, task, spec) in &runs {
+        let want = pins.get(id).unwrap_or_else(|| panic!("{id}: not pinned"));
+        let got = fingerprint(task, spec);
+        let got = got.as_object().unwrap();
+        assert_eq!(got.len(), want.as_object().unwrap().len(), "{id}: pinned fields");
+        for (field, value) in got.iter() {
+            assert_eq!(value, &want[field.as_str()], "{id}: {field}");
+        }
+    }
 }
 
 #[test]
