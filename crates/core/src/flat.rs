@@ -16,8 +16,8 @@ use breaksym_geometry::Direction;
 use breaksym_layout::{LayoutEnv, Placement, PlacementMove, UnitMove};
 use breaksym_netlist::UnitId;
 
-use crate::mlma::{select_action, RunTracker, Sample};
-use crate::optimizer::Proposal;
+use crate::mlma::{select_action, Sample};
+use crate::optimizer::{Optimizer, OptimizerStatus, Proposal};
 use crate::qtable::AgentTable;
 use crate::{MlmaConfig, QTable};
 
@@ -92,39 +92,22 @@ impl FlatQPlacer {
         self.table.len()
     }
 
-    /// Runs the optimisation; see
-    /// [`MultiLevelPlacer`](crate::MultiLevelPlacer) for the loop contract.
-    /// To keep the comparison fair, one "round" of the multi-level placer
-    /// (1 + #groups agent actions) corresponds to `1 + #groups` flat steps
-    /// per `steps_per_episode` unit.
-    pub fn run<F>(&mut self, env: &mut LayoutEnv, mut cost: F) -> RunTracker
-    where
-        F: FnMut(&LayoutEnv) -> Sample,
-    {
-        let initial_placement = env.placement().clone();
-        let initial = cost(env);
-        let mut tracker = RunTracker::new(initial, initial_placement, &self.cfg);
-        self.begin_run(env, initial);
-        while !tracker.done() {
-            match self.propose_step(env) {
-                Proposal::Finished => break,
-                Proposal::Evaluate { .. } => {
-                    let s = cost(env);
-                    self.observe_step(s, env);
-                    if tracker.record(s, env) {
-                        break;
-                    }
-                }
-            }
+    /// Fixes up non-serialised internals after deserialisation (snapshot
+    /// restore).
+    pub fn rehydrate(&mut self) {
+        if let Some(state) = &mut self.state {
+            state.initial_placement.rebuild_index();
+            state.best_placement.rebuild_index();
         }
-        self.state = None;
-        env.set_placement(tracker.best_placement.clone())
-            .expect("best placement was valid when recorded");
-        tracker
+    }
+}
+
+impl Optimizer for FlatQPlacer {
+    fn label(&self) -> &'static str {
+        "flat-q"
     }
 
-    /// Starts a step-driven run — the `Optimizer::init` entry.
-    pub fn begin_run(&mut self, env: &LayoutEnv, initial: Sample) {
+    fn init(&mut self, env: &LayoutEnv, initial: Sample) {
         let moves_per_episode = self.cfg.steps_per_episode * (1 + env.circuit().groups().len());
         self.state = Some(FlatRunState {
             rng: ChaCha8Rng::seed_from_u64(self.cfg.seed),
@@ -140,16 +123,12 @@ impl FlatQPlacer {
         });
     }
 
-    /// Applies the next agent action to `env`; `Finished` when episodes
-    /// are exhausted *or* the placement is fully locked (the flat agent
-    /// cannot recover from a lock, unlike the hierarchy).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`begin_run`](FlatQPlacer::begin_run) was called.
-    pub fn propose_step(&mut self, env: &mut LayoutEnv) -> Proposal {
-        let state = self.state.as_mut().expect("begin_run() before propose_step()");
-        assert!(state.pending.is_none(), "observe_step() the previous proposal first");
+    /// Applies the next agent action; `Finished` when episodes are
+    /// exhausted *or* the placement is fully locked (the flat agent cannot
+    /// recover from a lock, unlike the hierarchy).
+    fn propose(&mut self, env: &mut LayoutEnv) -> Proposal {
+        let state = self.state.as_mut().expect("init() before propose()");
+        assert!(state.pending.is_none(), "observe() the previous proposal first");
         loop {
             match state.phase {
                 FlatPhase::Done => return Proposal::Finished,
@@ -199,17 +178,10 @@ impl FlatQPlacer {
         }
     }
 
-    /// Feeds the oracle's verdict: performs the deferred Bellman update
-    /// and tracks the best placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the preceding
-    /// [`propose_step`](FlatQPlacer::propose_step) returned
-    /// [`Proposal::Evaluate`].
-    pub fn observe_step(&mut self, sample: Sample, env: &LayoutEnv) {
-        let state = self.state.as_mut().expect("begin_run() before observe_step()");
-        let p = state.pending.take().expect("observe_step() follows a proposal");
+    /// Performs the deferred Bellman update and tracks the best placement.
+    fn observe(&mut self, sample: Sample, env: &mut LayoutEnv) {
+        let state = self.state.as_mut().expect("init() before observe()");
+        let p = state.pending.take().expect("observe() follows a proposal");
         let r = (state.current - sample.cost) * state.scale;
         self.table.update(
             p.state,
@@ -227,13 +199,18 @@ impl FlatQPlacer {
         }
     }
 
-    /// Fixes up non-serialised internals after deserialisation (snapshot
-    /// restore).
-    pub fn rehydrate(&mut self) {
-        if let Some(state) = &mut self.state {
-            state.initial_placement.rebuild_index();
-            state.best_placement.rebuild_index();
-        }
+    fn status(&self) -> OptimizerStatus {
+        OptimizerStatus { qtable_states: self.total_states(), ..OptimizerStatus::default() }
+    }
+
+    fn snapshot(&self) -> Result<serde_json::Value, serde_json::Error> {
+        serde_json::to_value(self)
+    }
+
+    fn restore(&mut self, snapshot: &serde_json::Value) -> Result<(), serde_json::Error> {
+        *self = serde_json::from_value(snapshot.clone())?;
+        self.rehydrate();
+        Ok(())
     }
 }
 
@@ -255,96 +232,9 @@ fn decode(action: usize) -> PlacementMove {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{wirelength, Budget, Driver};
     use breaksym_geometry::GridSpec;
     use breaksym_netlist::circuits;
-    use breaksym_route::RoutingEstimate;
-
-    fn wl(env: &LayoutEnv) -> Sample {
-        let c = RoutingEstimate::of(env).weighted_um;
-        Sample { cost: c, primary: c }
-    }
-
-    /// Verbatim copy of the pre-refactor closure-driven loop — the golden
-    /// reference the step machine must reproduce bit-for-bit.
-    fn golden_run<F>(placer: &mut FlatQPlacer, env: &mut LayoutEnv, mut cost: F) -> RunTracker
-    where
-        F: FnMut(&LayoutEnv) -> Sample,
-    {
-        let cfg = placer.cfg;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let initial_placement = env.placement().clone();
-        let initial = cost(env);
-        let mut tracker = RunTracker::new(initial, initial_placement.clone(), &cfg);
-        let scale = cfg.reward_scale / initial.cost.abs().max(1e-12);
-        let moves_per_episode = cfg.steps_per_episode * (1 + env.circuit().groups().len());
-
-        'run: for episode in 0..cfg.episodes {
-            if tracker.done() {
-                break;
-            }
-            let (start, mut current) = if cfg.reset_to_best && episode % 3 != 0 && episode > 0 {
-                (tracker.best_placement.clone(), tracker.best_cost)
-            } else {
-                (initial_placement.clone(), initial.cost)
-            };
-            env.set_placement(start).expect("recorded placements are valid");
-
-            for _ in 0..moves_per_episode {
-                if tracker.done() {
-                    break 'run;
-                }
-                let s = env.state_key();
-                let legal = legal_actions(placer.num_units, env);
-                let Some(a) =
-                    select_action(&placer.table, s, &legal, &cfg.exploration, episode, &mut rng)
-                else {
-                    break 'run; // fully locked
-                };
-                let mv = decode(a);
-                env.apply(mv).expect("legal actions apply");
-                let smp = cost(env);
-                let r = (current - smp.cost) * scale;
-                let s_next = env.state_key();
-                let flip = rng.gen_range(0.0..1.0) < 0.5;
-                placer.table.update(s, a, r, s_next, cfg.q.alpha, cfg.q.gamma, flip);
-                current = smp.cost;
-                if tracker.record(smp, env) {
-                    break 'run;
-                }
-            }
-        }
-
-        env.set_placement(tracker.best_placement.clone())
-            .expect("best placement was valid when recorded");
-        tracker
-    }
-
-    #[test]
-    fn step_machine_matches_the_golden_loop_bit_for_bit() {
-        for seed in [4u64, 9] {
-            let cfg = MlmaConfig {
-                episodes: 5,
-                steps_per_episode: 20,
-                max_evals: 600,
-                seed,
-                ..MlmaConfig::default()
-            };
-            let fresh =
-                || LayoutEnv::sequential(circuits::diff_pair(), GridSpec::square(10)).unwrap();
-            let mut env_a = fresh();
-            let mut golden_placer = FlatQPlacer::new(&env_a, cfg);
-            let golden = golden_run(&mut golden_placer, &mut env_a, wl);
-
-            let mut env_b = fresh();
-            let mut placer = FlatQPlacer::new(&env_b, cfg);
-            let t = placer.run(&mut env_b, wl);
-
-            assert_eq!(golden.best_cost.to_bits(), t.best_cost.to_bits(), "seed {seed}");
-            assert_eq!(golden.trajectory, t.trajectory, "seed {seed}");
-            assert_eq!(golden.evals, t.evals);
-            assert_eq!(golden_placer, placer, "table diverged for seed {seed}");
-        }
-    }
 
     #[test]
     fn flat_placer_improves_and_learns() {
@@ -357,7 +247,8 @@ mod tests {
             ..MlmaConfig::default()
         };
         let mut placer = FlatQPlacer::new(&env, cfg);
-        let t = placer.run(&mut env, wl);
+        let t =
+            Driver::new(Budget::from_mlma(&cfg)).run_with_cost(&mut env, &mut placer, wirelength);
         assert!(t.best_cost <= t.trajectory[0].1);
         assert!(placer.total_states() > 0);
         env.validate().unwrap();
@@ -375,15 +266,16 @@ mod tests {
             seed: 9,
             ..MlmaConfig::default()
         };
+        let driver = Driver::new(Budget::from_mlma(&cfg));
         let mut env_flat =
             LayoutEnv::sequential(circuits::current_mirror_medium(), GridSpec::square(16)).unwrap();
         let mut flat = FlatQPlacer::new(&env_flat, cfg);
-        let tf = flat.run(&mut env_flat, wl);
+        let tf = driver.run_with_cost(&mut env_flat, &mut flat, wirelength);
 
         let mut env_ml =
             LayoutEnv::sequential(circuits::current_mirror_medium(), GridSpec::square(16)).unwrap();
         let mut ml = crate::MultiLevelPlacer::new(&env_ml, cfg);
-        let tm = ml.run(&mut env_ml, wl);
+        let tm = driver.run_with_cost(&mut env_ml, &mut ml, wirelength);
 
         assert!(
             flat.total_states() > ml.total_states(),

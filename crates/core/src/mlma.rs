@@ -10,7 +10,7 @@ use breaksym_netlist::GroupId;
 
 use serde::{Deserialize, Serialize};
 
-use crate::optimizer::Proposal;
+use crate::optimizer::{Optimizer, OptimizerStatus, Proposal};
 use crate::qtable::AgentTable;
 use crate::{Exploration, MlmaConfig, QTable};
 
@@ -64,9 +64,9 @@ pub struct Sample {
 
 /// Shared run bookkeeping: budget, best-so-far, trajectory, target.
 ///
-/// Returned by [`MultiLevelPlacer::run`] (and the flat ablation) so callers
-/// driving the placer directly — e.g. benchmarks recording a move trace —
-/// see the same accounting the [`runner`](crate::runner) entry points use.
+/// The [`Driver`](crate::runner::Driver) keeps one per run and checkpoints
+/// it; callers that drive an [`Optimizer`] step by step themselves — e.g.
+/// benchmarks timing each step — use it to keep the same accounting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunTracker {
     /// Oracle queries spent so far (including the initial evaluation).
@@ -92,14 +92,8 @@ pub struct RunTracker {
 }
 
 impl RunTracker {
-    /// Bookkeeping seeded with the initial placement's sample.
-    pub fn new(initial: Sample, placement: Placement, cfg: &MlmaConfig) -> Self {
-        Self::with_budget(initial, placement, cfg.max_evals, cfg.target_primary, cfg.stop_at_target)
-    }
-
-    /// Bookkeeping with an explicit budget — the constructor the generic
-    /// driver uses, since its budget may come from an
-    /// [`MlmaConfig`] or a `SaConfig` alike.
+    /// Bookkeeping seeded with the initial placement's sample, under an
+    /// explicit budget (from an [`MlmaConfig`] or a `SaConfig` alike).
     pub fn with_budget(
         initial: Sample,
         placement: Placement,
@@ -368,66 +362,32 @@ impl MultiLevelPlacer {
         serde_json::from_str(json)
     }
 
-    /// Runs the optimisation. `cost` is called once per proposed move (the
-    /// simulator); the environment ends at the best placement found — read
-    /// the accounting from the returned tracker.
-    ///
-    /// This is a thin closure-driven wrapper over the step API
-    /// ([`begin_run`](MultiLevelPlacer::begin_run) /
-    /// [`propose_step`](MultiLevelPlacer::propose_step) /
-    /// [`observe_step`](MultiLevelPlacer::observe_step)); per-seed runs
-    /// are bit-identical to the historic monolithic loop.
-    pub fn run<F>(&mut self, env: &mut LayoutEnv, mut cost: F) -> RunTracker
-    where
-        F: FnMut(&LayoutEnv) -> Sample,
-    {
-        let initial_placement = env.placement().clone();
-        let initial = cost(env);
-        let mut tracker = RunTracker::new(initial, initial_placement, &self.cfg);
-        self.begin_run(env, initial);
-        while !tracker.done() {
-            match self.propose_step(env) {
-                Proposal::Finished => break,
-                Proposal::Evaluate { .. } => {
-                    let s = cost(env);
-                    self.observe_step(s, env);
-                    if tracker.record(s, env) {
-                        break;
-                    }
-                }
-            }
+    /// Fixes up non-serialised internals after deserialisation (snapshot
+    /// restore).
+    pub fn rehydrate(&mut self) {
+        if let Some(state) = &mut self.state {
+            state.rehydrate();
         }
-        // Closure-driven runs are one-shot: drop the transient state so
-        // `to_json` stays a pure learned-tables checkpoint.
-        self.state = None;
-        env.set_placement(tracker.best_placement.clone())
-            .expect("best placement was valid when recorded");
-        tracker
+    }
+}
+
+impl Optimizer for MultiLevelPlacer {
+    fn label(&self) -> &'static str {
+        "mlma-q"
     }
 
-    /// Starts a step-driven run from `env`'s current placement, whose
-    /// oracle verdict is `initial` — the `Optimizer::init` entry.
-    pub fn begin_run(&mut self, env: &LayoutEnv, initial: Sample) {
+    fn init(&mut self, env: &LayoutEnv, initial: Sample) {
         self.state = Some(QRunState::start(env, initial, &self.cfg));
     }
 
-    /// Applies the next agent action to `env` following the interleaved
-    /// round-robin schedule (top agent, then every bottom agent, per
-    /// step). Returns [`Proposal::Evaluate`] once a move was applied —
-    /// evaluate `env` and call
-    /// [`observe_step`](MultiLevelPlacer::observe_step) — or
-    /// [`Proposal::Finished`] when all episodes are exhausted.
-    ///
-    /// Warm-start resets (two episodes out of three restart from the best
-    /// placement) happen inside this call at episode boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`begin_run`](MultiLevelPlacer::begin_run) was called.
-    pub fn propose_step(&mut self, env: &mut LayoutEnv) -> Proposal {
+    /// Applies the next agent action following the interleaved round-robin
+    /// schedule (top agent, then every bottom agent, per step). Warm-start
+    /// resets (two episodes out of three restart from the best placement)
+    /// happen here at episode boundaries.
+    fn propose(&mut self, env: &mut LayoutEnv) -> Proposal {
         let group_ids: Vec<GroupId> = env.circuit().group_ids().collect();
-        let state = self.state.as_mut().expect("begin_run() before propose_step()");
-        assert!(state.pending.is_none(), "observe_step() the previous proposal first");
+        let state = self.state.as_mut().expect("init() before propose()");
+        assert!(state.pending.is_none(), "observe() the previous proposal first");
         loop {
             match state.phase {
                 QPhase::Done => return Proposal::Finished,
@@ -517,18 +477,11 @@ impl MultiLevelPlacer {
         }
     }
 
-    /// Feeds the oracle's verdict for the pending proposal: performs the
-    /// deferred Bellman update (reward = scaled cost improvement, shared
-    /// by all agents) and tracks the best placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the preceding
-    /// [`propose_step`](MultiLevelPlacer::propose_step) returned
-    /// [`Proposal::Evaluate`].
-    pub fn observe_step(&mut self, sample: Sample, env: &LayoutEnv) {
-        let state = self.state.as_mut().expect("begin_run() before observe_step()");
-        let p = state.pending.take().expect("observe_step() follows a proposal");
+    /// Performs the deferred Bellman update (reward = scaled cost
+    /// improvement, shared by all agents) and tracks the best placement.
+    fn observe(&mut self, sample: Sample, env: &mut LayoutEnv) {
+        let state = self.state.as_mut().expect("init() before observe()");
+        let p = state.pending.take().expect("observe() follows a proposal");
         let r = (state.current - sample.cost) * state.scale;
         let (alpha, gamma) = (self.cfg.q.alpha, self.cfg.q.gamma);
         match p.agent {
@@ -541,12 +494,18 @@ impl MultiLevelPlacer {
         state.note_best(sample, env);
     }
 
-    /// Fixes up non-serialised internals after deserialisation (snapshot
-    /// restore).
-    pub fn rehydrate(&mut self) {
-        if let Some(state) = &mut self.state {
-            state.rehydrate();
-        }
+    fn status(&self) -> OptimizerStatus {
+        OptimizerStatus { qtable_states: self.total_states(), ..OptimizerStatus::default() }
+    }
+
+    fn snapshot(&self) -> Result<serde_json::Value, serde_json::Error> {
+        serde_json::to_value(self)
+    }
+
+    fn restore(&mut self, snapshot: &serde_json::Value) -> Result<(), serde_json::Error> {
+        *self = serde_json::from_value(snapshot.clone())?;
+        self.rehydrate();
+        Ok(())
     }
 }
 
@@ -585,13 +544,14 @@ fn decode_bottom(action: usize, units: &[breaksym_netlist::UnitId]) -> Placement
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{wirelength as wl, Budget, Driver};
     use breaksym_geometry::GridSpec;
     use breaksym_netlist::circuits;
-    use breaksym_route::RoutingEstimate;
 
-    fn wl(env: &LayoutEnv) -> Sample {
-        let c = RoutingEstimate::of(env).weighted_um;
-        Sample { cost: c, primary: c }
+    /// Runs `placer` on `env` through the production loop under its own
+    /// configuration's budget, on the wirelength cost.
+    fn run(placer: &mut MultiLevelPlacer, env: &mut LayoutEnv) -> RunTracker {
+        Driver::new(Budget::from_mlma(placer.config())).run_with_cost(env, placer, wl)
     }
 
     fn small_cfg(seed: u64) -> MlmaConfig {
@@ -609,7 +569,7 @@ mod tests {
         let mut env =
             LayoutEnv::sequential(circuits::five_transistor_ota(), GridSpec::square(14)).unwrap();
         let mut placer = MultiLevelPlacer::new(&env, small_cfg(1));
-        let t = placer.run(&mut env, wl);
+        let t = run(&mut placer, &mut env);
         assert!(t.best_cost <= t.trajectory[0].1);
         assert!(t.evals <= 1200);
         // Env holds the best placement at the end.
@@ -628,117 +588,10 @@ mod tests {
             let mut env =
                 LayoutEnv::sequential(circuits::diff_pair(), GridSpec::square(10)).unwrap();
             let mut placer = MultiLevelPlacer::new(&env, small_cfg(seed));
-            let t = placer.run(&mut env, wl);
+            let t = run(&mut placer, &mut env);
             (t.best_cost, t.evals, t.trajectory)
         };
         assert_eq!(run(3), run(3));
-    }
-
-    /// Verbatim copy of the pre-refactor monolithic `run` loop — the
-    /// golden reference the step machine must reproduce bit-for-bit
-    /// (identical RNG draw sequence, table updates, and bookkeeping).
-    fn golden_run<F>(placer: &mut MultiLevelPlacer, env: &mut LayoutEnv, mut cost: F) -> RunTracker
-    where
-        F: FnMut(&LayoutEnv) -> Sample,
-    {
-        let cfg = placer.cfg;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let initial_placement = env.placement().clone();
-        let initial = cost(env);
-        let mut tracker = RunTracker::new(initial, initial_placement.clone(), &cfg);
-        let scale = cfg.reward_scale / initial.cost.abs().max(1e-12);
-        let group_ids: Vec<GroupId> = env.circuit().group_ids().collect();
-
-        'run: for episode in 0..cfg.episodes {
-            if tracker.done() {
-                break;
-            }
-            let (start, mut current) = if cfg.reset_to_best && episode % 3 != 0 && episode > 0 {
-                (tracker.best_placement.clone(), tracker.best_cost)
-            } else {
-                (initial_placement.clone(), initial.cost)
-            };
-            env.set_placement(start).expect("recorded placements are valid");
-
-            for _ in 0..cfg.steps_per_episode {
-                if tracker.done() {
-                    break 'run;
-                }
-                let s_top = env.group_state_key();
-                let legal = top_legal_actions(env, &group_ids);
-                if let Some(a) =
-                    select_action(&placer.top, s_top, &legal, &cfg.exploration, episode, &mut rng)
-                {
-                    let mv = decode_top(a, &group_ids);
-                    env.apply(mv).expect("legal actions apply");
-                    let s = cost(env);
-                    let r = (current - s.cost) * scale;
-                    let s_next = env.group_state_key();
-                    let flip = rng.gen_range(0.0..1.0) < 0.5;
-                    placer.top.update(s_top, a, r, s_next, cfg.q.alpha, cfg.q.gamma, flip);
-                    current = s.cost;
-                    if tracker.record(s, env) {
-                        break 'run;
-                    }
-                }
-
-                for &g in &group_ids {
-                    if tracker.done() {
-                        break 'run;
-                    }
-                    let table = &mut placer.bottom[g.index()];
-                    let s = env.local_state_key(g);
-                    let units = env.units_of_group(g).to_vec();
-                    let legal = bottom_legal_actions(env, &units);
-                    let Some(a) =
-                        select_action(table, s, &legal, &cfg.exploration, episode, &mut rng)
-                    else {
-                        continue;
-                    };
-                    let mv = decode_bottom(a, &units);
-                    env.apply(mv).expect("legal actions apply");
-                    let smp = cost(env);
-                    let r = (current - smp.cost) * scale;
-                    let s_next = env.local_state_key(g);
-                    let flip = rng.gen_range(0.0..1.0) < 0.5;
-                    table.update(s, a, r, s_next, cfg.q.alpha, cfg.q.gamma, flip);
-                    current = smp.cost;
-                    if tracker.record(smp, env) {
-                        break 'run;
-                    }
-                }
-            }
-        }
-
-        env.set_placement(tracker.best_placement.clone())
-            .expect("best placement was valid when recorded");
-        tracker
-    }
-
-    #[test]
-    fn step_machine_matches_the_golden_loop_bit_for_bit() {
-        for seed in [1u64, 2, 7] {
-            let fresh = || {
-                LayoutEnv::sequential(circuits::five_transistor_ota(), GridSpec::square(14))
-                    .unwrap()
-            };
-            let mut env_a = fresh();
-            let mut golden_placer = MultiLevelPlacer::new(&env_a, small_cfg(seed));
-            let golden = golden_run(&mut golden_placer, &mut env_a, wl);
-
-            let mut env_b = fresh();
-            let mut placer = MultiLevelPlacer::new(&env_b, small_cfg(seed));
-            let t = placer.run(&mut env_b, wl);
-
-            assert_eq!(golden.best_cost.to_bits(), t.best_cost.to_bits(), "seed {seed}");
-            assert_eq!(golden.trajectory, t.trajectory, "seed {seed}");
-            assert_eq!(golden.evals, t.evals);
-            assert_eq!(golden.best_placement, t.best_placement);
-            assert_eq!(golden.sims_to_target, t.sims_to_target);
-            // Identical learning: every Q-table ends in the same state.
-            assert_eq!(golden_placer, placer, "tables diverged for seed {seed}");
-            assert_eq!(env_a.state_key(), env_b.state_key());
-        }
     }
 
     #[test]
@@ -750,7 +603,7 @@ mod tests {
             ..small_cfg(0)
         };
         let mut placer = MultiLevelPlacer::new(&env, cfg);
-        let t = placer.run(&mut env, wl);
+        let t = run(&mut placer, &mut env);
         assert!(t.reached_target);
         assert_eq!(t.evals, 1, "already at target: only the initial eval");
     }
@@ -786,7 +639,7 @@ mod tests {
         let mut env =
             LayoutEnv::sequential(circuits::five_transistor_ota(), GridSpec::square(14)).unwrap();
         let mut placer = MultiLevelPlacer::new(&env, small_cfg(2));
-        let first = placer.run(&mut env, wl);
+        let first = run(&mut placer, &mut env);
         assert!(placer.total_states() > 0);
 
         // Round trip through JSON preserves everything learned.
@@ -798,7 +651,7 @@ mod tests {
         let states_before = restored.total_states();
         let mut env2 =
             LayoutEnv::sequential(circuits::five_transistor_ota(), GridSpec::square(14)).unwrap();
-        let second = restored.run(&mut env2, wl);
+        let second = run(&mut restored, &mut env2);
         assert!(restored.total_states() >= states_before);
         // The resumed run is at least not worse than the fresh one started
         // from the same initial placement.
@@ -811,7 +664,7 @@ mod tests {
         let cfg = MlmaConfig { double_q: true, ..small_cfg(5) };
         let mut placer = MultiLevelPlacer::new(&env, cfg);
         let mut env2 = env.clone();
-        let t = placer.run(&mut env2, wl);
+        let t = run(&mut placer, &mut env2);
         assert!(t.best_cost <= t.trajectory[0].1);
         assert!(placer.total_states() > 0);
     }
@@ -826,7 +679,7 @@ mod tests {
         };
         let mut placer = MultiLevelPlacer::new(&env, cfg);
         let mut env2 = env.clone();
-        let t = placer.run(&mut env2, wl);
+        let t = run(&mut placer, &mut env2);
         assert!(t.best_cost <= t.trajectory[0].1);
         env2.validate().unwrap();
     }
@@ -836,7 +689,7 @@ mod tests {
         let mut env =
             LayoutEnv::sequential(circuits::five_transistor_ota(), GridSpec::square(14)).unwrap();
         let mut placer = MultiLevelPlacer::new(&env, small_cfg(3));
-        placer.run(&mut env, wl);
+        run(&mut placer, &mut env);
 
         // Roll out from the initial placement twice: identical move lists.
         let mut env1 =

@@ -13,8 +13,8 @@
 //! (evaluator + cache + counter), the budget ([`Budget`]), target-hit
 //! bookkeeping, optional periodic [checkpoints](RunCheckpoint), and the
 //! final [`RunReport`] assembly; the method only proposes moves and
-//! observes verdicts. The historic `run_*` entry points are thin wrappers
-//! over the driver with bit-identical behaviour.
+//! observes verdicts. The `run_*` functions below are thin wrappers over
+//! the driver.
 
 use std::time::Instant;
 
@@ -320,6 +320,14 @@ enum DriveEnd {
     Paused,
 }
 
+/// The report of a run without a slice allowance, which never pauses.
+fn finished(outcome: SliceOutcome) -> RunReport {
+    match outcome {
+        SliceOutcome::Finished(report) => *report,
+        SliceOutcome::Paused(_) => unreachable!("only a sliced run pauses"),
+    }
+}
+
 impl Driver {
     /// A driver enforcing `budget` with the default objective weights and
     /// a private evaluation cache.
@@ -436,44 +444,7 @@ impl Driver {
         opt: &mut O,
         mut on_checkpoint: impl FnMut(&RunCheckpoint),
     ) -> Result<RunReport, PlaceError> {
-        let started = self.clock.now();
-        let Setup { mut env, evaluator, counter, cache, initial_metrics, objective } =
-            self.prepare(task)?;
-        let mut sample = sample_closure(&evaluator, &objective);
-        // The setup already queried the oracle for the initial placement.
-        let initial = sample_of(&objective, &initial_metrics);
-        let mut tracker = RunTracker::with_budget(
-            initial,
-            env.placement().clone(),
-            self.budget.max_evals,
-            self.budget.target_primary,
-            self.budget.stop_at_target,
-        );
-        opt.init(&env, initial);
-        let method = self.method.clone().unwrap_or_else(|| opt.label().to_string());
-        self.drive(
-            opt,
-            &mut env,
-            &mut sample,
-            &mut tracker,
-            &method,
-            started,
-            0,
-            &mut on_checkpoint,
-            None,
-        )?;
-        self.assemble(
-            method,
-            env,
-            &evaluator,
-            &counter,
-            &cache,
-            initial_metrics,
-            tracker,
-            opt,
-            started,
-            0,
-        )
+        self.run_from(task, opt, None, None, &mut on_checkpoint).map(finished)
     }
 
     /// Resumes an interrupted run from `ckpt`: restores the optimizer's
@@ -492,56 +463,7 @@ impl Driver {
         opt: &mut O,
         ckpt: &RunCheckpoint,
     ) -> Result<RunReport, PlaceError> {
-        self.resume_observed(task, opt, ckpt, |_| {})
-    }
-
-    /// Like [`Driver::resume`] with a periodic-checkpoint callback.
-    ///
-    /// # Errors
-    ///
-    /// As [`Driver::resume`].
-    pub fn resume_observed<O: Optimizer + ?Sized>(
-        &self,
-        task: &PlacementTask,
-        opt: &mut O,
-        ckpt: &RunCheckpoint,
-        mut on_checkpoint: impl FnMut(&RunCheckpoint),
-    ) -> Result<RunReport, PlaceError> {
-        let started = self.clock.now();
-        let Setup { mut env, evaluator, counter, cache, initial_metrics, objective } =
-            self.prepare(task)?;
-        opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
-            reason: format!("optimizer snapshot does not restore: {e}"),
-        })?;
-        let mut tracker = ckpt.tracker.clone();
-        tracker.rehydrate();
-        env.set_placement(ckpt.placement.clone())?;
-        let mut sample = sample_closure(&evaluator, &objective);
-        let method = ckpt.method.clone();
-        let base = ckpt.elapsed_ms;
-        self.drive(
-            opt,
-            &mut env,
-            &mut sample,
-            &mut tracker,
-            &method,
-            started,
-            base,
-            &mut on_checkpoint,
-            None,
-        )?;
-        self.assemble(
-            method,
-            env,
-            &evaluator,
-            &counter,
-            &cache,
-            initial_metrics,
-            tracker,
-            opt,
-            started,
-            base,
-        )
+        self.run_from(task, opt, Some(ckpt), None, &mut |_| {}).map(finished)
     }
 
     /// Runs `opt` on `task` for **at most `slice_evals` further
@@ -568,46 +490,7 @@ impl Driver {
         opt: &mut O,
         slice_evals: u64,
     ) -> Result<SliceOutcome, PlaceError> {
-        let started = self.clock.now();
-        let Setup { mut env, evaluator, counter, cache, initial_metrics, objective } =
-            self.prepare(task)?;
-        let mut sample = sample_closure(&evaluator, &objective);
-        // The setup already queried the oracle for the initial placement.
-        let initial = sample_of(&objective, &initial_metrics);
-        let mut tracker = RunTracker::with_budget(
-            initial,
-            env.placement().clone(),
-            self.budget.max_evals,
-            self.budget.target_primary,
-            self.budget.stop_at_target,
-        );
-        opt.init(&env, initial);
-        let method = self.method.clone().unwrap_or_else(|| opt.label().to_string());
-        let pause_at = tracker.evals.saturating_add(slice_evals.max(1));
-        let end = self.drive(
-            opt,
-            &mut env,
-            &mut sample,
-            &mut tracker,
-            &method,
-            started,
-            0,
-            &mut |_| {},
-            Some(pause_at),
-        )?;
-        self.finish_slice(
-            end,
-            method,
-            env,
-            &evaluator,
-            &counter,
-            &cache,
-            initial_metrics,
-            tracker,
-            opt,
-            started,
-            0,
-        )
+        self.run_from(task, opt, None, Some(slice_evals), &mut |_| {})
     }
 
     /// Continues a paused sliced run from `ckpt` for at most `slice_evals`
@@ -625,84 +508,117 @@ impl Driver {
         ckpt: &RunCheckpoint,
         slice_evals: u64,
     ) -> Result<SliceOutcome, PlaceError> {
+        self.run_from(task, opt, Some(ckpt), Some(slice_evals), &mut |_| {})
+    }
+
+    /// The body of every entry point: set up the oracle, start `opt` fresh
+    /// or restore it from `from`, drive it (pausing after `slice_evals`
+    /// further evaluations when set), then assemble the report or capture
+    /// the pause checkpoint.
+    fn run_from<O: Optimizer + ?Sized>(
+        &self,
+        task: &PlacementTask,
+        opt: &mut O,
+        from: Option<&RunCheckpoint>,
+        slice_evals: Option<u64>,
+        on_checkpoint: &mut impl FnMut(&RunCheckpoint),
+    ) -> Result<SliceOutcome, PlaceError> {
         let started = self.clock.now();
         let Setup { mut env, evaluator, counter, cache, initial_metrics, objective } =
             self.prepare(task)?;
-        opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
-            reason: format!("optimizer snapshot does not restore: {e}"),
-        })?;
-        let mut tracker = ckpt.tracker.clone();
-        tracker.rehydrate();
-        env.set_placement(ckpt.placement.clone())?;
-        let mut sample = sample_closure(&evaluator, &objective);
-        let method = ckpt.method.clone();
-        let base = ckpt.elapsed_ms;
-        let pause_at = tracker.evals.saturating_add(slice_evals.max(1));
+        let (mut tracker, method, base_elapsed_ms) = match from {
+            None => {
+                // The setup already queried the oracle for the initial placement.
+                let tracker = self.start(opt, &env, sample_of(&objective, &initial_metrics));
+                (tracker, self.method.clone().unwrap_or_else(|| opt.label().to_string()), 0)
+            }
+            Some(ckpt) => {
+                opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
+                    reason: format!("optimizer snapshot does not restore: {e}"),
+                })?;
+                let mut tracker = ckpt.tracker.clone();
+                tracker.rehydrate();
+                env.set_placement(ckpt.placement.clone())?;
+                (tracker, ckpt.method.clone(), ckpt.elapsed_ms)
+            }
+        };
+        let pause_at = slice_evals.map(|n| tracker.evals.saturating_add(n.max(1)));
         let end = self.drive(
             opt,
             &mut env,
-            &mut sample,
+            &mut sample_closure(&evaluator, &objective),
             &mut tracker,
             &method,
             started,
-            base,
-            &mut |_| {},
-            Some(pause_at),
+            base_elapsed_ms,
+            on_checkpoint,
+            pause_at,
         )?;
-        self.finish_slice(
-            end,
+        if end == DriveEnd::Paused {
+            let elapsed_ms = base_elapsed_ms + self.elapsed_ms_since(started);
+            let ckpt = RunCheckpoint::capture(&method, &tracker, &env, opt, elapsed_ms)?;
+            return Ok(SliceOutcome::Paused(Box::new(ckpt)));
+        }
+        env.set_placement(tracker.best_placement.clone())?;
+        // The best placement was already simulated when the tracker
+        // recorded it, so this lookup is a cache hit — it refreshes the
+        // full Metrics without spending an extra simulation, keeping
+        // `evaluations` equal to the actual number of oracle queries.
+        let best_metrics = evaluator.evaluate(&env)?;
+        let snapshot = cache.snapshot(&counter);
+        Ok(SliceOutcome::Finished(Box::new(RunReport {
             method,
-            env,
-            &evaluator,
-            &counter,
-            &cache,
+            initial_cost: tracker.trajectory[0].1,
+            best_cost: tracker.best_cost,
             initial_metrics,
-            tracker,
-            opt,
-            started,
-            base,
+            best_metrics,
+            best_placement: env.placement().clone(),
+            evaluations: tracker.evals,
+            simulations: snapshot.sims,
+            cache: Some(cache.stats()),
+            trajectory: tracker.trajectory,
+            qtable_states: opt.status().qtable_states,
+            reached_target: tracker.reached_target,
+            sims_to_target: tracker.sims_to_target,
+            elapsed_ms: base_elapsed_ms + self.elapsed_ms_since(started),
+        })))
+    }
+
+    /// Starts `opt` from `env`'s placement, whose verdict is `initial`, and
+    /// returns the bookkeeping of the fresh run under this driver's budget.
+    fn start<O: Optimizer + ?Sized>(
+        &self,
+        opt: &mut O,
+        env: &LayoutEnv,
+        initial: Sample,
+    ) -> RunTracker {
+        opt.init(env, initial);
+        RunTracker::with_budget(
+            initial,
+            env.placement().clone(),
+            self.budget.max_evals,
+            self.budget.target_primary,
+            self.budget.stop_at_target,
         )
     }
 
-    /// Turns a drive verdict into the slice outcome: a full report when
-    /// the run completed, a quiescent-point checkpoint when it paused.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_slice<O: Optimizer + ?Sized>(
+    /// Runs `opt` from `env`'s placement with `cost` as the oracle, leaving
+    /// `env` at the best placement — how unit tests drive a method through
+    /// the production loop on a cheap closure cost.
+    #[cfg(test)]
+    pub(crate) fn run_with_cost<O: Optimizer + ?Sized>(
         &self,
-        end: DriveEnd,
-        method: String,
-        env: LayoutEnv,
-        evaluator: &Evaluator,
-        counter: &SimCounter,
-        cache: &EvalCache,
-        initial_metrics: Metrics,
-        tracker: RunTracker,
-        opt: &O,
-        started: Instant,
-        base_elapsed_ms: u64,
-    ) -> Result<SliceOutcome, PlaceError> {
-        match end {
-            DriveEnd::Completed => {
-                let report = self.assemble(
-                    method,
-                    env,
-                    evaluator,
-                    counter,
-                    cache,
-                    initial_metrics,
-                    tracker,
-                    opt,
-                    started,
-                    base_elapsed_ms,
-                )?;
-                Ok(SliceOutcome::Finished(Box::new(report)))
-            }
-            DriveEnd::Paused => {
-                let elapsed = base_elapsed_ms + self.elapsed_ms_since(started);
-                let ckpt = RunCheckpoint::capture(&method, &tracker, &env, opt, elapsed)?;
-                Ok(SliceOutcome::Paused(Box::new(ckpt)))
-            }
-        }
+        env: &mut LayoutEnv,
+        opt: &mut O,
+        mut cost: impl FnMut(&LayoutEnv) -> Sample,
+    ) -> RunTracker {
+        let initial = cost(env);
+        let mut tracker = self.start(opt, env, initial);
+        self.drive(opt, env, &mut cost, &mut tracker, "", self.clock.now(), 0, &mut |_| {}, None)
+            .expect("only checkpoint capture fails, and none is taken");
+        env.set_placement(tracker.best_placement.clone())
+            .expect("the best placement was valid");
+        tracker
     }
 
     fn prepare(&self, task: &PlacementTask) -> Result<Setup, PlaceError> {
@@ -788,45 +704,14 @@ impl Driver {
         }
         Ok(DriveEnd::Completed)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn assemble<O: Optimizer + ?Sized>(
-        &self,
-        method: String,
-        mut env: LayoutEnv,
-        evaluator: &Evaluator,
-        counter: &SimCounter,
-        cache: &EvalCache,
-        initial_metrics: Metrics,
-        tracker: RunTracker,
-        opt: &O,
-        started: Instant,
-        base_elapsed_ms: u64,
-    ) -> Result<RunReport, PlaceError> {
-        env.set_placement(tracker.best_placement.clone())?;
-        // The best placement was already simulated when the tracker
-        // recorded it, so this lookup is a cache hit — it refreshes the
-        // full Metrics without spending an extra simulation, keeping
-        // `evaluations` equal to the actual number of oracle queries.
-        let best_metrics = evaluator.evaluate(&env)?;
-        let snapshot = cache.snapshot(counter);
-        Ok(RunReport {
-            method,
-            initial_cost: tracker.trajectory[0].1,
-            best_cost: tracker.best_cost,
-            initial_metrics,
-            best_metrics,
-            best_placement: env.placement().clone(),
-            evaluations: tracker.evals,
-            simulations: snapshot.sims,
-            cache: Some(cache.stats()),
-            trajectory: tracker.trajectory,
-            qtable_states: opt.status().qtable_states,
-            reached_target: tracker.reached_target,
-            sims_to_target: tracker.sims_to_target,
-            elapsed_ms: base_elapsed_ms + self.elapsed_ms_since(started),
-        })
-    }
+/// The cost unit tests drive methods on: estimated routed wirelength, cheap
+/// and simulator-free.
+#[cfg(test)]
+pub(crate) fn wirelength(env: &LayoutEnv) -> Sample {
+    let c = breaksym_route::RoutingEstimate::of(env).weighted_um;
+    Sample { cost: c, primary: c }
 }
 
 // ----------------------------------------------------- the thin wrappers
@@ -1025,6 +910,7 @@ pub fn best_symmetric_baseline(task: &PlacementTask) -> Result<RunReport, PlaceE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MethodSpec;
     use breaksym_lde::LdeModel;
     use breaksym_netlist::circuits;
 
@@ -1324,36 +1210,49 @@ mod tests {
     #[test]
     fn sliced_run_is_bit_identical_to_uninterrupted() {
         let t = task();
-        let cfg = quick_cfg(11);
-        let full = run_mlma(&t, &cfg).unwrap();
-
-        let driver = Driver::new(Budget::from_mlma(&cfg));
-        let mut placer = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
-        let mut outcome = driver.run_slice(&t, &mut placer, 40).unwrap();
-        let mut slices = 1;
-        let report = loop {
-            match outcome {
-                SliceOutcome::Finished(r) => break *r,
-                SliceOutcome::Paused(ckpt) => {
-                    // Each resume restores into a *fresh* placer through the
-                    // checkpoint's JSON round-trip, exactly as a serving
-                    // worker would after a requeue.
-                    let parsed = RunCheckpoint::from_json(&ckpt.to_json().unwrap()).unwrap();
-                    let mut fresh = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
-                    outcome = driver.resume_slice(&t, &mut fresh, &parsed, 40).unwrap();
-                    slices += 1;
-                }
+        let sa = SaConfig { max_evals: 120, seed: 11, ..SaConfig::default() };
+        let methods = [
+            MethodSpec::Mlma(quick_cfg(11)),
+            MethodSpec::Flat(quick_cfg(11)),
+            MethodSpec::Sa(sa),
+            MethodSpec::Random(sa),
+        ];
+        for spec in methods {
+            let driver = Driver::new(spec.budget());
+            let full = driver.run(&t, spec.build(&t).unwrap().as_mut()).unwrap();
+            // Slices of one evaluation pause SA inside its calibration probes.
+            for slice in [1u64, 7, 40] {
+                let label = format!("{} in {slice}-eval slices", spec.label());
+                let mut outcome = driver.run_slice(&t, spec.build(&t).unwrap().as_mut(), slice);
+                let mut slices = 1;
+                let report = loop {
+                    match outcome.unwrap() {
+                        SliceOutcome::Finished(r) => break *r,
+                        SliceOutcome::Paused(ckpt) => {
+                            // Each resume restores into a *fresh* optimizer
+                            // through the checkpoint's JSON round-trip, exactly
+                            // as a serving worker would after a requeue.
+                            let parsed =
+                                RunCheckpoint::from_json(&ckpt.to_json().unwrap()).unwrap();
+                            let mut fresh = spec.build(&t).unwrap();
+                            outcome = driver.resume_slice(&t, fresh.as_mut(), &parsed, slice);
+                            slices += 1;
+                        }
+                    }
+                };
+                assert!(slices >= (full.evaluations - 1).div_ceil(slice), "{label}: {slices}");
+                assert_eq!(report.best_cost.to_bits(), full.best_cost.to_bits(), "{label}");
+                assert_eq!(report.trajectory, full.trajectory, "{label}");
+                assert_eq!(report.evaluations, full.evaluations, "{label}");
+                assert_eq!(report.best_placement, full.best_placement, "{label}");
+                assert_eq!(report.qtable_states, full.qtable_states, "{label}");
+                assert_eq!(report.reached_target, full.reached_target, "{label}");
+                assert_eq!(report.sims_to_target, full.sims_to_target, "{label}");
+                // `simulations`/cache stats intentionally differ: each slice
+                // re-solves states unless the caller shares a cache across
+                // slices.
             }
-        };
-        assert!(slices > 2, "a 250-eval budget must span several 40-eval slices");
-        assert_eq!(report.best_cost.to_bits(), full.best_cost.to_bits());
-        assert_eq!(report.trajectory, full.trajectory);
-        assert_eq!(report.evaluations, full.evaluations);
-        assert_eq!(report.best_placement, full.best_placement);
-        assert_eq!(report.reached_target, full.reached_target);
-        assert_eq!(report.sims_to_target, full.sims_to_target);
-        // `simulations`/cache stats intentionally differ: each slice
-        // re-solves states unless the caller shares a cache across slices.
+        }
     }
 
     #[test]

@@ -234,6 +234,30 @@ fn http_request(
     (status, value)
 }
 
+/// Reads one whole response from a keep-alive `stream`: the head up to its
+/// blank line, then exactly `Content-Length` body bytes. The server may send
+/// the head and the body in separate writes, so one `read` can return the
+/// head alone.
+fn read_response(stream: &mut TcpStream) -> String {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).unwrap();
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).unwrap();
+    let len: usize = head
+        .lines()
+        .find_map(|line| {
+            let line = line.to_ascii_lowercase();
+            line.strip_prefix("content-length:").map(|v| v.trim().parse().unwrap())
+        })
+        .expect("Content-Length header");
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).unwrap();
+    head + std::str::from_utf8(&body).unwrap()
+}
+
 #[test]
 fn eviction_preserves_stats_totals_and_answers_410() {
     let engine = ServeEngine::start(ServeConfig {
@@ -490,12 +514,7 @@ fn virtual_idle_expiry_closes_keep_alive_connections() {
     stream
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n")
         .unwrap();
-    let mut buf = [0u8; 4096];
-    let n = stream.read(&mut buf).unwrap();
-    assert!(
-        std::str::from_utf8(&buf[..n]).unwrap().starts_with("HTTP/1.1 200"),
-        "healthz reply"
-    );
+    assert!(read_response(&mut stream).starts_with("HTTP/1.1 200"), "healthz reply");
 
     // Advance virtual time past the idle budget until the server hangs
     // up. One advance can race the handler registering its deadline (the
@@ -504,6 +523,7 @@ fn virtual_idle_expiry_closes_keep_alive_connections() {
     // clock, so a couple of rounds always suffice.
     let started = Instant::now();
     stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    let mut buf = [0u8; 4096];
     let mut closed = false;
     for _ in 0..30 {
         clock.advance(KEEP_ALIVE_IDLE + Duration::from_millis(1));

@@ -70,18 +70,9 @@ impl<'a> AcSolver<'a> {
         self.shifts.get(d).copied().unwrap_or(ParamShift::ZERO)
     }
 
-    /// Solves the linearised system at `freq_hz` (0 Hz = DC small-signal).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SingularMatrix`] on floating nodes.
-    pub fn solve(&self, ctx: &MnaContext, freq_hz: f64) -> Result<AcSolution, SimError> {
-        self.solve_ws(ctx, freq_hz, &mut SolverWorkspace::new())
-    }
-
-    /// Workspace variant of [`AcSolver::solve`]: identical arithmetic, the
-    /// complex matrix/RHS/solution drawn from `ws` so a frequency sweep
-    /// allocates nothing after the first point.
+    /// Solves the linearised system at `freq_hz` (0 Hz = DC small-signal),
+    /// with the complex matrix/RHS/solution drawn from `ws` so a frequency
+    /// sweep allocates nothing after the first point.
     ///
     /// # Errors
     ///
@@ -285,7 +276,9 @@ mod tests {
 
         let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 1.0 }];
         let ctx = MnaContext::new(&circuit, &extras);
-        let dc = DcSolver::new(&circuit, &[], &extras).solve(&ctx).unwrap();
+        let dc = DcSolver::new(&circuit, &[], &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         let ac = AcSolver::new(&circuit, &[], &extras, &dc, &[]);
 
         let fc = 1.0 / (2.0 * std::f64::consts::PI * r * c); // ≈159 kHz
@@ -294,7 +287,7 @@ mod tests {
             (fc, std::f64::consts::FRAC_1_SQRT_2),
             (fc * 100.0, 0.01),
         ] {
-            let sol = ac.solve(&ctx, f).unwrap();
+            let sol = ac.solve_ws(&ctx, f, &mut SolverWorkspace::new()).unwrap();
             let h = sol.voltage(vout).abs();
             assert!(
                 (h - expect_mag).abs() < 0.01,
@@ -302,7 +295,7 @@ mod tests {
             );
         }
         // Phase at the corner is −45°.
-        let sol = ac.solve(&ctx, fc).unwrap();
+        let sol = ac.solve_ws(&ctx, fc, &mut SolverWorkspace::new()).unwrap();
         let phase = sol.voltage(vout).arg().to_degrees();
         assert!((phase + 45.0).abs() < 1.0, "phase {phase}");
     }
@@ -321,16 +314,18 @@ mod tests {
         let circuit = b.build().unwrap();
         let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 1.0 }];
         let ctx = MnaContext::new(&circuit, &extras);
-        let dc = DcSolver::new(&circuit, &[], &extras).solve(&ctx).unwrap();
+        let dc = DcSolver::new(&circuit, &[], &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         let f = 160e3;
         let bare = AcSolver::new(&circuit, &[], &extras, &dc, &[])
-            .solve(&ctx, f)
+            .solve_ws(&ctx, f, &mut SolverWorkspace::new())
             .unwrap()
             .voltage(vout)
             .abs();
         let caps = [(vout, 1e-9)];
         let loaded = AcSolver::new(&circuit, &[], &extras, &dc, &caps)
-            .solve(&ctx, f)
+            .solve_ws(&ctx, f, &mut SolverWorkspace::new())
             .unwrap()
             .voltage(vout)
             .abs();
@@ -352,11 +347,13 @@ mod tests {
         let circuit = b.build().unwrap();
         let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 1.0 }];
         let ctx = MnaContext::new(&circuit, &extras);
-        let dc = DcSolver::new(&circuit, &[], &extras).solve(&ctx).unwrap();
+        let dc = DcSolver::new(&circuit, &[], &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         let ac = AcSolver::new(&circuit, &[], &extras, &dc, &[]);
         let mut ws = crate::SolverWorkspace::new();
         for f in AcSweep::default().frequencies() {
-            let fresh = ac.solve(&ctx, f).unwrap().voltage(vout);
+            let fresh = ac.solve_ws(&ctx, f, &mut SolverWorkspace::new()).unwrap().voltage(vout);
             let reused = ac.solve_ws(&ctx, f, &mut ws).unwrap().voltage(vout);
             assert_eq!(fresh.re.to_bits(), reused.re.to_bits(), "f={f:.3e}");
             assert_eq!(fresh.im.to_bits(), reused.im.to_bits(), "f={f:.3e}");

@@ -481,7 +481,7 @@ mod tests {
             // Unit structure is untouched: sources carry no units.
             assert_eq!(aw.circuit.num_units(), c.num_units(), "{name}");
             let m = bench
-                .run(&aw.circuit, &[], &[])
+                .run_ws(&aw.circuit, &[], &[], &mut crate::SolverWorkspace::new())
                 .unwrap_or_else(|e| panic!("{name}: rewired circuit simulates: {e}"));
             match c.class() {
                 breaksym_netlist::CircuitClass::CurrentMirror => {

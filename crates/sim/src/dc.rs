@@ -83,26 +83,13 @@ impl<'a> DcSolver<'a> {
         self.shifts.get(d).copied().unwrap_or(ParamShift::ZERO)
     }
 
-    /// Like [`DcSolver::solve`] but warm-started from a previous solution's
-    /// node voltages — the transient solver's per-step entry point.
+    /// Like [`DcSolver::solve_ws`] but warm-started from a previous
+    /// solution's node voltages — the transient solver's per-step entry
+    /// point.
     ///
     /// # Errors
     ///
-    /// As [`DcSolver::solve`].
-    pub fn solve_from(
-        &self,
-        ctx: &MnaContext,
-        previous: &DcSolution,
-    ) -> Result<DcSolution, SimError> {
-        self.solve_from_ws(ctx, previous, &mut SolverWorkspace::new())
-    }
-
-    /// Workspace variant of [`DcSolver::solve_from`]: identical arithmetic,
-    /// scratch drawn from (and returned to) `ws`.
-    ///
-    /// # Errors
-    ///
-    /// As [`DcSolver::solve`].
+    /// As [`DcSolver::solve_ws`].
     pub fn solve_from_ws(
         &self,
         ctx: &MnaContext,
@@ -128,23 +115,14 @@ impl<'a> DcSolver<'a> {
 
     /// Solves for the operating point: damped Newton with residual
     /// backtracking, falling back to gmin-stepping homotopy when the plain
-    /// iteration limit-cycles (high-gain nodes).
+    /// iteration limit-cycles (high-gain nodes). All scratch (solution
+    /// vector, Jacobian, LU buffers) is drawn from `ws`, so repeated solves
+    /// of the same circuit allocate nothing after warmup.
     ///
     /// # Errors
     ///
     /// [`SimError::SingularMatrix`] on structural problems,
     /// [`SimError::NoConvergence`] when even the homotopy stalls.
-    pub fn solve(&self, ctx: &MnaContext) -> Result<DcSolution, SimError> {
-        self.solve_ws(ctx, &mut SolverWorkspace::new())
-    }
-
-    /// Workspace variant of [`DcSolver::solve`]: identical arithmetic, all
-    /// scratch (solution vector, Jacobian, LU buffers) drawn from `ws` so
-    /// repeated solves of the same circuit allocate nothing after warmup.
-    ///
-    /// # Errors
-    ///
-    /// As [`DcSolver::solve`].
     pub fn solve_ws(
         &self,
         ctx: &MnaContext,
@@ -461,7 +439,7 @@ mod tests {
         b.bind_port(PortRole::Vss, vss);
         let c = b.build().unwrap();
         let ctx = MnaContext::new(&c, &[]);
-        let sol = DcSolver::new(&c, &[], &[]).solve(&ctx).unwrap();
+        let sol = DcSolver::new(&c, &[], &[]).solve_ws(&ctx, &mut SolverWorkspace::new()).unwrap();
         assert!((sol.voltage(mid) - 0.5).abs() < 1e-9);
         assert!((sol.voltage(vdd) - 1.0).abs() < 1e-12);
         // Source current: 1.0 V / 2 kΩ = 0.5 mA, flowing out of the source's
@@ -486,7 +464,7 @@ mod tests {
         b.bind_port(PortRole::Vss, vss);
         let c = b.build().unwrap();
         let ctx = MnaContext::new(&c, &[]);
-        let sol = DcSolver::new(&c, &[], &[]).solve(&ctx).unwrap();
+        let sol = DcSolver::new(&c, &[], &[]).solve_ws(&ctx, &mut SolverWorkspace::new()).unwrap();
         let beta = p.kp * 2.0 * p.aspect();
         // Ignore lambda for the hand estimate; allow a few percent.
         let expect = p.vth0 + (2.0 * 50e-6 / beta).sqrt();
@@ -508,7 +486,7 @@ mod tests {
             let name = c.name().to_string();
             let ctx = MnaContext::new(&c, &extras);
             let sol = DcSolver::new(&c, &[], &extras)
-                .solve(&ctx)
+                .solve_ws(&ctx, &mut SolverWorkspace::new())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(sol.iterations < 300, "{name} took {} iters", sol.iterations);
             // Sanity: every node voltage within the rails ±0.2 V.
@@ -557,7 +535,7 @@ mod tests {
         ] {
             let ctx = MnaContext::new(&c, &extras);
             let solver = DcSolver::new(&c, &[], &extras);
-            let fresh = solver.solve(&ctx).unwrap();
+            let fresh = solver.solve_ws(&ctx, &mut SolverWorkspace::new()).unwrap();
             let reused = solver.solve_ws(&ctx, &mut ws).unwrap();
             assert_eq!(fresh.iterations, reused.iterations);
             for i in 0..c.nets().len() as u32 {
@@ -582,14 +560,18 @@ mod tests {
         let outp = c.port(PortRole::OutP).unwrap();
         let outn = c.port(PortRole::OutN).unwrap();
 
-        let nom = DcSolver::new(&c, &[], &extras).solve(&ctx).unwrap();
+        let nom = DcSolver::new(&c, &[], &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         let imbalance_nom = nom.voltage(outp) - nom.voltage(outn);
         assert!(imbalance_nom.abs() < 1e-6, "nominal pair is balanced");
 
         let mut shifts = vec![ParamShift::ZERO; c.devices().len()];
         let m1 = c.find_device("M1").unwrap();
         shifts[m1.index()] = ParamShift::new(5e-3, 0.0, 0.0); // +5 mV on M1
-        let off = DcSolver::new(&c, &shifts, &extras).solve(&ctx).unwrap();
+        let off = DcSolver::new(&c, &shifts, &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         let imbalance = off.voltage(outp) - off.voltage(outn);
         assert!(
             imbalance.abs() > 1e-3,

@@ -7,7 +7,7 @@
 //! parameter shifts the way a real circuit does; that is exactly what is
 //! built here, from scratch:
 //!
-//! - [`Complex`] / dense [`lu_solve`] — no external linear algebra;
+//! - [`Complex`] / dense [`lu_solve_in_place`] — no external linear algebra;
 //! - square-law MOS large-signal model with analytic derivatives
 //!   ([`mos`]), perturbed per device by [`ParamShift`]s from the LDE model;
 //! - damped-Newton **DC** solver over the full MNA system ([`DcSolver`]);
@@ -69,7 +69,7 @@ pub use counter::SimCounter;
 pub use dc::{DcSolution, DcSolver};
 pub use error::SimError;
 pub use evaluator::{Evaluator, ScratchArena, FAIL_CACHE_INSERT, FAIL_EVALUATE};
-pub use linalg::{lu_solve, lu_solve_in_place, lu_solve_real};
+pub use linalg::lu_solve_in_place;
 pub use metrics::Metrics;
 pub use monte::{MismatchStats, MonteCarlo};
 pub use op_report::{DeviceOp, OpReport, Region};

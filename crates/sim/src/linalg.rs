@@ -11,10 +11,10 @@ use crate::{Complex, SimError};
 /// factorisation, the solution is written to `x` (cleared and resized),
 /// and the pivot row chosen per column is recorded in `pivots`.
 ///
-/// This is the allocation-free core behind [`lu_solve`]; callers that hold
-/// a [`SolverWorkspace`](crate::SolverWorkspace) route their arena buffers
-/// through here. It performs exactly the same arithmetic in the same order
-/// as the consuming wrapper, so the two are bit-identical.
+/// `a` is row-major `n × n`; `b` has length `n`. It allocates nothing once
+/// `x` and `pivots` have grown: callers that hold a
+/// [`SolverWorkspace`](crate::SolverWorkspace) route its buffers through
+/// here.
 ///
 /// # Errors
 ///
@@ -24,6 +24,24 @@ use crate::{Complex, SimError};
 /// # Panics
 ///
 /// Panics if `a.len() != n*n` with `n = b.len()` (caller bug, not data).
+///
+/// # Examples
+///
+/// ```
+/// use breaksym_sim::{lu_solve_in_place, Complex};
+///
+/// // 2x2: [[2, 1], [1, 3]] · x = [5, 10]  →  x = [1, 3]
+/// let mut a = vec![
+///     Complex::real(2.0), Complex::real(1.0),
+///     Complex::real(1.0), Complex::real(3.0),
+/// ];
+/// let mut b = vec![Complex::real(5.0), Complex::real(10.0)];
+/// let (mut x, mut pivots) = (Vec::new(), Vec::new());
+/// lu_solve_in_place(&mut a, &mut b, &mut x, &mut pivots)?;
+/// assert!((x[0] - Complex::real(1.0)).abs() < 1e-12);
+/// assert!((x[1] - Complex::real(3.0)).abs() < 1e-12);
+/// # Ok::<(), breaksym_sim::SimError>(())
+/// ```
 pub fn lu_solve_in_place(
     a: &mut [Complex],
     b: &mut [Complex],
@@ -85,49 +103,12 @@ pub fn lu_solve_in_place(
     Ok(())
 }
 
-/// Solves `A·x = b` in place via LU with partial pivoting.
-///
-/// `a` is row-major `n × n`; `b` has length `n`. Returns the solution
-/// vector. Thin wrapper over [`lu_solve_in_place`] for callers without a
-/// workspace.
-///
-/// # Errors
-///
-/// Returns [`SimError::SingularMatrix`] when a pivot underflows, which in
-/// MNA terms means a floating node or a voltage-source loop.
-///
-/// # Panics
-///
-/// Panics if `a.len() != n*n` with `n = b.len()` (caller bug, not data).
-///
-/// # Examples
-///
-/// ```
-/// use breaksym_sim::{lu_solve, Complex};
-///
-/// // 2x2: [[2, 1], [1, 3]] · x = [5, 10]  →  x = [1, 3]
-/// let a = vec![
-///     Complex::real(2.0), Complex::real(1.0),
-///     Complex::real(1.0), Complex::real(3.0),
-/// ];
-/// let x = lu_solve(a, vec![Complex::real(5.0), Complex::real(10.0)])?;
-/// assert!((x[0] - Complex::real(1.0)).abs() < 1e-12);
-/// assert!((x[1] - Complex::real(3.0)).abs() < 1e-12);
-/// # Ok::<(), breaksym_sim::SimError>(())
-/// ```
-pub fn lu_solve(mut a: Vec<Complex>, mut b: Vec<Complex>) -> Result<Vec<Complex>, SimError> {
-    let mut x = Vec::new();
-    let mut pivots = Vec::new();
-    lu_solve_in_place(&mut a, &mut b, &mut x, &mut pivots)?;
-    Ok(x)
-}
-
 /// Workspace-routed real solve: promotes into the arena's complex buffers
 /// and writes the real solution into `out` (cleared here).
 ///
 /// # Errors
 ///
-/// Same as [`lu_solve`].
+/// Same as [`lu_solve_in_place`].
 pub(crate) fn lu_solve_real_into(
     a: &[f64],
     b: &[f64],
@@ -144,24 +125,18 @@ pub(crate) fn lu_solve_real_into(
     Ok(())
 }
 
-/// Solves a real-valued system by promoting to complex. Convenience for
-/// workspace-free callers; thin wrapper over `lu_solve_real_into`.
-///
-/// # Errors
-///
-/// Same as [`lu_solve`].
-pub fn lu_solve_real(a: &[f64], b: &[f64]) -> Result<Vec<f64>, SimError> {
-    let mut lin = LinearScratch::default();
-    let mut out = Vec::new();
-    lu_solve_real_into(a, b, &mut lin, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use breaksym_testkit::check_cases;
     use rand::Rng;
+
+    fn solve(mut a: Vec<Complex>, mut b: Vec<Complex>) -> Result<Vec<Complex>, SimError> {
+        let (mut x, mut pivots) = (Vec::new(), Vec::new());
+        lu_solve_in_place(&mut a, &mut b, &mut x, &mut pivots)?;
+        assert_eq!(pivots.len(), x.len(), "one pivot per column");
+        Ok(x)
+    }
 
     #[test]
     fn identity_returns_rhs() {
@@ -171,7 +146,7 @@ mod tests {
             a[i * n + i] = Complex::ONE;
         }
         let b: Vec<Complex> = (0..n).map(|i| Complex::new(i as f64, -(i as f64))).collect();
-        let x = lu_solve(a, b.clone()).unwrap();
+        let x = solve(a, b.clone()).unwrap();
         for i in 0..n {
             assert!((x[i] - b[i]).abs() < 1e-15);
         }
@@ -187,7 +162,7 @@ mod tests {
             Complex::new(4.0, -1.0),
         ];
         let b = vec![Complex::real(5.0), Complex::real(6.0)];
-        let x = lu_solve(a.clone(), b.clone()).unwrap();
+        let x = solve(a.clone(), b.clone()).unwrap();
         // Check residual A·x − b.
         let r0 = a[0] * x[0] + a[1] * x[1] - b[0];
         let r1 = a[2] * x[0] + a[3] * x[1] - b[1];
@@ -198,7 +173,7 @@ mod tests {
     fn pivoting_handles_zero_diagonal() {
         // [[0, 1], [1, 0]] x = [2, 3] → x = [3, 2]
         let a = vec![Complex::ZERO, Complex::ONE, Complex::ONE, Complex::ZERO];
-        let x = lu_solve(a, vec![Complex::real(2.0), Complex::real(3.0)]).unwrap();
+        let x = solve(a, vec![Complex::real(2.0), Complex::real(3.0)]).unwrap();
         assert!((x[0] - Complex::real(3.0)).abs() < 1e-15);
         assert!((x[1] - Complex::real(2.0)).abs() < 1e-15);
     }
@@ -206,37 +181,17 @@ mod tests {
     #[test]
     fn singular_matrix_is_reported() {
         let a = vec![Complex::ONE, Complex::ONE, Complex::ONE, Complex::ONE];
-        let err = lu_solve(a, vec![Complex::ONE, Complex::ONE]).unwrap_err();
+        let err = solve(a, vec![Complex::ONE, Complex::ONE]).unwrap_err();
         assert!(matches!(err, SimError::SingularMatrix { .. }));
     }
 
     #[test]
-    fn real_wrapper() {
+    fn real_solve_promotes_to_complex() {
         let a = [2.0, 0.0, 0.0, 4.0];
-        let x = lu_solve_real(&a, &[6.0, 8.0]).unwrap();
+        let mut x = Vec::new();
+        lu_solve_real_into(&a, &[6.0, 8.0], &mut LinearScratch::default(), &mut x).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-15);
         assert!((x[1] - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn in_place_core_matches_consuming_wrapper_bit_for_bit() {
-        let a = vec![
-            Complex::new(1.0, 1.0),
-            Complex::real(2.0),
-            Complex::real(3.0),
-            Complex::new(4.0, -1.0),
-        ];
-        let b = vec![Complex::real(5.0), Complex::real(6.0)];
-        let via_wrapper = lu_solve(a.clone(), b.clone()).unwrap();
-        let (mut am, mut bm) = (a, b);
-        let mut x = Vec::new();
-        let mut pivots = Vec::new();
-        lu_solve_in_place(&mut am, &mut bm, &mut x, &mut pivots).unwrap();
-        assert_eq!(pivots.len(), 2);
-        for (w, i) in via_wrapper.iter().zip(&x) {
-            assert_eq!(w.re.to_bits(), i.re.to_bits());
-            assert_eq!(w.im.to_bits(), i.im.to_bits());
-        }
     }
 
     #[test]
@@ -246,7 +201,8 @@ mod tests {
         for scale in [1.0f64, 2.0, 0.5] {
             let a = [2.0 * scale, 1.0, 1.0, 4.0 * scale];
             let b = [6.0, 8.0 * scale];
-            let fresh = lu_solve_real(&a, &b).unwrap();
+            let mut fresh = Vec::new();
+            lu_solve_real_into(&a, &b, &mut LinearScratch::default(), &mut fresh).unwrap();
             lu_solve_real_into(&a, &b, &mut lin, &mut out).unwrap();
             assert_eq!(fresh.len(), out.len());
             for (f, o) in fresh.iter().zip(&out) {
@@ -276,7 +232,7 @@ mod tests {
             }
             let b: Vec<Complex> =
                 (0..n).map(|_| Complex::real(rng.gen_range(-10.0f64..10.0))).collect();
-            let x = lu_solve(a.clone(), b.clone()).unwrap();
+            let x = solve(a.clone(), b.clone()).unwrap();
             for i in 0..n {
                 let mut acc = Complex::ZERO;
                 for j in 0..n {

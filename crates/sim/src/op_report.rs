@@ -54,7 +54,7 @@ pub struct DeviceOp {
 ///
 /// ```
 /// use breaksym_netlist::{circuits, PortRole};
-/// use breaksym_sim::{DcSolver, ExtraElement, MnaContext, OpReport};
+/// use breaksym_sim::{DcSolver, ExtraElement, MnaContext, OpReport, SolverWorkspace};
 ///
 /// # fn main() -> Result<(), breaksym_sim::SimError> {
 /// let c = circuits::five_transistor_ota();
@@ -66,7 +66,7 @@ pub struct DeviceOp {
 ///     ExtraElement::Vsource { p: inn, n: vss, volts: 0.55, ac: 0.0 },
 /// ];
 /// let ctx = MnaContext::new(&c, &extras);
-/// let dc = DcSolver::new(&c, &[], &extras).solve(&ctx)?;
+/// let dc = DcSolver::new(&c, &[], &extras).solve_ws(&ctx, &mut SolverWorkspace::new())?;
 /// let report = OpReport::new(&c, &dc);
 /// assert!(report.to_string().contains("M1"));
 /// # Ok(())
@@ -157,7 +157,7 @@ impl fmt::Display for OpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DcSolver, ExtraElement, MnaContext};
+    use crate::{DcSolver, ExtraElement, MnaContext, SolverWorkspace};
     use breaksym_netlist::{circuits, PortRole};
 
     fn ota_report() -> OpReport {
@@ -170,7 +170,9 @@ mod tests {
             ExtraElement::Vsource { p: inn, n: vss, volts: 0.55, ac: 0.0 },
         ];
         let ctx = MnaContext::new(&c, &extras);
-        let dc = DcSolver::new(&c, &[], &extras).solve(&ctx).unwrap();
+        let dc = DcSolver::new(&c, &[], &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         OpReport::new(&c, &dc)
     }
 
@@ -203,7 +205,9 @@ mod tests {
             ExtraElement::Vsource { p: inn, n: vss, volts: 0.55, ac: 0.0 },
         ];
         let ctx = MnaContext::new(&c, &extras);
-        let dc = DcSolver::new(&c, &[], &extras).solve(&ctx).unwrap();
+        let dc = DcSolver::new(&c, &[], &extras)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
+            .unwrap();
         let r = OpReport::new(&c, &dc);
         let tail = r.device("MTAIL").unwrap();
         assert_eq!(tail.region, Region::Cutoff, "{tail:?}");

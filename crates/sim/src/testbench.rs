@@ -57,24 +57,9 @@ pub struct Testbench {
 impl Testbench {
     /// Evaluates `circuit` under per-device `shifts` and per-net parasitic
     /// capacitances `node_caps`; fills the class-specific metric fields
-    /// (area/wirelength are the caller's business).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures and missing ports.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        shifts: &[ParamShift],
-        node_caps: &[(NetId, f64)],
-    ) -> Result<Metrics, SimError> {
-        self.run_ws(circuit, shifts, node_caps, &mut SolverWorkspace::new())
-    }
-
-    /// Workspace variant of [`Testbench::run`]: every solve inside the
+    /// (area/wirelength are the caller's business). Every solve inside the
     /// class benches draws its scratch from `ws`, so repeated evaluations
-    /// of the same circuit allocate nothing after the first. Bit-identical
-    /// to [`Testbench::run`].
+    /// of the same circuit allocate nothing after the first.
     ///
     /// # Errors
     ///
@@ -357,7 +342,7 @@ impl Testbench {
         }
         c_out = c_out.max(1e-15);
         let delay = if self.options.comp_transient {
-            self.transient_delay_ws(circuit, shifts, node_caps, self.options.comp_vin, ws)?
+            self.comparator_transient_delay(circuit, shifts, node_caps, self.options.comp_vin, ws)?
                 .unwrap_or(f64::INFINITY)
         } else if gm_latch > 1e-9 {
             (c_out / gm_latch) * (vdd / (2.0 * self.options.comp_vin)).ln()
@@ -393,17 +378,6 @@ impl Testbench {
     ///
     /// Propagates transient solver failures.
     pub fn comparator_transient_delay(
-        &self,
-        circuit: &Circuit,
-        shifts: &[ParamShift],
-        node_caps: &[(NetId, f64)],
-        dv: f64,
-    ) -> Result<Option<f64>, SimError> {
-        self.transient_delay_ws(circuit, shifts, node_caps, dv, &mut SolverWorkspace::new())
-    }
-
-    /// Workspace-routed body of [`Testbench::comparator_transient_delay`].
-    fn transient_delay_ws(
         &self,
         circuit: &Circuit,
         shifts: &[ParamShift],
@@ -541,7 +515,9 @@ mod workspace_tests {
             circuits::five_transistor_ota(),
             circuits::comparator(),
         ] {
-            let fresh = bench.run(&c, &[], &[]).expect("fresh run simulates");
+            let fresh = bench
+                .run_ws(&c, &[], &[], &mut SolverWorkspace::new())
+                .expect("fresh run simulates");
             let reused = bench.run_ws(&c, &[], &[], &mut ws).expect("ws run simulates");
             assert_eq!(fresh, reused, "{}", c.name());
         }
@@ -594,11 +570,11 @@ mod comparator_transient_tests {
     fn transient_delay_resolves_and_shrinks_with_bigger_input() {
         let c = circuits::comparator();
         let d_small = bench()
-            .comparator_transient_delay(&c, &[], &[], 5e-3)
+            .comparator_transient_delay(&c, &[], &[], 5e-3, &mut SolverWorkspace::new())
             .expect("simulates")
             .expect("latch must resolve");
         let d_big = bench()
-            .comparator_transient_delay(&c, &[], &[], 100e-3)
+            .comparator_transient_delay(&c, &[], &[], 100e-3, &mut SolverWorkspace::new())
             .expect("simulates")
             .expect("latch must resolve");
         assert!(d_small > 0.0 && d_big > 0.0);
@@ -630,7 +606,9 @@ mod comparator_transient_tests {
                 },
             ];
             let tran = crate::TransientSolver::new(&c, &[], &extras, &[]);
-            let result = tran.run(2e-9, 5e-12, |_t| vec![(0, vdd)]).expect("simulates");
+            let result = tran
+                .run_ws(2e-9, 5e-12, |_t| vec![(0, vdd)], &mut SolverWorkspace::new())
+                .expect("simulates");
             let last = result.times.len() - 1;
             let diff = result.voltage_at(last, outp) - result.voltage_at(last, outn);
             // The latch must fully resolve for either polarity; record the

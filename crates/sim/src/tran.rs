@@ -66,7 +66,7 @@ impl TransientResult {
 ///
 /// ```
 /// use breaksym_netlist::{CircuitBuilder, CircuitClass, GroupKind, NetKind, PortRole};
-/// use breaksym_sim::{ExtraElement, TransientSolver};
+/// use breaksym_sim::{ExtraElement, SolverWorkspace, TransientSolver};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = CircuitBuilder::new("rc", CircuitClass::Generic);
@@ -82,7 +82,7 @@ impl TransientResult {
 /// let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 0.0 }];
 /// let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
 /// // Drive the source to 1 V for t > 0 and integrate 10 time constants.
-/// let result = tran.run(10e-6, 1e-8, |_t| vec![(0, 1.0)])?;
+/// let result = tran.run_ws(10e-6, 1e-8, |_t| vec![(0, 1.0)], &mut SolverWorkspace::new())?;
 /// let (_, v_end) = *result.waveform(vout).last().expect("has steps");
 /// assert!((v_end - 1.0).abs() < 1e-3);
 /// # Ok(())
@@ -152,6 +152,11 @@ impl<'a> TransientSolver<'a> {
     /// `(extra_index, volts)` overrides applied to voltage-source extras
     /// for the step ending at time `t` — the clock and input stimuli.
     ///
+    /// The per-step extras buffer, the MNA context, and all Newton/LU
+    /// scratch are reused across steps from `ws` — the companion-model
+    /// kinds and order are the same every step, so the MNA structure is
+    /// too.
+    ///
     /// # Errors
     ///
     /// Propagates Newton failures from any step.
@@ -160,25 +165,6 @@ impl<'a> TransientSolver<'a> {
     ///
     /// Panics if `h` or `t_stop` is not positive, or a drive index does not
     /// point at a voltage-source extra.
-    pub fn run<F>(&self, t_stop: f64, h: f64, drive: F) -> Result<TransientResult, SimError>
-    where
-        F: FnMut(f64) -> Vec<(usize, f64)>,
-    {
-        self.run_ws(t_stop, h, drive, &mut SolverWorkspace::new())
-    }
-
-    /// Workspace variant of [`TransientSolver::run`]: identical arithmetic,
-    /// with the per-step extras buffer, the MNA context, and all Newton/LU
-    /// scratch reused across steps — the companion-model kinds and order
-    /// are the same every step, so the MNA structure is too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates Newton failures from any step.
-    ///
-    /// # Panics
-    ///
-    /// As [`TransientSolver::run`].
     pub fn run_ws<F>(
         &self,
         t_stop: f64,
@@ -266,7 +252,7 @@ mod tests {
         let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 0.0 }];
         let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
         let h = 1e-8; // tau/100 keeps backward-Euler error small
-        let result = tran.run(3e-6, h, |_| vec![(0, 1.0)]).unwrap();
+        let result = tran.run_ws(3e-6, h, |_| vec![(0, 1.0)], &mut SolverWorkspace::new()).unwrap();
         for &(t, v) in result.waveform(vout).iter().step_by(25) {
             let expect = 1.0 - (-t / 1e-6_f64).exp();
             assert!((v - expect).abs() < 0.01, "t={t:.2e}: got {v:.4}, expected {expect:.4}");
@@ -280,7 +266,9 @@ mod tests {
             let vss = circuit.port(PortRole::Vss).unwrap();
             let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 0.0 }];
             let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
-            let result = tran.run(10e-6, 2e-8, |_| vec![(0, 1.0)]).unwrap();
+            let result = tran
+                .run_ws(10e-6, 2e-8, |_| vec![(0, 1.0)], &mut SolverWorkspace::new())
+                .unwrap();
             let vo = vout;
             result.first_time(move |v| v[vo.index()] > 0.5).expect("must cross half")
         };
@@ -300,7 +288,7 @@ mod tests {
         let vss = circuit.port(PortRole::Vss).unwrap();
         let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 1.0, ac: 0.0 }];
         let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
-        let result = tran.run(1e-6, 1e-8, |_| vec![]).unwrap();
+        let result = tran.run_ws(1e-6, 1e-8, |_| vec![], &mut SolverWorkspace::new()).unwrap();
         for &(_, v) in &result.waveform(vout) {
             assert!((v - 1.0).abs() < 1e-9);
         }
@@ -313,7 +301,9 @@ mod tests {
         let vss = circuit.port(PortRole::Vss).unwrap();
         let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 0.0 }];
         let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
-        let fresh = tran.run(1e-6, 1e-8, |_| vec![(0, 1.0)]).unwrap();
+        let fresh = tran
+            .run_ws(1e-6, 1e-8, |_| vec![(0, 1.0)], &mut SolverWorkspace::new())
+            .unwrap();
         let mut ws = SolverWorkspace::new();
         let first = tran.run_ws(1e-6, 1e-8, |_| vec![(0, 1.0)], &mut ws).unwrap();
         let second = tran.run_ws(1e-6, 1e-8, |_| vec![(0, 1.0)], &mut ws).unwrap();
@@ -331,6 +321,6 @@ mod tests {
             ExtraElement::Resistor { p: vin, n: vss, ohms: 1e6 },
         ];
         let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
-        let _ = tran.run(1e-7, 1e-8, |_| vec![(1, 1.0)]);
+        let _ = tran.run_ws(1e-7, 1e-8, |_| vec![(1, 1.0)], &mut SolverWorkspace::new());
     }
 }

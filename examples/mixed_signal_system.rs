@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example mixed_signal_system`
 
-use breaksym::core::{runner, MlmaConfig, MultiLevelPlacer, PlacementTask};
+use breaksym::core::{runner, Budget, Driver, MlmaConfig, MultiLevelPlacer, PlacementTask};
 use breaksym::layout::LayoutEnv;
 use breaksym::lde::{Atlas, Component, LdeModel};
 use breaksym::netlist::{
@@ -101,7 +101,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 31,
         ..MlmaConfig::default()
     };
-    let rl = runner::run_mlma(&task, &cfg)?;
+    let mut placer = MultiLevelPlacer::new(&task.initial_env()?, cfg);
+    let rl = Driver::new(Budget::from_mlma(&cfg)).run(&task, &mut placer)?;
     println!(
         "mlma-q: group Vth spread = {:.3} mV after {} sims (target hit at {:?})",
         rl.best_primary() * 1e3,
@@ -114,7 +115,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", env.render_ascii());
 
     // Checkpoint the learned tables for a future session.
-    let placer = MultiLevelPlacer::new(&env, cfg);
     let checkpoint = placer.to_json()?;
     println!(
         "\ncheckpoint: {} bytes of Q-tables (MultiLevelPlacer::from_json resumes them)",

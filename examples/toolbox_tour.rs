@@ -13,7 +13,7 @@ use breaksym::layout::LayoutEnv;
 use breaksym::lde::{Atlas, Component, LdeModel};
 use breaksym::netlist::{circuits, lint::lint, PortRole};
 use breaksym::route::{congestion_score, CongestionMap, MazeRouter, RouteConfig};
-use breaksym::sim::{DcSolver, Evaluator, ExtraElement, MnaContext, OpReport};
+use breaksym::sim::{DcSolver, Evaluator, ExtraElement, MnaContext, OpReport, SolverWorkspace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = circuits::five_transistor_ota();
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ExtraElement::Vsource { p: inn, n: vss, volts: 0.55, ac: 0.0 },
     ];
     let ctx = MnaContext::new(&circuit, &extras);
-    let dc = DcSolver::new(&circuit, &[], &extras).solve(&ctx)?;
+    let dc = DcSolver::new(&circuit, &[], &extras).solve_ws(&ctx, &mut SolverWorkspace::new())?;
     let report = OpReport::new(&circuit, &dc);
     println!("\noperating point:\n{report}");
     println!("devices out of saturation: {}", report.out_of_saturation().len());
@@ -65,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 5,
         ..MlmaConfig::default()
     };
-    let report = breaksym::core::runner::run_mlma(&task, &cfg)?;
+    // Train the placer whose learned policy is extracted below.
+    let mut placer = MultiLevelPlacer::new(&env0, cfg);
+    let report = Driver::new(Budget::from_mlma(&cfg)).run(&task, &mut placer)?;
     println!(
         "offset: {:.3} mV -> {:.3} mV in {} sims",
         initial.primary() * 1e3,
@@ -77,15 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         objective.cost(&report.best_metrics)
     );
 
-    // Re-train a placer to extract its greedy policy as a move macro.
+    // Extract the trained hierarchy's greedy policy as a move macro.
     let mut env = task.initial_env()?;
-    let placer = MultiLevelPlacer::new(&env, cfg);
-    let counter = breaksym::sim::SimCounter::new();
-    let eval2 = task.evaluator(counter);
-    let _ = breaksym::core::runner::run_mlma(&task, &cfg)?; // learning pass
     let rollout = placer.greedy_rollout(&mut env, 8);
-    println!("\ngreedy rollout of an untrained hierarchy: {} moves", rollout.len());
-    let _ = eval2;
+    println!("\ngreedy rollout of the trained hierarchy: {} moves", rollout.len());
 
     // 5. The same method, step-driven: the generic Driver owns the budget
     // and checkpointing, the placer only proposes and observes. Grab the

@@ -8,7 +8,8 @@ use breaksym::lde::{Atlas, Component, LdeModel};
 use breaksym::netlist::{circuits, lint::lint, PortRole};
 use breaksym::route::{congestion_score, CongestionMap, MazeRouter, RouteConfig};
 use breaksym::sim::{
-    DcSolver, EvalOptions, Evaluator, ExtraElement, MnaContext, OpReport, TransientSolver,
+    DcSolver, EvalOptions, Evaluator, ExtraElement, MnaContext, OpReport, SolverWorkspace,
+    TransientSolver,
 };
 
 #[test]
@@ -41,7 +42,7 @@ fn every_library_circuit_lints_clean_and_reports_an_op_point() {
         }
         let ctx = MnaContext::new(&circuit, &extras);
         let dc = DcSolver::new(&circuit, &[], &extras)
-            .solve(&ctx)
+            .solve_ws(&ctx, &mut SolverWorkspace::new())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = OpReport::new(&circuit, &dc);
         let mos_count = circuit.devices().iter().filter(|d| d.mos_polarity().is_some()).count();
@@ -151,7 +152,9 @@ fn transient_rc_through_facade() {
     let extras = vec![ExtraElement::Vsource { p: vin, n: vss, volts: 0.0, ac: 0.0 }];
     let tran = TransientSolver::new(&circuit, &[], &extras, &[]);
     // tau = 1 µs; at t = tau the output sits at 1 − 1/e.
-    let result = tran.run(1e-6, 1e-8, |_| vec![(0, 1.0)]).expect("integrates");
+    let result = tran
+        .run_ws(1e-6, 1e-8, |_| vec![(0, 1.0)], &mut SolverWorkspace::new())
+        .expect("integrates");
     let last = result.waveform(vout).last().map(|&(_, v)| v).expect("steps");
     let expect = 1.0 - (-1.0f64).exp();
     assert!((last - expect).abs() < 0.01, "got {last}, expected {expect}");
