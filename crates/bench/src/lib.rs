@@ -553,11 +553,11 @@ pub struct SeedRow {
 ///
 /// Propagates the first per-seed failure.
 pub fn ablation_seeds(budget: u64, seeds: &[u64]) -> Result<Vec<SeedRow>, PlaceError> {
-    let results: Vec<Result<SeedRow, PlaceError>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<SeedRow, PlaceError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
             .map(|&seed| {
-                scope.spawn(move |_| -> Result<SeedRow, PlaceError> {
+                scope.spawn(move || -> Result<SeedRow, PlaceError> {
                     let task = PlacementTask::new(
                         circuits::current_mirror_medium(),
                         16,
@@ -597,8 +597,7 @@ pub fn ablation_seeds(budget: u64, seeds: &[u64]) -> Result<Vec<SeedRow>, PlaceE
             .into_iter()
             .map(|h| h.join().expect("worker threads do not panic"))
             .collect()
-    })
-    .expect("scope does not panic");
+    });
     results.into_iter().collect()
 }
 

@@ -23,8 +23,9 @@
 //! end to end.
 //!
 //! Every method is step-driven behind the [`Optimizer`] trait; the generic
-//! [`runner::Driver`] owns budgets ([`runner::Budget`]), checkpointing
-//! ([`runner::RunCheckpoint`]), and report assembly, and [`run_portfolio`]
+//! [`runner::Driver`] owns budgets ([`runner::Budget`]), the checkpoints a
+//! sliced run pauses at ([`runner::RunCheckpoint`]), and report assembly,
+//! and [`run_portfolio`]
 //! fans seeds × methods across threads with bit-identical-to-sequential
 //! trajectories.
 //!
@@ -73,6 +74,4 @@ pub use task::PlacementTask;
 // The vocabulary callers need alongside this crate.
 pub use breaksym_layout::LayoutEnv;
 pub use breaksym_lde::LdeModel;
-pub use breaksym_sim::{
-    CacheStats, EvalCache, Evaluator, Metrics, ScratchArena, SimCounter, StatsSnapshot,
-};
+pub use breaksym_sim::{CacheStats, EvalCache, Evaluator, Metrics, SimCounter, StatsSnapshot};

@@ -11,17 +11,12 @@
 //! sharing only changes the hit/miss/simulation *accounting*, never a
 //! cost. Those accounting fields are therefore the only
 //! scheduling-dependent part of a report.
-//!
-//! Each worker thread additionally owns one
-//! [`ScratchArena`](breaksym_sim::ScratchArena) threaded into every job it
-//! runs, so consecutive jobs reuse a warmed solver workspace instead of
-//! reallocating — bit-identical by the arena's contract.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use breaksym_anneal::SaConfig;
-use breaksym_sim::{EvalCache, ScratchArena, DEFAULT_CACHE_CAPACITY};
+use breaksym_sim::{EvalCache, DEFAULT_CACHE_CAPACITY};
 use serde::{Deserialize, Serialize};
 
 use crate::optimizer::Optimizer;
@@ -98,28 +93,8 @@ impl MethodSpec {
     ///
     /// As [`Driver::run`].
     pub fn run(&self, task: &PlacementTask, cache: EvalCache) -> Result<RunReport, PlaceError> {
-        self.run_with_arena(task, cache, &ScratchArena::new())
-    }
-
-    /// Like [`MethodSpec::run`] but reusing `arena` as the evaluator's
-    /// scratch — how portfolio workers keep their solver workspace warm
-    /// across consecutive jobs. Bit-identical to a cold run (see
-    /// [`ScratchArena`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Driver::run`].
-    pub fn run_with_arena(
-        &self,
-        task: &PlacementTask,
-        cache: EvalCache,
-        arena: &ScratchArena,
-    ) -> Result<RunReport, PlaceError> {
         let mut opt = self.build(task)?;
-        Driver::new(self.budget())
-            .with_shared_cache(cache)
-            .with_scratch_arena(arena)
-            .run(task, opt.as_mut())
+        Driver::new(self.budget()).with_shared_cache(cache).run(task, opt.as_mut())
     }
 }
 
@@ -155,22 +130,13 @@ pub fn run_portfolio(
         jobs.iter().map(|_| Mutex::new(None)).collect();
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
-                // One scratch arena per worker: every job this thread pulls
-                // reuses the same warmed solver workspace and incremental
-                // extraction state. Safe because arena contents are
-                // self-invalidating and never affect results (see
-                // `ScratchArena`), and no lock contention because the arena
-                // never leaves this thread.
-                let arena = ScratchArena::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let result = jobs[i].run_with_arena(task, cache.clone(), &arena);
-                    *slots[i].lock().expect("no worker panics holding a slot") = Some(result);
+            scope.spawn(|_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs.len() {
+                    break;
                 }
+                let result = jobs[i].run(task, cache.clone());
+                *slots[i].lock().expect("no worker panics holding a slot") = Some(result);
             });
         }
     })

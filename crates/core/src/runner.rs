@@ -11,18 +11,16 @@
 //! All search methods run through one generic [`Driver`] over the
 //! step-driven [`Optimizer`] trait. The driver owns the cost oracle
 //! (evaluator + cache + counter), the budget ([`Budget`]), target-hit
-//! bookkeeping, optional periodic [checkpoints](RunCheckpoint), and the
-//! final [`RunReport`] assembly; the method only proposes moves and
-//! observes verdicts. The `run_*` functions below are thin wrappers over
-//! the driver.
+//! bookkeeping, the [checkpoint](RunCheckpoint) a sliced run pauses at,
+//! and the final [`RunReport`] assembly; the method only proposes moves
+//! and observes verdicts. The `run_*` functions below are thin wrappers
+//! over the driver.
 
 use std::time::Instant;
 
-use breaksym_anneal::{Annealer, RandomSearch, SaConfig};
+use breaksym_anneal::{Annealer, SaConfig};
 use breaksym_layout::{LayoutEnv, Placement};
-use breaksym_sim::{
-    EvalCache, Evaluator, Metrics, ScratchArena, SimCounter, DEFAULT_CACHE_CAPACITY,
-};
+use breaksym_sim::{EvalCache, Evaluator, Metrics, SimCounter, DEFAULT_CACHE_CAPACITY};
 use breaksym_testkit::{real_clock, SharedClock};
 use serde::{Deserialize, Serialize};
 
@@ -82,8 +80,10 @@ impl Baseline {
 // ------------------------------------------------------------- the budget
 
 /// The caller-side stopping rules the [`Driver`] enforces, independent of
-/// any method's own schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// any method's own schedule: the three fields a [`RunTracker`] carries.
+/// A wall-clock limit belongs to the caller, which can stop between
+/// [slices](Driver::run_slice).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     /// Hard cap on oracle queries (including the initial evaluation).
     pub max_evals: u64,
@@ -91,25 +91,12 @@ pub struct Budget {
     pub target_primary: Option<f64>,
     /// Whether reaching the target ends the run early.
     pub stop_at_target: bool,
-    /// Hard wall-clock cap in milliseconds, checked between evaluations.
-    #[serde(default)]
-    pub max_wall_ms: Option<u64>,
-    /// Early stop after this many evaluations without a best-cost
-    /// improvement.
-    #[serde(default)]
-    pub patience: Option<u64>,
 }
 
 impl Budget {
-    /// A plain evaluation budget: no target, no wall clock, no patience.
+    /// A plain evaluation budget with no target.
     pub fn evals(max_evals: u64) -> Self {
-        Budget {
-            max_evals,
-            target_primary: None,
-            stop_at_target: false,
-            max_wall_ms: None,
-            patience: None,
-        }
+        Budget { max_evals, target_primary: None, stop_at_target: false }
     }
 
     /// The budget a [`MlmaConfig`] describes (its eval cap and target
@@ -119,47 +106,27 @@ impl Budget {
             max_evals: cfg.max_evals,
             target_primary: cfg.target_primary,
             stop_at_target: cfg.stop_at_target,
-            max_wall_ms: None,
-            patience: None,
         }
     }
 
-    /// The budget historic `run_sa`/`run_random` enforced: the SA eval cap
-    /// plus an optional *recorded* (never early-stopping) target.
+    /// The budget of an SA or random-search run: the SA eval cap plus an
+    /// optional *recorded* (never early-stopping) target.
     pub fn from_sa(cfg: &SaConfig, target_primary: Option<f64>) -> Self {
-        Budget {
-            max_evals: cfg.max_evals,
-            target_primary,
-            stop_at_target: false,
-            max_wall_ms: None,
-            patience: None,
-        }
-    }
-
-    /// Sets the wall-clock cap.
-    #[must_use]
-    pub fn with_max_wall_ms(mut self, ms: u64) -> Self {
-        self.max_wall_ms = Some(ms);
-        self
-    }
-
-    /// Sets the no-improvement patience.
-    #[must_use]
-    pub fn with_patience(mut self, evals: u64) -> Self {
-        self.patience = Some(evals);
-        self
+        Budget { max_evals: cfg.max_evals, target_primary, stop_at_target: false }
     }
 }
 
 // --------------------------------------------------------- the checkpoint
 
-/// A resumable snapshot of an in-flight driver run, taken at a quiescent
-/// point (between an observation and the next proposal).
+/// A resumable snapshot of an in-flight driver run, taken when a
+/// [slice](Driver::run_slice) pauses at a quiescent point (between an
+/// observation and the next proposal).
 ///
 /// Serialise with [`RunCheckpoint::to_json`]; hand the parsed value to
-/// [`Driver::resume`], which restores the optimizer, the tracker, and the
-/// working placement (rebuilding their serde-skipped indices) so the
-/// continued run is bit-identical to one that never stopped.
+/// [`Driver::resume`] or [`Driver::resume_slice`], which restores the
+/// optimizer, the tracker, and the working placement (rebuilding their
+/// serde-skipped indices) so the continued run is bit-identical to one
+/// that never stopped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunCheckpoint {
     /// Method label of the interrupted run.
@@ -231,24 +198,20 @@ struct Setup {
 }
 
 fn setup(task: &PlacementTask) -> Result<Setup, PlaceError> {
-    setup_with(task, EvalCache::new(DEFAULT_CACHE_CAPACITY), SimCounter::new(), None)
+    setup_with(task, EvalCache::new(DEFAULT_CACHE_CAPACITY), SimCounter::new())
 }
 
 fn setup_with(
     task: &PlacementTask,
     cache: EvalCache,
     counter: SimCounter,
-    arena: Option<&ScratchArena>,
 ) -> Result<Setup, PlaceError> {
     let env = task.initial_env()?;
     // Every runner memoizes metrics by placement fingerprint: revisited
     // states (episode resets, undo-heavy proposals) cost a hash probe, not
     // a solve. Hits do not touch `counter` — the "#simulations" tally
     // counts real oracle solves only.
-    let mut evaluator = task.evaluator(counter.clone()).with_cache(cache.clone());
-    if let Some(arena) = arena {
-        evaluator = evaluator.with_scratch_arena(arena);
-    }
+    let evaluator = task.evaluator(counter.clone()).with_cache(cache.clone());
     let initial_metrics = evaluator.evaluate(&env)?;
     let objective = Objective::normalized_to(&initial_metrics);
     Ok(Setup { env, evaluator, counter, cache, initial_metrics, objective })
@@ -270,7 +233,7 @@ fn sample_closure<'a>(
 
 /// The generic run loop over any [`Optimizer`]: owns the cost oracle,
 /// enforces the [`Budget`], tracks the best placement and target hits,
-/// optionally emits periodic [`RunCheckpoint`]s, and assembles the
+/// pauses a sliced run at a [`RunCheckpoint`], and assembles the
 /// [`RunReport`].
 ///
 /// ```
@@ -289,12 +252,9 @@ fn sample_closure<'a>(
 #[derive(Debug, Clone)]
 pub struct Driver {
     budget: Budget,
-    method: Option<String>,
     weights: Option<(f64, f64, f64)>,
     shared_cache: Option<EvalCache>,
     counter: Option<SimCounter>,
-    checkpoint_every: Option<u64>,
-    scratch_arena: Option<ScratchArena>,
     clock: SharedClock,
 }
 
@@ -313,8 +273,8 @@ pub enum SliceOutcome {
 /// Why the inner drive loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DriveEnd {
-    /// A terminal stop: budget, target, wall clock, patience, or the
-    /// optimizer finishing its schedule.
+    /// A terminal stop: budget, target, or the optimizer finishing its
+    /// schedule.
     Completed,
     /// The slice allowance ran out at a quiescent point.
     Paused,
@@ -332,22 +292,12 @@ impl Driver {
     /// A driver enforcing `budget` with the default objective weights and
     /// a private evaluation cache.
     pub fn new(budget: Budget) -> Self {
-        Driver {
-            budget,
-            method: None,
-            weights: None,
-            shared_cache: None,
-            counter: None,
-            checkpoint_every: None,
-            scratch_arena: None,
-            clock: real_clock(),
-        }
+        Driver { budget, weights: None, shared_cache: None, counter: None, clock: real_clock() }
     }
 
     /// Overrides the wall-clock source (default: the real monotonic
     /// clock). Tests inject a [`TestClock`](breaksym_testkit::TestClock)
-    /// here so wall-clock budgets and `elapsed_ms` accounting become
-    /// deterministic.
+    /// here so `elapsed_ms` accounting becomes deterministic.
     #[must_use]
     pub fn with_clock(mut self, clock: SharedClock) -> Self {
         self.clock = clock;
@@ -357,14 +307,6 @@ impl Driver {
     /// Milliseconds of (possibly virtual) wall clock since `started`.
     fn elapsed_ms_since(&self, started: Instant) -> u64 {
         self.clock.now().duration_since(started).as_millis() as u64
-    }
-
-    /// Overrides the report's method label (defaults to
-    /// [`Optimizer::label`]).
-    #[must_use]
-    pub fn with_method_label(mut self, label: impl Into<String>) -> Self {
-        self.method = Some(label.into());
-        self
     }
 
     /// Overrides the objective weights `(w_primary, w_area, w_wirelength)`.
@@ -384,16 +326,6 @@ impl Driver {
         self
     }
 
-    /// Shares an external [`ScratchArena`] so this run's evaluator reuses
-    /// already-warmed solver and extraction scratch (e.g. from a previous
-    /// job on the same worker thread) instead of starting cold. Results
-    /// are bit-identical either way; only allocation work changes.
-    #[must_use]
-    pub fn with_scratch_arena(mut self, arena: &ScratchArena) -> Self {
-        self.scratch_arena = Some(arena.clone());
-        self
-    }
-
     /// Shares an external [`SimCounter`] instead of creating a private one,
     /// so the simulation tally survives across [`Driver::run_slice`] /
     /// [`Driver::resume_slice`] calls (each of which would otherwise start
@@ -401,14 +333,6 @@ impl Driver {
     #[must_use]
     pub fn with_counter(mut self, counter: SimCounter) -> Self {
         self.counter = Some(counter);
-        self
-    }
-
-    /// Emits a [`RunCheckpoint`] to the `run_observed` callback every
-    /// `every` evaluations (at quiescent points only).
-    #[must_use]
-    pub fn with_checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = Some(every.max(1));
         self
     }
 
@@ -429,29 +353,15 @@ impl Driver {
         task: &PlacementTask,
         opt: &mut O,
     ) -> Result<RunReport, PlaceError> {
-        self.run_observed(task, opt, |_| {})
-    }
-
-    /// Like [`Driver::run`], invoking `on_checkpoint` for every periodic
-    /// checkpoint (see [`Driver::with_checkpoint_every`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Driver::run`].
-    pub fn run_observed<O: Optimizer + ?Sized>(
-        &self,
-        task: &PlacementTask,
-        opt: &mut O,
-        mut on_checkpoint: impl FnMut(&RunCheckpoint),
-    ) -> Result<RunReport, PlaceError> {
-        self.run_from(task, opt, None, None, &mut on_checkpoint).map(finished)
+        self.run_from(task, opt, None, None).map(finished)
     }
 
     /// Resumes an interrupted run from `ckpt`: restores the optimizer's
     /// full state, the tracker, and the working placement, then continues
     /// the loop bit-identically to a run that never stopped. The driver
-    /// must be configured like the original (same weights); the budget and
-    /// method label are taken from the checkpoint's tracker.
+    /// must be configured like the original (same weights); the budget is
+    /// taken from the checkpoint's tracker and the method label from the
+    /// checkpoint.
     ///
     /// # Errors
     ///
@@ -463,13 +373,14 @@ impl Driver {
         opt: &mut O,
         ckpt: &RunCheckpoint,
     ) -> Result<RunReport, PlaceError> {
-        self.run_from(task, opt, Some(ckpt), None, &mut |_| {}).map(finished)
+        self.run_from(task, opt, Some(ckpt), None).map(finished)
     }
 
-    /// Runs `opt` on `task` for **at most `slice_evals` further
-    /// evaluations**, then either finishes (if the run completed inside
-    /// the slice) or pauses with a resumable [`RunCheckpoint`] — the
-    /// serving layer's unit of work. A paused run continued through
+    /// Runs `opt` on `task` for **`slice_evals` further evaluations** (a
+    /// `slice_evals` of 0 counts as 1), then pauses with a resumable
+    /// [`RunCheckpoint`] — or finishes earlier, if the run completes inside
+    /// the slice. This is the serving layer's unit of work, and the only
+    /// way a run yields a checkpoint. A paused run continued through
     /// [`Driver::resume_slice`] (possibly many times, even in a freshly
     /// constructed optimizer) is bit-identical to one uninterrupted
     /// [`Driver::run`]: slicing follows the same quiescent-point
@@ -490,13 +401,13 @@ impl Driver {
         opt: &mut O,
         slice_evals: u64,
     ) -> Result<SliceOutcome, PlaceError> {
-        self.run_from(task, opt, None, Some(slice_evals), &mut |_| {})
+        self.run_from(task, opt, None, Some(slice_evals))
     }
 
-    /// Continues a paused sliced run from `ckpt` for at most `slice_evals`
-    /// further evaluations. See [`Driver::run_slice`]; the optimizer may be
-    /// freshly constructed — its full state is restored from the
-    /// checkpoint.
+    /// Continues a paused sliced run from `ckpt` for `slice_evals` further
+    /// evaluations (0 counts as 1). See [`Driver::run_slice`]; the
+    /// optimizer may be freshly constructed — its full state is restored
+    /// from the checkpoint.
     ///
     /// # Errors
     ///
@@ -508,20 +419,20 @@ impl Driver {
         ckpt: &RunCheckpoint,
         slice_evals: u64,
     ) -> Result<SliceOutcome, PlaceError> {
-        self.run_from(task, opt, Some(ckpt), Some(slice_evals), &mut |_| {})
+        self.run_from(task, opt, Some(ckpt), Some(slice_evals))
     }
 
     /// The body of every entry point: set up the oracle, start `opt` fresh
     /// or restore it from `from`, drive it (pausing after `slice_evals`
     /// further evaluations when set), then assemble the report or capture
-    /// the pause checkpoint.
+    /// the pause checkpoint. Elapsed time accumulates across pauses: the
+    /// checkpoint carries what earlier slices spent.
     fn run_from<O: Optimizer + ?Sized>(
         &self,
         task: &PlacementTask,
         opt: &mut O,
         from: Option<&RunCheckpoint>,
         slice_evals: Option<u64>,
-        on_checkpoint: &mut impl FnMut(&RunCheckpoint),
     ) -> Result<SliceOutcome, PlaceError> {
         let started = self.clock.now();
         let Setup { mut env, evaluator, counter, cache, initial_metrics, objective } =
@@ -530,7 +441,7 @@ impl Driver {
             None => {
                 // The setup already queried the oracle for the initial placement.
                 let tracker = self.start(opt, &env, sample_of(&objective, &initial_metrics));
-                (tracker, self.method.clone().unwrap_or_else(|| opt.label().to_string()), 0)
+                (tracker, opt.label().to_string(), 0)
             }
             Some(ckpt) => {
                 opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
@@ -543,17 +454,13 @@ impl Driver {
             }
         };
         let pause_at = slice_evals.map(|n| tracker.evals.saturating_add(n.max(1)));
-        let end = self.drive(
+        let end = drive(
             opt,
             &mut env,
             &mut sample_closure(&evaluator, &objective),
             &mut tracker,
-            &method,
-            started,
-            base_elapsed_ms,
-            on_checkpoint,
             pause_at,
-        )?;
+        );
         if end == DriveEnd::Paused {
             let elapsed_ms = base_elapsed_ms + self.elapsed_ms_since(started);
             let ckpt = RunCheckpoint::capture(&method, &tracker, &env, opt, elapsed_ms)?;
@@ -614,8 +521,7 @@ impl Driver {
     ) -> RunTracker {
         let initial = cost(env);
         let mut tracker = self.start(opt, env, initial);
-        self.drive(opt, env, &mut cost, &mut tracker, "", self.clock.now(), 0, &mut |_| {}, None)
-            .expect("only checkpoint capture fails, and none is taken");
+        drive(opt, env, &mut cost, &mut tracker, None);
         env.set_placement(tracker.best_placement.clone())
             .expect("the best placement was valid");
         tracker
@@ -627,83 +533,54 @@ impl Driver {
             .clone()
             .unwrap_or_else(|| EvalCache::new(DEFAULT_CACHE_CAPACITY));
         let counter = self.counter.clone().unwrap_or_default();
-        let mut s = setup_with(task, cache, counter, self.scratch_arena.as_ref())?;
+        let mut s = setup_with(task, cache, counter)?;
         if let Some((p, a, w)) = self.weights {
             s.objective = s.objective.with_weights(p, a, w);
         }
         Ok(s)
     }
+}
 
-    /// The inner propose → evaluate → observe loop. Exits on the tracker's
-    /// own budget/target verdict, the wall clock, the patience rule, the
-    /// optimizer finishing its schedule, or (when `pause_at` is set) the
-    /// evaluation count reaching the slice boundary.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<O: Optimizer + ?Sized>(
-        &self,
-        opt: &mut O,
-        env: &mut LayoutEnv,
-        sample: &mut impl FnMut(&LayoutEnv) -> Sample,
-        tracker: &mut RunTracker,
-        method: &str,
-        started: Instant,
-        base_elapsed_ms: u64,
-        on_checkpoint: &mut impl FnMut(&RunCheckpoint),
-        pause_at: Option<u64>,
-    ) -> Result<DriveEnd, PlaceError> {
-        loop {
-            if tracker.done() {
-                break;
-            }
-            if let Some(limit) = self.budget.max_wall_ms {
-                if base_elapsed_ms + self.elapsed_ms_since(started) >= limit {
+/// The inner propose → evaluate → observe loop. Exits on the tracker's own
+/// budget/target verdict, the optimizer finishing its schedule, or (when
+/// `pause_at` is set) the evaluation count reaching the slice boundary.
+fn drive<O: Optimizer + ?Sized>(
+    opt: &mut O,
+    env: &mut LayoutEnv,
+    sample: &mut impl FnMut(&LayoutEnv) -> Sample,
+    tracker: &mut RunTracker,
+    pause_at: Option<u64>,
+) -> DriveEnd {
+    while !tracker.done() {
+        // Checked after the terminal condition so a run that is already
+        // done reports Completed, not an empty pause; the loop body below
+        // only ever stops at quiescent points, so pausing here is always
+        // checkpoint-safe.
+        if pause_at.is_some_and(|at| tracker.evals >= at) {
+            return DriveEnd::Paused;
+        }
+        match opt.propose(env) {
+            Proposal::Finished => break,
+            Proposal::Evaluate { candidate } => {
+                let s = sample(env);
+                opt.observe(s, env);
+                // Candidates feed the best/trajectory/target records; a
+                // calibration probe only consumes budget. A Metropolis
+                // rejection undid the move in `observe`, but a rejected
+                // cost is never a new best, so recording afterwards cannot
+                // capture the wrong placement.
+                let stop = if candidate {
+                    tracker.record(s, env)
+                } else {
+                    tracker.record_probe(s)
+                };
+                if stop {
                     break;
-                }
-            }
-            if let Some(patience) = self.budget.patience {
-                let last_improvement = tracker.trajectory.last().map_or(1, |&(e, _)| e);
-                if tracker.evals.saturating_sub(last_improvement) >= patience {
-                    break;
-                }
-            }
-            // Checked after the terminal conditions so a run that is
-            // already done reports Completed, not an empty pause; the loop
-            // body below only ever stops at quiescent points, so pausing
-            // here is always checkpoint-safe.
-            if pause_at.is_some_and(|at| tracker.evals >= at) {
-                return Ok(DriveEnd::Paused);
-            }
-            match opt.propose(env) {
-                Proposal::Finished => break,
-                Proposal::Evaluate { candidate } => {
-                    let s = sample(env);
-                    opt.observe(s, env);
-                    // Candidates feed the best/trajectory/target records; a
-                    // calibration probe only consumes budget. A Metropolis
-                    // rejection undid the move in `observe`, but a rejected
-                    // cost is never a new best, so recording afterwards
-                    // cannot capture the wrong placement.
-                    let stop = if candidate {
-                        tracker.record(s, env)
-                    } else {
-                        tracker.record_probe(s)
-                    };
-                    if self
-                        .checkpoint_every
-                        .is_some_and(|every| tracker.evals.is_multiple_of(every))
-                    {
-                        let elapsed = base_elapsed_ms + self.elapsed_ms_since(started);
-                        let ckpt = RunCheckpoint::capture(method, tracker, env, opt, elapsed)?;
-                        on_checkpoint(&ckpt);
-                    }
-                    if stop {
-                        break;
-                    }
                 }
             }
         }
-        Ok(DriveEnd::Completed)
     }
+    DriveEnd::Completed
 }
 
 /// The cost unit tests drive methods on: estimated routed wirelength, cheap
@@ -741,10 +618,11 @@ pub fn run_mlma_weighted(
     weights: (f64, f64, f64),
 ) -> Result<RunReport, PlaceError> {
     let mut placer = MultiLevelPlacer::new(&task.initial_env()?, *cfg);
-    Driver::new(Budget::from_mlma(cfg))
+    let mut report = Driver::new(Budget::from_mlma(cfg))
         .with_weights(weights)
-        .with_method_label(format!("mlma-q[w={:.2}/{:.2}/{:.2}]", weights.0, weights.1, weights.2))
-        .run(task, &mut placer)
+        .run(task, &mut placer)?;
+    report.method = format!("mlma-q[w={:.2}/{:.2}/{:.2}]", weights.0, weights.1, weights.2);
+    Ok(report)
 }
 
 /// Runs the flat single-agent Q-learning ablation on the same task.
@@ -774,53 +652,6 @@ pub fn run_sa(
 ) -> Result<RunReport, PlaceError> {
     let mut annealer = Annealer::new(*sa_cfg);
     Driver::new(Budget::from_sa(sa_cfg, target_primary)).run(task, &mut annealer)
-}
-
-/// Runs the pure random-search floor: same move set, no intelligence.
-/// Both SA and Q-learning must clearly beat this for the comparison to
-/// mean anything.
-///
-/// # Errors
-///
-/// As [`run_mlma`].
-pub fn run_random(
-    task: &PlacementTask,
-    sa_cfg: &SaConfig,
-    target_primary: Option<f64>,
-) -> Result<RunReport, PlaceError> {
-    let mut search = RandomSearch::new(*sa_cfg);
-    Driver::new(Budget::from_sa(sa_cfg, target_primary)).run(task, &mut search)
-}
-
-/// Runs [`run_mlma`] across several seeds in parallel (one OS thread per
-/// seed — runs are CPU-bound and independent), preserving input order.
-/// Each seed replaces both `cfg.seed` and nothing else; vary the task's
-/// LDE seed separately if the *field* should change too. See
-/// [`run_portfolio`](crate::run_portfolio) for the seeds × methods
-/// generalisation with a bounded worker pool.
-///
-/// # Errors
-///
-/// Returns the first per-seed failure.
-pub fn run_mlma_seeds(
-    task: &PlacementTask,
-    cfg: &MlmaConfig,
-    seeds: &[u64],
-) -> Result<Vec<RunReport>, PlaceError> {
-    let results: Vec<Result<RunReport, PlaceError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let cfg = MlmaConfig { seed, ..*cfg };
-                scope.spawn(move || run_mlma(task, &cfg))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("seed workers do not panic"))
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 /// Evaluates one symmetric baseline layout (a single simulation, no
@@ -911,6 +742,7 @@ pub fn best_symmetric_baseline(task: &PlacementTask) -> Result<RunReport, PlaceE
 mod tests {
     use super::*;
     use crate::MethodSpec;
+    use breaksym_anneal::RandomSearch;
     use breaksym_lde::LdeModel;
     use breaksym_netlist::circuits;
 
@@ -1010,8 +842,12 @@ mod tests {
     #[test]
     fn random_baseline_runs_and_underperforms_learning() {
         let t = task();
+        let random = |sa: SaConfig| {
+            let spec = MethodSpec::Random(sa);
+            Driver::new(spec.budget()).run(&t, spec.build(&t).unwrap().as_mut()).unwrap()
+        };
         let sa = SaConfig { max_evals: 400, seed: 12, ..SaConfig::default() };
-        let rnd = run_random(&t, &sa, None).unwrap();
+        let rnd = random(sa);
         assert_eq!(rnd.method, "random");
         assert!(rnd.best_cost <= rnd.initial_cost);
         assert_eq!(rnd.qtable_states, 0);
@@ -1033,25 +869,12 @@ mod tests {
             )
             .unwrap()
             .best_cost;
-            rnd_total += run_random(&t, &SaConfig { seed, ..sa }, None).unwrap().best_cost;
+            rnd_total += random(SaConfig { seed, ..sa }).best_cost;
         }
         assert!(
             rl_total <= rnd_total * 1.5,
             "learning ({rl_total:.4}) should be in random's ballpark ({rnd_total:.4})"
         );
-    }
-
-    #[test]
-    fn multi_seed_runner_matches_sequential_runs() {
-        let t = task();
-        let cfg = quick_cfg(0);
-        let parallel = run_mlma_seeds(&t, &cfg, &[4, 5]).unwrap();
-        assert_eq!(parallel.len(), 2);
-        for (i, &seed) in [4u64, 5].iter().enumerate() {
-            let solo = run_mlma(&t, &MlmaConfig { seed, ..cfg }).unwrap();
-            assert_eq!(parallel[i].best_cost.to_bits(), solo.best_cost.to_bits());
-            assert_eq!(parallel[i].trajectory, solo.trajectory);
-        }
     }
 
     #[test]
@@ -1103,16 +926,24 @@ mod tests {
     fn driver_checkpoints_fire_at_quiescent_points() {
         let t = task();
         let cfg = quick_cfg(6);
+        let driver = Driver::new(Budget::from_mlma(&cfg));
         let mut placer = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
+        let mut outcome = driver.run_slice(&t, &mut placer, 25).unwrap();
         let mut checkpoints = Vec::new();
-        let report = Driver::new(Budget::from_mlma(&cfg))
-            .with_checkpoint_every(25)
-            .run_observed(&t, &mut placer, |c| checkpoints.push(c.clone()))
-            .unwrap();
-        assert!(!checkpoints.is_empty(), "a 250-eval run must checkpoint at every 25");
-        for c in &checkpoints {
+        let report = loop {
+            match outcome {
+                SliceOutcome::Finished(r) => break *r,
+                SliceOutcome::Paused(c) => {
+                    outcome = driver.resume_slice(&t, &mut placer, &c, 25).unwrap();
+                    checkpoints.push(*c);
+                }
+            }
+        };
+        assert!(!checkpoints.is_empty(), "a 250-eval run must pause every 25 evals");
+        for (k, c) in checkpoints.iter().enumerate() {
             assert_eq!(c.method, "mlma-q");
-            assert_eq!(c.evals % 25, 0);
+            // The initial evaluation, then 25 more per slice.
+            assert_eq!(c.evals, 1 + 25 * (k as u64 + 1));
             assert_eq!(c.evals, c.tracker.evals);
             assert!(c.evals <= report.evaluations);
             // The snapshot is valid JSON state, not a placeholder.
@@ -1127,24 +958,18 @@ mod tests {
 
         let full = run_mlma(&t, &cfg).unwrap();
 
-        // Interrupt by grabbing the checkpoint nearest 100 evals, then
-        // resume from its JSON round-trip with a *fresh* placer.
+        // Interrupt by pausing after 100 evals, then resume from the
+        // checkpoint's JSON round-trip with a *fresh* placer.
         let mut placer = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
-        let mut taken: Option<RunCheckpoint> = None;
-        let driver = Driver::new(Budget::from_mlma(&cfg)).with_checkpoint_every(100);
-        driver
-            .run_observed(&t, &mut placer, |c| {
-                if taken.is_none() {
-                    taken = Some(c.clone());
-                }
-            })
-            .unwrap();
-        let ckpt = taken.expect("run emits a checkpoint");
+        let driver = Driver::new(Budget::from_mlma(&cfg));
+        let SliceOutcome::Paused(ckpt) = driver.run_slice(&t, &mut placer, 100).unwrap() else {
+            panic!("a 250-eval run pauses after 100 evals");
+        };
         let json = ckpt.to_json().unwrap();
         let parsed = RunCheckpoint::from_json(&json).unwrap();
 
         let mut fresh = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
-        let resumed = Driver::new(Budget::from_mlma(&cfg)).resume(&t, &mut fresh, &parsed).unwrap();
+        let resumed = driver.resume(&t, &mut fresh, &parsed).unwrap();
 
         assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
         assert_eq!(resumed.trajectory, full.trajectory);
@@ -1154,32 +979,6 @@ mod tests {
         assert_eq!(resumed.sims_to_target, full.sims_to_target);
         // `simulations`/cache stats intentionally differ: the resumed run
         // re-solves states the interrupted run had cached.
-    }
-
-    #[test]
-    fn wall_clock_and_patience_budgets_stop_early() {
-        let t = task();
-        let cfg = quick_cfg(9);
-
-        // A zero wall-clock budget stops before the first proposal.
-        let mut placer = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
-        let r = Driver::new(Budget::from_mlma(&cfg).with_max_wall_ms(0))
-            .run(&t, &mut placer)
-            .unwrap();
-        assert_eq!(r.evaluations, 1, "only the initial evaluation");
-        assert_eq!(r.trajectory, vec![(1, r.initial_cost)]);
-
-        // Patience cuts a stagnating run short of the eval budget.
-        let mut placer = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
-        let patient = Driver::new(Budget::from_mlma(&cfg).with_patience(30))
-            .run(&t, &mut placer)
-            .unwrap();
-        let last_improvement = patient.trajectory.last().unwrap().0;
-        assert!(
-            patient.evaluations <= last_improvement + 30,
-            "stopped {} evals after the last improvement at {last_improvement}",
-            patient.evaluations - last_improvement
-        );
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -41,9 +40,11 @@ fn injected_sim_error(action: &breaksym_testkit::FaultAction) -> Option<SimError
 
 /// Reusable per-evaluator buffers: incremental LDE and parasitics state,
 /// the `shifts` / `node_caps` vectors handed to the testbench, and the
-/// [`SolverWorkspace`] arena every MNA solve draws from. Kept behind a
-/// mutex so `evaluate(&self)` stays shareable; never cloned — each
-/// evaluator clone starts with fresh (empty) scratch.
+/// [`SolverWorkspace`] every MNA solve draws from. Kept behind a mutex so
+/// `evaluate(&self)` stays shareable; never cloned — each evaluator clone
+/// starts with fresh (empty) scratch. Every piece of it is
+/// self-invalidating, so a result never depends on what the scratch held
+/// before.
 #[derive(Debug, Default)]
 struct EvalScratch {
     lde: LdeScratch,
@@ -51,28 +52,6 @@ struct EvalScratch {
     shifts: Vec<ParamShift>,
     node_caps: Vec<(NetId, f64)>,
     ws: SolverWorkspace,
-}
-
-/// A shareable handle to an evaluator's scratch arena: the incremental LDE
-/// and parasitics state plus the [`SolverWorkspace`] every solve draws
-/// from.
-///
-/// Every piece of that state is keyed by position / grid / circuit
-/// identity and self-invalidating, so handing one arena to several
-/// evaluators — even across different tasks — is **bit-identical** to each
-/// evaluator owning fresh scratch; sharing only skips the reallocation and
-/// re-warming. A worker thread that runs many jobs back-to-back holds one
-/// arena and threads it into every job's evaluator
-/// ([`Evaluator::with_scratch_arena`]). Evaluators sharing an arena
-/// serialise on its lock, so share within a thread, not across threads.
-#[derive(Debug, Clone, Default)]
-pub struct ScratchArena(Arc<Mutex<EvalScratch>>);
-
-impl ScratchArena {
-    /// An empty (cold) arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Evaluates placements: applies the LDE model, extracts parasitics, runs
@@ -94,6 +73,8 @@ impl ScratchArena {
 /// per-unit field samples and per-net parasitics are reused from scratch
 /// buffers and recomputed only for units/nets that moved since the last
 /// call. Results are bit-for-bit identical to a from-scratch evaluation.
+/// The buffers belong to this evaluator alone: a clone shares the counter
+/// and the cache but starts with empty scratch.
 ///
 /// # Examples
 ///
@@ -122,14 +103,13 @@ pub struct Evaluator {
     /// placement that determines the metrics (LDE model, tech, options).
     /// Lets differently-configured evaluators share one cache safely.
     cache_salt: u64,
-    scratch: ScratchArena,
+    scratch: Mutex<EvalScratch>,
 }
 
 impl Clone for Evaluator {
     /// Clones share the counter and the cache (both are shared handles)
-    /// but start with fresh scratch buffers — the scratch itself is safe
-    /// to share (see [`ScratchArena`]), but clones default to private
-    /// arenas so they never serialise on one lock by accident.
+    /// but start with fresh scratch buffers, so two clones never
+    /// serialise on one lock.
     fn clone(&self) -> Self {
         Evaluator {
             lde: self.lde.clone(),
@@ -138,7 +118,7 @@ impl Clone for Evaluator {
             counter: self.counter.clone(),
             cache: self.cache.clone(),
             cache_salt: self.cache_salt,
-            scratch: ScratchArena::new(),
+            scratch: Mutex::default(),
         }
     }
 }
@@ -153,7 +133,7 @@ impl Evaluator {
             counter: SimCounter::new(),
             cache: None,
             cache_salt: 0,
-            scratch: ScratchArena::new(),
+            scratch: Mutex::default(),
         };
         eval.refresh_cache_salt();
         eval
@@ -185,16 +165,6 @@ impl Evaluator {
     /// the simulator (and without incrementing the counter).
     pub fn with_cache(mut self, cache: EvalCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Shares `arena` as this evaluator's scratch, replacing its private
-    /// one. Bit-identical to keeping private scratch (see
-    /// [`ScratchArena`]); the win is that a worker running several jobs
-    /// in sequence keeps its solver workspace and incremental state warm
-    /// across them.
-    pub fn with_scratch_arena(mut self, arena: &ScratchArena) -> Self {
-        self.scratch = arena.clone();
         self
     }
 
@@ -264,7 +234,9 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Same as [`Evaluator::evaluate`].
+    /// Same as [`Evaluator::evaluate`], plus [`SimError::BadCircuit`] when
+    /// `extra` is non-empty and its length differs from the device count
+    /// (nothing is simulated or counted then).
     pub fn evaluate_with_extra_shifts(
         &self,
         env: &LayoutEnv,
@@ -278,7 +250,13 @@ impl Evaluator {
                 return Err(err);
             }
         }
-        let mut guard = self.scratch.0.lock();
+        let devices = env.circuit().devices().len();
+        if !extra.is_empty() && extra.len() != devices {
+            return Err(SimError::BadCircuit {
+                reason: format!("{} extra shifts for {devices} devices", extra.len()),
+            });
+        }
+        let mut guard = self.scratch.lock();
         if extra.is_empty() {
             if let Some(cache) = &self.cache {
                 let key = self.cache_key(env);
@@ -319,11 +297,9 @@ impl Evaluator {
         let device_shifts = self.lde.device_shifts_into(env, lde);
         shifts.clear();
         shifts.extend_from_slice(device_shifts);
-        if !extra.is_empty() {
-            debug_assert_eq!(extra.len(), shifts.len(), "extra shifts must be per-device");
-            for (s, e) in shifts.iter_mut().zip(extra) {
-                *s += *e;
-            }
+        // The caller checked that a non-empty `extra` is per-device.
+        for (s, e) in shifts.iter_mut().zip(extra) {
+            *s += *e;
         }
 
         // Routing effects folded into the simulation, as in the paper.
@@ -517,23 +493,33 @@ mod tests {
     }
 
     #[test]
-    fn shared_scratch_arena_is_bit_identical_to_private_scratch() {
-        // Two evaluators share one arena and evaluate *different* tasks
-        // back-to-back, repeatedly — the worst case for stale incremental
-        // state. Every result must match a fresh-evaluator solve bit for
-        // bit.
-        let arena = ScratchArena::new();
-        let a = Evaluator::new(LdeModel::nonlinear(1.0, 5)).with_scratch_arena(&arena);
-        let b = Evaluator::new(LdeModel::nonlinear(1.0, 5)).with_scratch_arena(&arena);
+    fn scratch_reused_across_circuits_is_bit_identical_to_fresh_scratch() {
+        // One evaluator alternates between *different* circuits, repeatedly
+        // — the worst case for stale incremental state. Every result must
+        // match a fresh-evaluator solve bit for bit.
+        let eval = Evaluator::new(LdeModel::nonlinear(1.0, 5));
         let mirror = env_of(circuits::current_mirror_medium(), 16);
         let ota = env_of(circuits::five_transistor_ota(), 12);
         for _ in 0..2 {
-            for (eval, env) in [(&a, &mirror), (&b, &ota), (&a, &ota), (&b, &mirror)] {
-                let shared = eval.evaluate(env).unwrap();
+            for env in [&mirror, &ota, &ota, &mirror] {
+                let reused = eval.evaluate(env).unwrap();
                 let fresh = Evaluator::new(LdeModel::nonlinear(1.0, 5)).evaluate(env).unwrap();
-                assert_eq!(metric_bits(&shared), metric_bits(&fresh));
+                assert_eq!(metric_bits(&reused), metric_bits(&fresh));
             }
         }
+    }
+
+    #[test]
+    fn extra_shifts_of_the_wrong_length_are_an_error() {
+        let eval = Evaluator::new(LdeModel::none());
+        let env = env_of(circuits::five_transistor_ota(), 12);
+        let n = env.circuit().devices().len();
+        for len in [n - 1, n + 1] {
+            let extra = vec![ParamShift::new(1e-3, 0.0, 0.0); len];
+            let err = eval.evaluate_with_extra_shifts(&env, &extra).unwrap_err();
+            assert!(matches!(err, SimError::BadCircuit { .. }), "{len}: {err}");
+        }
+        assert_eq!(eval.counter().count(), 0, "a rejected call simulates nothing");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use complex::Complex;
 pub use counter::SimCounter;
 pub use dc::{DcSolution, DcSolver};
 pub use error::SimError;
-pub use evaluator::{Evaluator, ScratchArena, FAIL_CACHE_INSERT, FAIL_EVALUATE};
+pub use evaluator::{Evaluator, FAIL_CACHE_INSERT, FAIL_EVALUATE};
 pub use linalg::lu_solve_in_place;
 pub use metrics::Metrics;
 pub use monte::{MismatchStats, MonteCarlo};

@@ -7,7 +7,7 @@
 use breaksym::anneal::SaConfig;
 use breaksym::core::{
     run_portfolio, Budget, Driver, MethodSpec, MlmaConfig, MultiLevelPlacer, Objective,
-    PlacementTask,
+    PlacementTask, RunCheckpoint, SliceOutcome,
 };
 use breaksym::layout::LayoutEnv;
 use breaksym::lde::{Atlas, Component, LdeModel};
@@ -84,36 +84,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rollout = placer.greedy_rollout(&mut env, 8);
     println!("\ngreedy rollout of the trained hierarchy: {} moves", rollout.len());
 
-    // 5. The same method, step-driven: the generic Driver owns the budget
-    // and checkpointing, the placer only proposes and observes. Grab the
-    // first mid-run checkpoint, round-trip it through JSON, and resume it
-    // with a fresh placer — bit-identical to the uninterrupted run.
-    let mut stepped = MultiLevelPlacer::new(&task.initial_env()?, cfg);
-    let mut first_ckpt = None;
-    let driver = Driver::new(Budget::from_mlma(&cfg)).with_checkpoint_every(200);
-    let direct = driver.run_observed(&task, &mut stepped, |c| {
-        if first_ckpt.is_none() {
-            first_ckpt = Some(c.clone());
-        }
-    })?;
-    if let Some(ckpt) = first_ckpt {
-        let json = ckpt.to_json()?;
-        let parsed = breaksym::core::RunCheckpoint::from_json(&json)?;
-        let mut fresh = MultiLevelPlacer::new(&task.initial_env()?, cfg);
-        let resumed = Driver::new(Budget::from_mlma(&cfg)).resume(&task, &mut fresh, &parsed)?;
-        println!(
-            "\ndriver: checkpoint at eval {} ({} bytes of JSON); resumed best {:.4} vs direct {:.4} ({})",
-            ckpt.evals,
-            json.len(),
-            resumed.best_cost,
-            direct.best_cost,
-            if resumed.best_cost.to_bits() == direct.best_cost.to_bits() {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
-        );
+    // 5. The same method, sliced: the generic Driver owns the budget and
+    // pauses the run at a checkpoint after 200 evaluations; the placer only
+    // proposes and observes. Round-trip the checkpoint through JSON and
+    // resume it with a fresh placer — bit-identical to the run above.
+    let driver = Driver::new(Budget::from_mlma(&cfg));
+    let mut sliced = MultiLevelPlacer::new(&task.initial_env()?, cfg);
+    let SliceOutcome::Paused(ckpt) = driver.run_slice(&task, &mut sliced, 200)? else {
+        return Err("the run finished inside its first 200-eval slice".into());
+    };
+    let json = ckpt.to_json()?;
+    let parsed = RunCheckpoint::from_json(&json)?;
+    let mut fresh = MultiLevelPlacer::new(&task.initial_env()?, cfg);
+    let resumed = driver.resume(&task, &mut fresh, &parsed)?;
+    if resumed.best_cost.to_bits() != report.best_cost.to_bits()
+        || resumed.trajectory != report.trajectory
+    {
+        return Err(format!(
+            "resumed run diverged: best {:.4} vs direct {:.4}",
+            resumed.best_cost, report.best_cost
+        )
+        .into());
     }
+    println!(
+        "\ndriver: checkpoint at eval {} ({} bytes of JSON); resumed best {:.4} vs direct {:.4} (bit-identical)",
+        ckpt.evals,
+        json.len(),
+        resumed.best_cost,
+        report.best_cost
+    );
 
     // 6. A deterministic portfolio: seeds × methods across threads. The
     // trajectories are bit-identical whatever the thread count.

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use breaksym::cluster::{fold_stats, ClusterHealthz, ClusterStats, JobInspect, NodeReport};
 use breaksym::core::{
     Budget, Driver, MethodSpec, MlmaConfig, MultiLevelPlacer, PlacementTask, RunCheckpoint,
-    RunReport,
+    RunReport, SliceOutcome,
 };
 use breaksym::lde::LdeModel;
 use breaksym::netlist::circuits;
@@ -98,8 +98,7 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let task = PlacementTask::new(circuits::diff_pair(), 10, LdeModel::nonlinear(1.0, 7));
         // Enough episodes that the 120-eval budget, not the schedule,
-        // ends the run (2 episodes stop at 49 evals, before the first
-        // checkpoint).
+        // ends the run (2 episodes stop at 49 evals, before the pause).
         let cfg = MlmaConfig {
             episodes: 8,
             steps_per_episode: 8,
@@ -107,16 +106,13 @@ fn fixture() -> &'static Fixture {
             ..MlmaConfig::default()
         };
         let mut placer = MultiLevelPlacer::new(&task.initial_env().unwrap(), cfg);
-        let mut taken: Option<RunCheckpoint> = None;
-        Driver::new(Budget::from_mlma(&cfg))
-            .with_checkpoint_every(50)
-            .run_observed(&task, &mut placer, |c| {
-                if taken.is_none() {
-                    taken = Some(c.clone());
-                }
-            })
-            .unwrap();
-        let checkpoint = taken.expect("a 120-eval run checkpoints at 50");
+        let outcome = Driver::new(Budget::from_mlma(&cfg)).run_slice(&task, &mut placer, 50);
+        let SliceOutcome::Paused(checkpoint) = outcome.unwrap() else {
+            panic!("a 120-eval run pauses after a 50-eval slice");
+        };
+        // The initial evaluation plus the slice's 50.
+        assert_eq!(checkpoint.evals, 51);
+        let checkpoint = *checkpoint;
         let mut fresh = MultiLevelPlacer::new(&task.initial_env().unwrap(), cfg);
         let baseline = Driver::new(Budget::from_mlma(&cfg))
             .resume(&task, &mut fresh, &checkpoint)

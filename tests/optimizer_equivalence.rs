@@ -9,7 +9,7 @@
 use breaksym::anneal::SaConfig;
 use breaksym::core::{
     run_portfolio, runner, Budget, Driver, MethodSpec, MlmaConfig, MultiLevelPlacer, PlacementTask,
-    RunCheckpoint,
+    RunCheckpoint, SliceOutcome,
 };
 use breaksym::lde::LdeModel;
 use breaksym::netlist::circuits;
@@ -157,17 +157,12 @@ fn checkpoint_roundtrip_resumes_bit_identically() {
     let full = runner::run_mlma(&task, &cfg).unwrap();
 
     let mut placer = MultiLevelPlacer::new(&task.initial_env().unwrap(), cfg);
-    let mut taken: Option<RunCheckpoint> = None;
-    Driver::new(Budget::from_mlma(&cfg))
-        .with_checkpoint_every(50)
-        .run_observed(&task, &mut placer, |c| {
-            if taken.is_none() {
-                taken = Some(c.clone());
-            }
-        })
-        .unwrap();
-    let ckpt = taken.expect("a 120-eval run checkpoints at 50");
-    assert_eq!(ckpt.evals % 50, 0);
+    let outcome = Driver::new(Budget::from_mlma(&cfg)).run_slice(&task, &mut placer, 50);
+    let SliceOutcome::Paused(ckpt) = outcome.unwrap() else {
+        panic!("a 120-eval run pauses after a 50-eval slice");
+    };
+    // The initial evaluation plus the slice's 50.
+    assert_eq!(ckpt.evals, 51);
 
     // Serialise, parse, resume with a *fresh* placer.
     let json = ckpt.to_json().unwrap();

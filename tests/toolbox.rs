@@ -2,7 +2,9 @@
 //! congestion audits, operating-point reports, transient analysis,
 //! checkpointing and multi-seed execution — all through the facade.
 
-use breaksym::core::{runner, MlmaConfig, MultiLevelPlacer, PlacementTask};
+use breaksym::core::{
+    run_portfolio, runner, MethodSpec, MlmaConfig, MultiLevelPlacer, PlacementTask,
+};
 use breaksym::layout::LayoutEnv;
 use breaksym::lde::{Atlas, Component, LdeModel};
 use breaksym::netlist::{circuits, lint::lint, PortRole};
@@ -122,8 +124,8 @@ fn checkpoint_survives_facade_round_trip_and_seeds_run_in_parallel() {
         seed: 6,
         ..MlmaConfig::default()
     };
-    // Parallel seeds (std::thread under the hood).
-    let reports = runner::run_mlma_seeds(&task, &cfg, &[1, 2, 3]).expect("runs");
+    // Parallel seeds, one worker thread each.
+    let reports = run_portfolio(&task, &[MethodSpec::Mlma(cfg)], &[1, 2, 3], 3).expect("runs");
     assert_eq!(reports.len(), 3);
     for r in &reports {
         assert!(r.best_cost <= r.initial_cost);
