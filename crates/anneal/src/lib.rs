@@ -9,17 +9,17 @@
 //!   translations from [`LayoutEnv`]),
 //! - Metropolis acceptance with a geometric cooling schedule and an
 //!   optional automatic initial temperature,
-//! - full bookkeeping: evaluations, acceptances, and a best-cost
-//!   trajectory for the SA-vs-Q convergence ablation.
+//! - the same machine with an always-accept rule as the random-search
+//!   floor ([`Annealer::random`]).
 //!
-//! Both [`Annealer`] and [`RandomSearch`] are thin wrappers over one shared
-//! step machine, [`SearchRun`], which inverts control: instead of calling a
-//! cost closure itself, it *proposes* one move at a time
-//! ([`SearchRun::step`]) and is *fed* the verdict ([`SearchRun::feed`]).
-//! That shape lets an external harness own the budget, the oracle, and
-//! checkpointing — `breaksym-core`'s `Optimizer` trait drives both methods
-//! through exactly this interface, and `breaksym_core::runner::run_sa` runs
-//! the baseline against the simulator.
+//! [`Annealer`] wraps one step machine, [`SearchRun`], which inverts
+//! control: instead of calling a cost closure itself, it *proposes* one
+//! move at a time ([`SearchRun::step`]) and is *fed* the verdict
+//! ([`SearchRun::feed`]). That shape lets an external harness own the
+//! budget, the oracle, the best-so-far record and checkpointing —
+//! `breaksym-core`'s `Optimizer` trait drives both rules through exactly
+//! this interface, and its `Driver` keeps the run's best placement and
+//! trajectory.
 //!
 //! # Examples
 //!
@@ -33,17 +33,27 @@
 //! let mut env = LayoutEnv::sequential(circuits::diff_pair(), GridSpec::square(10))?;
 //! // Cheap wirelength cost for the example; real runs pass the simulator.
 //! let cost = |e: &LayoutEnv| RoutingEstimate::of(e).weighted_um;
+//! let initial = cost(&env);
 //! let mut sa = Annealer::new(SaConfig::default());
-//! sa.begin(&env, cost(&env));
-//! // The caller owns the budget: 200 evaluations, the initial one included.
+//! sa.begin(initial);
+//! // The caller owns the budget (200 evaluations, the initial one
+//! // included) and the best-so-far record.
+//! let mut best = initial;
 //! for _ in 1..200 {
 //!     match sa.step(&mut env) {
 //!         StepOutcome::Finished => break,
-//!         StepOutcome::Evaluate { .. } => sa.feed(cost(&env), &mut env),
+//!         StepOutcome::Evaluate { candidate } => {
+//!             let c = cost(&env);
+//!             if candidate {
+//!                 best = best.min(c);
+//!             }
+//!             sa.feed(c, &mut env);
+//!         }
 //!     }
 //! }
 //! let run = sa.search().expect("the run was begun");
-//! assert!(run.best_cost() <= run.initial_cost());
+//! assert!(run.accepted() > 0);
+//! assert!(best <= initial);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -56,9 +66,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use breaksym_geometry::Direction;
-use breaksym_layout::{
-    AppliedMove, GroupMove, LayoutEnv, Placement, PlacementMove, SwapMove, UnitMove,
-};
+use breaksym_layout::{AppliedMove, GroupMove, LayoutEnv, PlacementMove, SwapMove, UnitMove};
 use breaksym_netlist::{GroupId, UnitId};
 
 // The RNG serde adapters physically live in `breaksym-core` (the
@@ -128,10 +136,11 @@ impl Default for SaConfig {
 }
 
 /// How a [`SearchRun`] resolves each evaluated candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AcceptRule {
     /// Metropolis acceptance at the current temperature, with geometric
     /// cooling and optional auto-temperature probing — simulated annealing.
+    #[default]
     Metropolis,
     /// Accept every proposal — pure random search.
     Always,
@@ -144,7 +153,7 @@ pub enum StepOutcome {
     /// the verdict to [`SearchRun::feed`].
     Evaluate {
         /// `false` for auto-temperature probe moves, which are always
-        /// undone and never update the best placement; `true` for real
+        /// undone and never become the best placement; `true` for real
         /// candidates.
         candidate: bool,
     },
@@ -183,13 +192,14 @@ struct Pending {
     kind: PendingKind,
 }
 
-/// The shared proposal/acceptance step machine behind both [`Annealer`]
-/// (Metropolis rule) and [`RandomSearch`] (always-accept rule).
+/// The proposal/acceptance step machine behind [`Annealer`], under either
+/// [`AcceptRule`].
 ///
-/// Control is inverted: the caller owns the loop and the cost oracle.
+/// Control is inverted: the caller owns the loop, the cost oracle and the
+/// best-so-far record.
 ///
 /// ```text
-/// let mut run = SearchRun::start(cfg, AcceptRule::Metropolis, &env, c0);
+/// let mut run = SearchRun::start(cfg, AcceptRule::Metropolis, c0);
 /// while budget_left {
 ///     match run.step(&mut env) {
 ///         StepOutcome::Finished => break,
@@ -199,11 +209,10 @@ struct Pending {
 /// ```
 ///
 /// The cost oracle never consumes the search RNG, so per-seed trajectories
-/// are bit-for-bit reproducible. The whole
-/// state — RNG position, temperature schedule, best placement — is
-/// serde-serialisable for checkpointing; snapshots are only valid at
-/// *quiescent* points (after `feed`, see [`SearchRun::is_quiescent`]), and
-/// a deserialised run must be [`SearchRun::rehydrate`]d before use.
+/// are bit-for-bit reproducible. The whole state — RNG position,
+/// temperature schedule, current cost — is serde-serialisable for
+/// checkpointing; snapshots are only valid at *quiescent* points (after
+/// `feed`, see [`SearchRun::is_quiescent`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchRun {
     config: SaConfig,
@@ -211,10 +220,7 @@ pub struct SearchRun {
     #[serde(with = "rng_serde")]
     rng: ChaCha8Rng,
     phase: Phase,
-    initial_cost: f64,
     current: f64,
-    best: f64,
-    best_placement: Placement,
     accepted: u64,
     rejected: u64,
     probe_deltas: Vec<f64>,
@@ -223,9 +229,9 @@ pub struct SearchRun {
 }
 
 impl SearchRun {
-    /// Starts a run from `env`'s current placement, whose cost is
-    /// `initial_cost`.
-    pub fn start(config: SaConfig, rule: AcceptRule, env: &LayoutEnv, initial_cost: f64) -> Self {
+    /// Starts a run from the environment's current placement, whose cost
+    /// is `initial_cost`.
+    pub fn start(config: SaConfig, rule: AcceptRule, initial_cost: f64) -> Self {
         let phase = match (rule, config.initial_temp) {
             // Random search has no temperature; annealing with an explicit
             // temperature skips the probe phase.
@@ -238,10 +244,7 @@ impl SearchRun {
             rule,
             rng: ChaCha8Rng::seed_from_u64(config.seed),
             phase,
-            initial_cost,
             current: initial_cost,
-            best: initial_cost,
-            best_placement: env.placement().clone(),
             accepted: 0,
             rejected: 0,
             probe_deltas: Vec::new(),
@@ -324,7 +327,6 @@ impl SearchRun {
                 AcceptRule::Always => {
                     self.accepted += 1;
                     self.current = cost;
-                    self.note_best(cost, env);
                 }
                 AcceptRule::Metropolis => {
                     let temp = match self.phase {
@@ -339,20 +341,12 @@ impl SearchRun {
                     if accept {
                         self.current = cost;
                         self.accepted += 1;
-                        self.note_best(cost, env);
                     } else {
                         env.undo(pending.undo);
                         self.rejected += 1;
                     }
                 }
             },
-        }
-    }
-
-    fn note_best(&mut self, cost: f64, env: &LayoutEnv) {
-        if cost < self.best {
-            self.best = cost;
-            self.best_placement = env.placement().clone();
         }
     }
 
@@ -367,26 +361,6 @@ impl SearchRun {
         (mean * 3.0).max(1e-6)
     }
 
-    /// Cost of the starting placement.
-    pub fn initial_cost(&self) -> f64 {
-        self.initial_cost
-    }
-
-    /// Cost of the placement the walk currently sits on.
-    pub fn current_cost(&self) -> f64 {
-        self.current
-    }
-
-    /// Best cost reached so far.
-    pub fn best_cost(&self) -> f64 {
-        self.best
-    }
-
-    /// The best placement reached so far.
-    pub fn best_placement(&self) -> &Placement {
-        &self.best_placement
-    }
-
     /// Accepted moves so far.
     pub fn accepted(&self) -> u64 {
         self.accepted
@@ -397,89 +371,26 @@ impl SearchRun {
         self.rejected
     }
 
-    /// Whether the schedule has ended (a later [`SearchRun::step`] would
-    /// return [`StepOutcome::Finished`] without proposing).
-    pub fn finished(&self) -> bool {
-        self.phase == Phase::Finished
-    }
-
     /// `true` when no evaluation is pending — the only points at which
     /// serialising this run is meaningful (pending undo tokens cannot be
     /// serialised and are dropped by serde).
     pub fn is_quiescent(&self) -> bool {
         self.pending.is_none()
     }
-
-    /// Rebuilds the non-serialised internals of the best placement after
-    /// deserialisation. Must be called once on every deserialised run.
-    pub fn rehydrate(&mut self) {
-        self.best_placement.rebuild_index();
-    }
 }
 
-/// Pure random search: propose random legal moves from the same move set,
-/// always accept, track the best — the no-intelligence floor both SA and
-/// Q-learning must clear to justify themselves.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RandomSearch {
-    config: SaConfig,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    state: Option<SearchRun>,
-}
-
-impl RandomSearch {
-    /// Creates a random searcher; only `max_evals`, the move-mix
-    /// probabilities, and `seed` of the config are used.
-    pub fn new(config: SaConfig) -> Self {
-        RandomSearch { config, state: None }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SaConfig {
-        &self.config
-    }
-
-    /// Starts a step-driven run (the `Optimizer`-trait entry used by
-    /// `breaksym-core`'s generic driver); see [`SearchRun`].
-    pub fn begin(&mut self, env: &LayoutEnv, initial_cost: f64) {
-        self.state = Some(SearchRun::start(self.config, AcceptRule::Always, env, initial_cost));
-    }
-
-    /// Steps the in-progress run; see [`SearchRun::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RandomSearch::begin`] was called.
-    pub fn step(&mut self, env: &mut LayoutEnv) -> StepOutcome {
-        self.state.as_mut().expect("begin() before step()").step(env)
-    }
-
-    /// Feeds the pending cost verdict; see [`SearchRun::feed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless a step returned [`StepOutcome::Evaluate`].
-    pub fn feed(&mut self, cost: f64, env: &mut LayoutEnv) {
-        self.state.as_mut().expect("begin() before feed()").feed(cost, env);
-    }
-
-    /// The in-progress step-driven run, when one was started.
-    pub fn search(&self) -> Option<&SearchRun> {
-        self.state.as_ref()
-    }
-
-    /// Fixes up non-serialised internals after deserialisation.
-    pub fn rehydrate(&mut self) {
-        if let Some(s) = &mut self.state {
-            s.rehydrate();
-        }
-    }
-}
-
-/// The simulated-annealing engine.
+/// The simulated-annealing engine, and under [`Annealer::random`] the
+/// random-search floor: the same move set with every proposal accepted,
+/// which both SA and Q-learning must clear to justify themselves.
+///
+/// Serialises as `{config, state}`; the accept rule of a started run
+/// travels inside `state`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Annealer {
     config: SaConfig,
+    /// The rule [`Annealer::begin`] starts with, until a run carries its own.
+    #[serde(skip)]
+    rule: AcceptRule,
     #[serde(default, skip_serializing_if = "Option::is_none")]
     state: Option<SearchRun>,
 }
@@ -487,7 +398,14 @@ pub struct Annealer {
 impl Annealer {
     /// Creates an annealer with the given configuration.
     pub fn new(config: SaConfig) -> Self {
-        Annealer { config, state: None }
+        Annealer { config, rule: AcceptRule::Metropolis, state: None }
+    }
+
+    /// Creates a random searcher: every proposal is accepted, so only
+    /// `max_evals`, the move-mix probabilities and `seed` of the config
+    /// are used.
+    pub fn random(config: SaConfig) -> Self {
+        Annealer { config, rule: AcceptRule::Always, state: None }
     }
 
     /// The configuration.
@@ -495,10 +413,16 @@ impl Annealer {
         &self.config
     }
 
+    /// The accept rule: the started run's, else the constructor's.
+    pub fn rule(&self) -> AcceptRule {
+        self.state.as_ref().map_or(self.rule, |s| s.rule)
+    }
+
     /// Starts a step-driven run (the `Optimizer`-trait entry used by
-    /// `breaksym-core`'s generic driver); see [`SearchRun`].
-    pub fn begin(&mut self, env: &LayoutEnv, initial_cost: f64) {
-        self.state = Some(SearchRun::start(self.config, AcceptRule::Metropolis, env, initial_cost));
+    /// `breaksym-core`'s generic driver) from the environment's current
+    /// placement, whose cost is `initial_cost`; see [`SearchRun`].
+    pub fn begin(&mut self, initial_cost: f64) {
+        self.state = Some(SearchRun::start(self.config, self.rule(), initial_cost));
     }
 
     /// Steps the in-progress run; see [`SearchRun::step`].
@@ -522,13 +446,6 @@ impl Annealer {
     /// The in-progress step-driven run, when one was started.
     pub fn search(&self) -> Option<&SearchRun> {
         self.state.as_ref()
-    }
-
-    /// Fixes up non-serialised internals after deserialisation.
-    pub fn rehydrate(&mut self) {
-        if let Some(s) = &mut self.state {
-            s.rehydrate();
-        }
     }
 }
 
@@ -620,27 +537,23 @@ mod tests {
 
         let mut env_a = fresh();
         let c0 = wirelength_cost(&env_a);
-        let mut a = SearchRun::start(cfg, AcceptRule::Metropolis, &env_a, c0);
+        let mut a = SearchRun::start(cfg, AcceptRule::Metropolis, c0);
         drive_n(&mut a, &mut env_a, 250);
 
         let mut env_b = fresh();
-        let mut b = SearchRun::start(cfg, AcceptRule::Metropolis, &env_b, c0);
+        let mut b = SearchRun::start(cfg, AcceptRule::Metropolis, c0);
         drive_n(&mut b, &mut env_b, 100);
         assert!(b.is_quiescent());
         let json = serde_json::to_string(&b).unwrap();
         let placement_json = serde_json::to_string(env_b.placement()).unwrap();
 
         let mut restored: SearchRun = serde_json::from_str(&json).unwrap();
-        restored.rehydrate();
-        let mut mid: Placement = serde_json::from_str(&placement_json).unwrap();
-        mid.rebuild_index();
+        assert_eq!(restored, b, "the snapshot round-trips the whole run");
         let mut env_c = fresh();
-        env_c.set_placement(mid).unwrap();
+        env_c.set_placement(serde_json::from_str(&placement_json).unwrap()).unwrap();
         drive_n(&mut restored, &mut env_c, 150);
 
-        assert_eq!(a.best_cost().to_bits(), restored.best_cost().to_bits());
-        assert_eq!(a.accepted(), restored.accepted());
-        assert_eq!(a.rejected(), restored.rejected());
-        assert_eq!(a.best_placement(), restored.best_placement());
+        assert_eq!(restored, a, "RNG, schedule, current cost and counters all match");
+        assert_eq!(env_c.placement(), env_a.placement(), "the walk ends on the same placement");
     }
 }

@@ -67,7 +67,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport};
-use breaksym_serve::chaos::{resumes_bit_identically, verify_report, ReportVerdict};
+use breaksym_serve::chaos::{reports_match, resumes_bit_identically, verify_report, ReportVerdict};
 use breaksym_serve::{
     HttpServer, InvariantResult, JobId, JobSpec, ServeConfig, ServeEngine, TaskSpec,
 };
@@ -285,23 +285,9 @@ fn is_terminal_label(label: &str) -> bool {
 /// cluster-served report must match bit-identically.
 fn direct_report(spec: &JobSpec) -> Option<RunReport> {
     let task = spec.task.resolve().ok()?;
-    let method = match spec.seed {
-        Some(seed) => spec.method.clone().with_seed(seed),
-        None => spec.method.clone(),
-    };
+    let (method, budget) = spec.resolved_method();
     let mut opt = method.build(&task).ok()?;
-    let mut budget = method.budget();
-    if let Some(max_evals) = spec.max_evals {
-        budget.max_evals = max_evals;
-    }
     Driver::new(budget).run(&task, opt.as_mut()).ok()
-}
-
-fn reports_match(a: &RunReport, b: &RunReport) -> bool {
-    a.evaluations == b.evaluations
-        && a.best_cost.to_bits() == b.best_cost.to_bits()
-        && a.trajectory == b.trajectory
-        && a.best_placement == b.best_placement
 }
 
 /// Runs one multi-node chaos round: boot the fleet, arm the seed-derived

@@ -91,15 +91,6 @@ impl FlatQPlacer {
     pub fn total_states(&self) -> usize {
         self.table.len()
     }
-
-    /// Fixes up non-serialised internals after deserialisation (snapshot
-    /// restore).
-    pub fn rehydrate(&mut self) {
-        if let Some(state) = &mut self.state {
-            state.initial_placement.rebuild_index();
-            state.best_placement.rebuild_index();
-        }
-    }
 }
 
 impl Optimizer for FlatQPlacer {
@@ -209,7 +200,6 @@ impl Optimizer for FlatQPlacer {
 
     fn restore(&mut self, snapshot: &serde_json::Value) -> Result<(), serde_json::Error> {
         *self = serde_json::from_value(snapshot.clone())?;
-        self.rehydrate();
         Ok(())
     }
 }

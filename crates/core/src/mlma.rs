@@ -151,12 +151,6 @@ impl RunTracker {
     pub fn done(&self) -> bool {
         (self.reached_target && self.stop_at_target) || self.evals >= self.max_evals
     }
-
-    /// Fixes up the best placement's non-serialised internals after
-    /// deserialisation (checkpoint resume).
-    pub fn rehydrate(&mut self) {
-        self.best_placement.rebuild_index();
-    }
 }
 
 /// The multi-level, multi-agent placer.
@@ -246,11 +240,6 @@ impl QRunState {
             self.best_cost = sample.cost;
             self.best_placement = env.placement().clone();
         }
-    }
-
-    fn rehydrate(&mut self) {
-        self.initial_placement.rebuild_index();
-        self.best_placement.rebuild_index();
     }
 }
 
@@ -360,14 +349,6 @@ impl MultiLevelPlacer {
     /// Fails on malformed JSON.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
-    }
-
-    /// Fixes up non-serialised internals after deserialisation (snapshot
-    /// restore).
-    pub fn rehydrate(&mut self) {
-        if let Some(state) = &mut self.state {
-            state.rehydrate();
-        }
     }
 }
 
@@ -504,7 +485,6 @@ impl Optimizer for MultiLevelPlacer {
 
     fn restore(&mut self, snapshot: &serde_json::Value) -> Result<(), serde_json::Error> {
         *self = serde_json::from_value(snapshot.clone())?;
-        self.rehydrate();
         Ok(())
     }
 }

@@ -7,20 +7,22 @@
 //! bookkeeping, checkpointing and report assembly live once, in the generic
 //! [`Driver`](crate::runner::Driver): it supplies the only search loop.
 //!
-//! All four built-in methods implement the trait:
+//! Three types implement the trait and cover all four built-in methods:
 //! [`MultiLevelPlacer`](crate::MultiLevelPlacer),
-//! [`FlatQPlacer`](crate::FlatQPlacer), [`Annealer`], [`RandomSearch`].
+//! [`FlatQPlacer`](crate::FlatQPlacer), and [`Annealer`] (SA, or random
+//! search under [`Annealer::random`]).
 //!
 //! # Snapshots
 //!
 //! [`Optimizer::snapshot`] serialises the *entire* method state — Q-tables,
-//! temperature schedule, episode/step position, RNG stream position, best
-//! placement — as a JSON value; [`Optimizer::restore`] rebuilds it so a
-//! resumed run continues with a bit-identical draw sequence. Snapshots are
-//! only taken between an `observe` and the next `propose` (the quiescent
-//! points), which the driver guarantees.
+//! temperature schedule, episode/step position, RNG stream position,
+//! warm-start anchors — as a JSON value; [`Optimizer::restore`] rebuilds it
+//! so a resumed run continues with a bit-identical draw sequence. The
+//! run's best placement is the driver's record, not the method's. Snapshots
+//! are only taken between an `observe` and the next `propose` (the
+//! quiescent points), which the driver guarantees.
 
-use breaksym_anneal::{Annealer, RandomSearch, StepOutcome};
+use breaksym_anneal::{AcceptRule, Annealer, StepOutcome};
 use breaksym_layout::LayoutEnv;
 
 use crate::mlma::Sample;
@@ -101,11 +103,14 @@ pub trait Optimizer {
 
 impl Optimizer for Annealer {
     fn label(&self) -> &'static str {
-        "sa"
+        match self.rule() {
+            AcceptRule::Metropolis => "sa",
+            AcceptRule::Always => "random",
+        }
     }
 
-    fn init(&mut self, env: &LayoutEnv, initial: Sample) {
-        self.begin(env, initial.cost);
+    fn init(&mut self, _env: &LayoutEnv, initial: Sample) {
+        self.begin(initial.cost);
     }
 
     fn propose(&mut self, env: &mut LayoutEnv) -> Proposal {
@@ -130,43 +135,6 @@ impl Optimizer for Annealer {
 
     fn restore(&mut self, snapshot: &serde_json::Value) -> Result<(), serde_json::Error> {
         *self = serde_json::from_value(snapshot.clone())?;
-        self.rehydrate();
-        Ok(())
-    }
-}
-
-impl Optimizer for RandomSearch {
-    fn label(&self) -> &'static str {
-        "random"
-    }
-
-    fn init(&mut self, env: &LayoutEnv, initial: Sample) {
-        self.begin(env, initial.cost);
-    }
-
-    fn propose(&mut self, env: &mut LayoutEnv) -> Proposal {
-        match self.step(env) {
-            StepOutcome::Evaluate { candidate } => Proposal::Evaluate { candidate },
-            StepOutcome::Finished => Proposal::Finished,
-        }
-    }
-
-    fn observe(&mut self, sample: Sample, env: &mut LayoutEnv) {
-        self.feed(sample.cost, env);
-    }
-
-    fn status(&self) -> OptimizerStatus {
-        let accepted = self.search().map_or(0, |s| s.accepted());
-        OptimizerStatus { qtable_states: 0, accepted, rejected: 0 }
-    }
-
-    fn snapshot(&self) -> Result<serde_json::Value, serde_json::Error> {
-        serde_json::to_value(self)
-    }
-
-    fn restore(&mut self, snapshot: &serde_json::Value) -> Result<(), serde_json::Error> {
-        *self = serde_json::from_value(snapshot.clone())?;
-        self.rehydrate();
         Ok(())
     }
 }
@@ -254,7 +222,7 @@ mod tests {
     fn random_search_finds_improvements_but_anneal_matches_or_beats_it() {
         let run_rs = |seed| {
             let cfg = SaConfig { max_evals: 800, seed, ..SaConfig::default() };
-            run(&mut RandomSearch::new(cfg), &cfg, &mut ota())
+            run(&mut Annealer::random(cfg), &cfg, &mut ota())
         };
         let run_sa = |seed| {
             let cfg = SaConfig { max_evals: 800, seed, ..SaConfig::default() };

@@ -73,7 +73,7 @@ impl MethodSpec {
             MethodSpec::Mlma(cfg) => Box::new(MultiLevelPlacer::new(&task.initial_env()?, *cfg)),
             MethodSpec::Flat(cfg) => Box::new(FlatQPlacer::new(&task.initial_env()?, *cfg)),
             MethodSpec::Sa(cfg) => Box::new(breaksym_anneal::Annealer::new(*cfg)),
-            MethodSpec::Random(cfg) => Box::new(breaksym_anneal::RandomSearch::new(*cfg)),
+            MethodSpec::Random(cfg) => Box::new(breaksym_anneal::Annealer::random(*cfg)),
         })
     }
 

@@ -447,10 +447,8 @@ impl Driver {
                 opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
                     reason: format!("optimizer snapshot does not restore: {e}"),
                 })?;
-                let mut tracker = ckpt.tracker.clone();
-                tracker.rehydrate();
                 env.set_placement(ckpt.placement.clone())?;
-                (tracker, ckpt.method.clone(), ckpt.elapsed_ms)
+                (ckpt.tracker.clone(), ckpt.method.clone(), ckpt.elapsed_ms)
             }
         };
         let pause_at = slice_evals.map(|n| tracker.evals.saturating_add(n.max(1)));
@@ -742,7 +740,6 @@ pub fn best_symmetric_baseline(task: &PlacementTask) -> Result<RunReport, PlaceE
 mod tests {
     use super::*;
     use crate::MethodSpec;
-    use breaksym_anneal::RandomSearch;
     use breaksym_lde::LdeModel;
     use breaksym_netlist::circuits;
 
@@ -990,7 +987,7 @@ mod tests {
         let mut mlma = MultiLevelPlacer::new(&env, quick_cfg(3));
         let mut flat = FlatQPlacer::new(&env, quick_cfg(3));
         let mut sa = Annealer::new(SaConfig { seed: 3, ..SaConfig::default() });
-        let mut random = RandomSearch::new(SaConfig { seed: 3, ..SaConfig::default() });
+        let mut random = Annealer::random(SaConfig { seed: 3, ..SaConfig::default() });
 
         let opts: [(&mut dyn crate::Optimizer, &str); 4] = [
             (&mut mlma, "mlma-q"),

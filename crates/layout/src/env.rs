@@ -46,17 +46,12 @@ pub struct LayoutEnv {
     placement: Placement,
     /// Cached `group → units` index (groups and units are immutable).
     group_units: Vec<Vec<UnitId>>,
-    /// Monotonic mutation counter; bumped by every successful
-    /// [`apply`](LayoutEnv::apply), [`undo`](LayoutEnv::undo), and
-    /// [`set_placement`](LayoutEnv::set_placement).
-    version: u64,
-    /// Per-unit copy of `version` at the unit's last move — the dirty-unit
-    /// index incremental evaluators diff against.
-    unit_versions: Vec<u64>,
 }
 
 impl LayoutEnv {
-    /// Wraps an existing placement.
+    /// Wraps an existing placement, installed through
+    /// [`set_placement`](LayoutEnv::set_placement) so a deserialised one
+    /// gets its index.
     ///
     /// # Errors
     ///
@@ -69,9 +64,9 @@ impl LayoutEnv {
     ) -> Result<Self, LayoutError> {
         let group_units: Vec<Vec<UnitId>> =
             circuit.group_ids().map(|g| circuit.units_of_group(g)).collect();
-        let unit_versions = vec![0; circuit.num_units()];
-        let env = LayoutEnv { circuit, spec, placement, group_units, version: 0, unit_versions };
-        env.validate()?;
+        let empty = Placement::from_positions(Vec::new()).expect("no units, no clash");
+        let mut env = LayoutEnv { circuit, spec, placement: empty, group_units };
+        env.set_placement(placement)?;
         Ok(env)
     }
 
@@ -153,10 +148,13 @@ impl LayoutEnv {
         &self.placement
     }
 
-    /// Replaces the placement wholesale (used by baseline generators and
-    /// resumes). The placement's occupancy map and fingerprint are rebuilt
-    /// first: a deserialised placement arrives without them, and the LDE
-    /// model and the evaluation cache both read them.
+    /// Replaces the placement wholesale (used by baseline generators,
+    /// warm-start resets and resumes). The placement's occupancy map and
+    /// fingerprint are rebuilt first: a deserialised placement arrives
+    /// without them, and legality checks, the LDE model and the evaluation
+    /// cache all read them. This is the one place a stored placement gets
+    /// its index, so placements kept in search state or checkpoints need
+    /// no fix-up of their own.
     ///
     /// # Errors
     ///
@@ -168,10 +166,6 @@ impl LayoutEnv {
             self.placement = old;
             return Err(e);
         }
-        // Wholesale replacement dirties every unit.
-        self.version += 1;
-        let v = self.version;
-        self.unit_versions.fill(v);
         Ok(())
     }
 
@@ -182,39 +176,6 @@ impl LayoutEnv {
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.placement.fingerprint()
-    }
-
-    /// Monotonic mutation counter for *this environment instance*. Bumped
-    /// once per successful [`apply`](LayoutEnv::apply),
-    /// [`undo`](LayoutEnv::undo), or
-    /// [`set_placement`](LayoutEnv::set_placement).
-    ///
-    /// Versions are only comparable within one instance: a [`Clone`]
-    /// inherits the current counters but evolves independently afterwards.
-    /// Consumers that may observe *different* env instances (or clones)
-    /// should key on [`fingerprint`](LayoutEnv::fingerprint) / unit
-    /// positions instead.
-    #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The value of [`version`](LayoutEnv::version) when `unit` last moved
-    /// (0 if it has not moved since construction).
-    #[inline]
-    pub fn unit_version(&self, unit: UnitId) -> u64 {
-        self.unit_versions[unit.index()]
-    }
-
-    /// Units that have moved strictly after `since` (a value previously
-    /// obtained from [`version`](LayoutEnv::version)) — the dirty set an
-    /// incremental evaluator needs to refresh.
-    pub fn units_dirty_since(&self, since: u64) -> impl Iterator<Item = UnitId> + '_ {
-        self.unit_versions
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &v)| v > since)
-            .map(|(i, _)| UnitId::new(i as u32))
     }
 
     /// Units of a group, in device-major order (cached).
@@ -422,28 +383,7 @@ impl LayoutEnv {
                 self.placement.swap_units(a, b);
             }
         }
-        self.mark_moved(mv);
         Ok(AppliedMove { mv })
-    }
-
-    /// Records which units a just-executed move touched (dirty tracking).
-    fn mark_moved(&mut self, mv: PlacementMove) {
-        self.version += 1;
-        let v = self.version;
-        match mv {
-            PlacementMove::Unit(UnitMove { unit, .. }) => {
-                self.unit_versions[unit.index()] = v;
-            }
-            PlacementMove::Group(GroupMove { group, .. }) => {
-                for &u in &self.group_units[group.index()] {
-                    self.unit_versions[u.index()] = v;
-                }
-            }
-            PlacementMove::Swap(SwapMove { a, b }) => {
-                self.unit_versions[a.index()] = v;
-                self.unit_versions[b.index()] = v;
-            }
-        }
     }
 
     /// Reverts a move previously applied to this environment.
@@ -474,9 +414,6 @@ impl LayoutEnv {
                 self.placement.swap_units(a, b);
             }
         }
-        // Undo moves units too — it dirties exactly the cells the original
-        // move touched.
-        self.mark_moved(token.mv);
     }
 
     /// A hash of the complete placement — the state of a *flat* (single-
@@ -738,44 +675,6 @@ mod tests {
         let mut fresh = env.placement().clone();
         fresh.rebuild_index();
         assert_eq!(env.fingerprint(), fresh.fingerprint());
-    }
-
-    #[test]
-    fn dirty_tracking_reports_exactly_the_moved_units() {
-        let mut env = fig2_env();
-        let v0 = env.version();
-        assert_eq!(env.units_dirty_since(v0).count(), 0);
-
-        let (unit, dirs) = (0..env.circuit().num_units() as u32)
-            .map(|i| (UnitId::new(i), env.legal_unit_moves(UnitId::new(i))))
-            .find(|(_, d)| !d.is_empty())
-            .expect("some unit must be movable");
-        let tok = env.apply(UnitMove { unit, dir: dirs[0] }.into()).unwrap();
-        assert!(env.version() > v0);
-        assert_eq!(env.units_dirty_since(v0).collect::<Vec<_>>(), vec![unit]);
-        assert_eq!(env.unit_version(unit), env.version());
-
-        // Undo dirties the same unit again relative to the post-apply mark.
-        let v1 = env.version();
-        env.undo(tok);
-        assert_eq!(env.units_dirty_since(v1).collect::<Vec<_>>(), vec![unit]);
-
-        // A group move dirties the whole group.
-        let g = GroupId::new(0);
-        let v2 = env.version();
-        let gdirs = env.legal_group_moves(g);
-        assert!(!gdirs.is_empty());
-        env.apply(GroupMove { group: g, dir: gdirs[0] }.into()).unwrap();
-        let dirty: Vec<UnitId> = env.units_dirty_since(v2).collect();
-        let mut expected = env.units_of_group(g).to_vec();
-        expected.sort_by_key(|u| u.index());
-        assert_eq!(dirty, expected, "dirty set is reported in unit-index order");
-
-        // set_placement dirties everything.
-        let v3 = env.version();
-        let p = env.placement().clone();
-        env.set_placement(p).unwrap();
-        assert_eq!(env.units_dirty_since(v3).count(), env.circuit().num_units());
     }
 
     #[test]

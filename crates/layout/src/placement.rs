@@ -272,8 +272,10 @@ impl Placement {
         Some((sx / n, sy / n))
     }
 
-    /// Rebuilds the reverse occupancy index and the fingerprint. Needed
-    /// after deserialisation (both are skipped by serde).
+    /// Rebuilds the reverse occupancy index and the fingerprint, which
+    /// serde skips. [`LayoutEnv::set_placement`](crate::LayoutEnv::set_placement)
+    /// calls it on every placement it installs; call it directly only to
+    /// query a deserialised placement outside an environment.
     pub fn rebuild_index(&mut self) {
         self.occupancy = self
             .positions

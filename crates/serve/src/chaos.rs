@@ -275,26 +275,24 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
 pub fn resumes_bit_identically(spec: &JobSpec, ckpt: &breaksym_core::RunCheckpoint) -> bool {
     let run = || -> Option<RunReport> {
         let task = spec.task.resolve().ok()?;
-        let method = match spec.seed {
-            Some(seed) => spec.method.clone().with_seed(seed),
-            None => spec.method.clone(),
-        };
+        let (method, budget) = spec.resolved_method();
         let mut opt = method.build(&task).ok()?;
-        let mut budget = method.budget();
-        if let Some(max_evals) = spec.max_evals {
-            budget.max_evals = max_evals;
-        }
         Driver::new(budget).resume(&task, opt.as_mut(), ckpt).ok()
     };
     match (run(), run()) {
-        (Some(a), Some(b)) => {
-            a.evaluations == b.evaluations
-                && a.best_cost.to_bits() == b.best_cost.to_bits()
-                && a.trajectory == b.trajectory
-                && a.best_placement == b.best_placement
-        }
+        (Some(a), Some(b)) => reports_match(&a, &b),
         _ => false,
     }
+}
+
+/// Whether two reports of the same job agree on what the search did:
+/// evaluations, best cost at the bit level, trajectory and best
+/// placement. Public for the multi-node harness.
+pub fn reports_match(a: &RunReport, b: &RunReport) -> bool {
+    a.evaluations == b.evaluations
+        && a.best_cost.to_bits() == b.best_cost.to_bits()
+        && a.trajectory == b.trajectory
+        && a.best_placement == b.best_placement
 }
 
 /// Outcome of replaying a completed job's reported claim.

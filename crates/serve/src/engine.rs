@@ -665,22 +665,15 @@ fn run_job(shared: &Shared, id: u64) {
         Ok(task) => task,
         Err(e) => return fail(shared, id, format!("task does not resolve: {e}")),
     };
-    let method = match spec.seed {
-        Some(seed) => spec.method.clone().with_seed(seed),
-        None => spec.method.clone(),
-    };
+    let (method, budget) = spec.resolved_method();
     let mut opt = match method.build(&task) {
         Ok(opt) => opt,
         Err(e) => return fail(shared, id, format!("method does not build: {e}")),
     };
-    let mut budget = method.budget();
-    if let Some(max_evals) = spec.max_evals {
-        budget.max_evals = max_evals;
-        // A resumed run takes its budget from the checkpoint's tracker,
-        // so the override must reach it there too.
-        if let Some(ckpt) = checkpoint.as_mut() {
-            ckpt.tracker.max_evals = max_evals;
-        }
+    // A resumed run takes its budget from the checkpoint's tracker, so
+    // the override must reach it there too.
+    if let (Some(max_evals), Some(ckpt)) = (spec.max_evals, checkpoint.as_mut()) {
+        ckpt.tracker.max_evals = max_evals;
     }
     let driver = Driver::new(budget)
         .with_shared_cache(cache.clone())

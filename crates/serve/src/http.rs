@@ -643,7 +643,7 @@ fn serve_request(
     let path = parts.next().unwrap_or("").split('?').next().unwrap_or("").to_string();
     let http11 = parts.next().unwrap_or("HTTP/1.1").eq_ignore_ascii_case("HTTP/1.1");
 
-    let mut content_length: u64 = 0;
+    let mut content_length: Option<u64> = None;
     let mut chunked = false;
     let mut connection = String::new();
     let mut lines = 0usize;
@@ -666,7 +666,21 @@ fn serve_request(
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                // A length that does not parse, or a second one that
+                // disagrees, leaves the body's end unknown: reading it as
+                // anything would let its bytes pass as the next request.
+                match value.trim().parse::<u64>() {
+                    Ok(n) if content_length.is_none_or(|prev| prev == n) => {
+                        content_length = Some(n);
+                    }
+                    _ => {
+                        let err = ServeError::BadRequest {
+                            reason: "malformed or conflicting Content-Length".into(),
+                        };
+                        reject(stream, reader, 400, &json(400, &err).1)?;
+                        return Ok(false);
+                    }
+                }
             } else if name.eq_ignore_ascii_case("transfer-encoding")
                 && value.to_ascii_lowercase().contains("chunked")
             {
@@ -693,6 +707,7 @@ fn serve_request(
         reject(stream, reader, 501, &json(501, &err).1)?;
         return Ok(false);
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         let err = ServeError::BadRequest { reason: format!("body exceeds {MAX_BODY_BYTES} bytes") };
         reject(stream, reader, err.http_status(), &json(err.http_status(), &err).1)?;

@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use breaksym_core::{MethodSpec, PlacementTask, RunCheckpoint, StatsSnapshot};
+use breaksym_core::{Budget, MethodSpec, PlacementTask, RunCheckpoint, StatsSnapshot};
 use breaksym_lde::LdeModel;
 use breaksym_netlist::circuits;
 pub use breaksym_sim::CacheExportEntry;
@@ -207,6 +207,21 @@ impl JobSpec {
             checkpoint: None,
             warm_cache: Vec::new(),
         }
+    }
+
+    /// The method with this job's `seed` override applied, and the budget
+    /// it runs under with this job's `max_evals` override applied — how
+    /// every harness turns a spec into a run.
+    pub fn resolved_method(&self) -> (MethodSpec, Budget) {
+        let method = match self.seed {
+            Some(seed) => self.method.clone().with_seed(seed),
+            None => self.method.clone(),
+        };
+        let mut budget = method.budget();
+        if let Some(max_evals) = self.max_evals {
+            budget.max_evals = max_evals;
+        }
+        (method, budget)
     }
 }
 

@@ -432,6 +432,27 @@ fn oversized_headers_and_chunked_bodies_are_rejected() {
     stream.read_to_string(&mut response).unwrap();
     assert!(response.starts_with("HTTP/1.1 501"), "{response}");
 
+    // A Content-Length that does not parse, or a second one that
+    // disagrees, must not frame the body as empty: its bytes would then be
+    // served as a second, smuggled request. One 400, then EOF.
+    for lengths in [
+        "Content-Length: x\r\n",
+        "Content-Length: 23\r\nContent-Length: 0\r\n",
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let smuggled = "GET /stats HTTP/1.1\r\n\r\n";
+        stream
+            .write_all(
+                format!("POST /jobs HTTP/1.1\r\nHost: t\r\n{lengths}\r\n{smuggled}").as_bytes(),
+            )
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("the server closes the connection");
+        assert!(response.starts_with("HTTP/1.1 400"), "{lengths}: {response}");
+        assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{lengths}: {response}");
+    }
+
     // A sane request on the same server still works afterwards.
     let (status, _) = http_request(addr, "GET", "/stats", "");
     assert_eq!(status, 200);

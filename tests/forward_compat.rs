@@ -11,13 +11,16 @@
 
 use std::sync::OnceLock;
 
+use breaksym::anneal::SaConfig;
 use breaksym::cluster::{fold_stats, ClusterHealthz, ClusterStats, JobInspect, NodeReport};
 use breaksym::core::{
     Budget, Driver, MethodSpec, MlmaConfig, MultiLevelPlacer, PlacementTask, RunCheckpoint,
     RunReport, SliceOutcome,
 };
+use breaksym::geometry::GridSpec;
+use breaksym::layout::{LayoutEnv, Placement};
 use breaksym::lde::LdeModel;
-use breaksym::netlist::circuits;
+use breaksym::netlist::{circuits, UnitId};
 use breaksym::serve::{JobSpec, JobState, ServeError, ServerStats, StatusResponse, TaskSpec};
 use breaksym::sim::StatsSnapshot;
 use breaksym_testkit::check_cases;
@@ -141,6 +144,72 @@ fn checkpoint_stripped_of_every_optional_key_resumes_bit_identically() {
     assert_eq!(resumed.best_cost.to_bits(), fx.baseline.best_cost.to_bits());
     assert_eq!(resumed.trajectory, fx.baseline.trajectory);
     assert_eq!(resumed.best_placement, fx.baseline.best_placement);
+}
+
+/// SA and random-search checkpoints once carried a shadow best in the
+/// optimizer snapshot (`initial_cost`, `best`, `best_placement` under
+/// `state`); the run's best lives in the checkpoint's tracker alone now.
+/// A checkpoint written with those keys must still resume bit-identically
+/// to the unsliced run, under the same method label.
+#[test]
+fn sa_and_random_checkpoints_with_the_old_shadow_best_still_resume() {
+    let task = PlacementTask::new(circuits::diff_pair(), 10, LdeModel::nonlinear(1.0, 7));
+    let cfg = SaConfig { max_evals: 160, seed: 4, ..SaConfig::default() };
+    for (spec, label) in [
+        (MethodSpec::Sa(cfg), "sa"),
+        (MethodSpec::Random(cfg), "random"),
+    ] {
+        let driver = Driver::new(spec.budget());
+        let unsliced = driver.run(&task, spec.build(&task).unwrap().as_mut()).unwrap();
+        let outcome = driver.run_slice(&task, spec.build(&task).unwrap().as_mut(), 60).unwrap();
+        let SliceOutcome::Paused(ckpt) = outcome else {
+            panic!("{label}: a 160-eval run pauses after a 60-eval slice");
+        };
+        let mut old = (*ckpt).clone();
+        let Value::Object(snapshot) = &mut old.optimizer else {
+            panic!("{label}: the optimizer snapshot is an object")
+        };
+        let Some(Value::Object(state)) = snapshot.get_mut("state") else {
+            panic!("{label}: a started run's snapshot has a `state`");
+        };
+        let t = &ckpt.tracker;
+        let shadow = [
+            ("initial_cost", serde_json::to_value(t.trajectory[0].1).unwrap()),
+            ("best", serde_json::to_value(t.best_cost).unwrap()),
+            ("best_placement", serde_json::to_value(&t.best_placement).unwrap()),
+        ];
+        for (key, value) in shadow {
+            assert!(!state.contains_key(key), "{label}: today's snapshot has no `{key}`");
+            state.insert(key.into(), value);
+        }
+        let old: RunCheckpoint =
+            serde_json::from_str(&serde_json::to_string(&old).unwrap()).unwrap();
+
+        let mut opt = spec.build(&task).unwrap();
+        let resumed = driver.resume(&task, opt.as_mut(), &old).unwrap();
+        assert_eq!(opt.label(), label);
+        assert_eq!(resumed.method, label);
+        assert_eq!(resumed.evaluations, unsliced.evaluations, "{label}");
+        assert_eq!(resumed.best_cost.to_bits(), unsliced.best_cost.to_bits(), "{label}");
+        assert_eq!(resumed.trajectory, unsliced.trajectory, "{label}");
+        assert_eq!(resumed.best_placement, unsliced.best_placement, "{label}");
+    }
+}
+
+/// A placement read back from JSON (a report's best placement, say)
+/// carries no occupancy index or fingerprint. An environment built on it
+/// must rebuild both, or its legality checks and cache keys go wrong.
+#[test]
+fn an_environment_built_on_a_placement_read_from_json_is_indexed() {
+    let env = LayoutEnv::sequential(circuits::fig2_example(), GridSpec::square(8)).unwrap();
+    let json = serde_json::to_string(env.placement()).unwrap();
+    let read: Placement = serde_json::from_str(&json).unwrap();
+    let built = LayoutEnv::new(env.circuit().clone(), *env.spec(), read).unwrap();
+    assert_eq!(built.fingerprint(), env.fingerprint());
+    for u in 0..env.circuit().num_units() as u32 {
+        let unit = UnitId::new(u);
+        assert_eq!(built.legal_unit_moves(unit), env.legal_unit_moves(unit), "unit {u}");
+    }
 }
 
 /// Any *subset* of a checkpoint's optional keys may be absent — not
