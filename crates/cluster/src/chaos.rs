@@ -420,20 +420,19 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         }
     }
 
-    // In revive mode the doomed node must die and rejoin before the
-    // verdicts are taken; fast jobs can settle before the scripted kill
-    // even lands, so wait on the monotone counters, not on liveness.
-    if config.revive {
-        let revived_deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let stats = handle.stats();
-            if (stats.node_deaths >= 1 && stats.node_revivals >= 1)
-                || Instant::now() >= revived_deadline
-            {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
+    // The doomed node must die (and in revive mode rejoin) before the
+    // verdicts are taken; fast jobs can all settle before the heartbeat
+    // declares the kill, so wait on the monotone counters, not on
+    // liveness.
+    let settled_deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = handle.stats();
+        if (stats.node_deaths >= 1 && (!config.revive || stats.node_revivals >= 1))
+            || Instant::now() >= settled_deadline
+        {
+            break;
         }
+        thread::sleep(Duration::from_millis(10));
     }
     drop(guard);
 

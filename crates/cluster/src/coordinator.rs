@@ -21,17 +21,15 @@
 //! [`ClusterConfig::heartbeat_interval`] (measured on the injected
 //! [`Clock`](breaksym_testkit::Clock), so tests drive it virtually) and,
 //! on each healthy beat, pulls the node's bulk `/checkpoints` export
-//! into the coordinator's replicated store — checkpoints *and* the hot
-//! eval-cache entries piggybacked on them, so a moved job warm-starts
-//! its cache instead of re-simulating. A node that misses
-//! [`ClusterConfig::failure_threshold`] consecutive probes is declared
-//! dead — exactly once — and every non-terminal job mapped to it is
-//! resubmitted to the ring's next surviving node with its replicated
-//! checkpoint attached; the receiving node resumes from it through the
-//! same code path a drain-requeue uses. Forward failures deliberately do
-//! *not* count toward node death: only the heartbeat kills, which keeps
-//! death decisions on one thread and the whole coordinator's behaviour a
-//! deterministic function of its inputs.
+//! into the coordinator's replicated checkpoint store. A node that
+//! misses [`ClusterConfig::failure_threshold`] consecutive probes is
+//! declared dead — exactly once — and every non-terminal job mapped to
+//! it is resubmitted to the ring's next surviving node with its
+//! replicated checkpoint attached; the receiving node resumes from it
+//! through the same code path a drain-requeue uses. Forward failures
+//! deliberately do *not* count toward node death: only the heartbeat
+//! kills, which keeps death decisions on one thread and the whole
+//! coordinator's behaviour a deterministic function of its inputs.
 //!
 //! Dead nodes keep being probed. One that answers
 //! [`ClusterConfig::failure_threshold`] consecutive probes (hysteresis —
@@ -61,8 +59,8 @@
 //! declaring the unreachable dead — before accepting traffic. See the
 //! [`wal`](crate::wal) module docs for the format and the recovery
 //! rules. Only ephemeral state lives beside `CoordState`: liveness and
-//! probe counters, in-flight window reservations, migration flags,
-//! replicated cache entries, and the id reservation counter.
+//! probe counters, in-flight window reservations, migration flags, and
+//! the id reservation counter.
 //!
 //! # Lock discipline
 //!
@@ -84,8 +82,8 @@ use std::time::{Duration, Instant};
 
 use breaksym_core::{RunCheckpoint, RunReport};
 use breaksym_serve::protocol::{
-    CacheExportEntry, JobExport, JobId, JobSpec, JobState, RunStatus, ServeError, ServerStats,
-    StatusResponse, SubmitResponse,
+    JobExport, JobId, JobSpec, JobState, RunStatus, ServeError, ServerStats, StatusResponse,
+    SubmitResponse,
 };
 use breaksym_serve::JobApi;
 use breaksym_testkit::{fault, real_clock, FaultAction, SharedClock};
@@ -163,10 +161,6 @@ struct Inner {
     /// Jobs are in ascending id order, so every iteration — replication
     /// matching, death-resume order, exports — is deterministic.
     state: CoordState,
-    /// Hot eval-cache entries replicated alongside each job's checkpoint
-    /// — what a resume elsewhere warm-starts from. Not persisted: the
-    /// first post-restart replication beat rebuilds them.
-    cache: HashMap<u64, Vec<CacheExportEntry>>,
     /// Jobs a rejoin migration owns right now: terminal states observed
     /// from their (old) node are the migration's own cancel and must not
     /// settle them.
@@ -322,7 +316,6 @@ impl Coordinator {
             inner: Mutex::new(Inner {
                 next_id: state.next_id,
                 state,
-                cache: HashMap::new(),
                 migrating: HashSet::new(),
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
@@ -762,7 +755,6 @@ impl ClusterHandle {
                 state: job.state.clone(),
                 status: job.status,
                 checkpoint: job.checkpoint.clone(),
-                cache: inner.cache.get(&job.id).cloned().unwrap_or_default(),
             })
             .collect()
     }
@@ -1221,9 +1213,8 @@ fn pull_exports(shared: &CoordShared, node: usize) -> Option<Vec<JobExport>> {
 }
 
 /// Adopts one node's export into the replicated store: fresher
-/// checkpoints (by evaluation count) replace the replica, the
-/// piggybacked hot-cache entries ride along, and states/progress flow
-/// through the usual observation.
+/// checkpoints (by evaluation count) replace the replica, and
+/// states/progress flow through the usual observation.
 fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
     let mut inner = shared.inner.lock().expect(POISONED);
     let by_node_id: HashMap<u64, u64> = inner
@@ -1242,9 +1233,6 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
                 job.checkpoint.as_ref().is_none_or(|old| checkpoint.evals > old.evals)
             });
             if fresher {
-                if !export.cache.is_empty() {
-                    inner.cache.insert(id, export.cache);
-                }
                 commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
             }
         }
@@ -1267,10 +1255,10 @@ fn replicate(shared: &CoordShared, node: usize) {
 }
 
 /// Re-forwards one non-terminal job — death-resume, rejoin migration, or
-/// restart reconciliation — with its replicated checkpoint and warm
-/// cache attached, and commits the move (`+1` resume, `1 + detours`
-/// reroutes). `vacated` names a node whose window slot the job leaves
-/// behind, when the caller has not already zeroed it.
+/// restart reconciliation — with its replicated checkpoint attached, and
+/// commits the move (`+1` resume, `1 + detours` reroutes). `vacated`
+/// names a node whose window slot the job leaves behind, when the caller
+/// has not already zeroed it.
 fn resume_job(shared: &CoordShared, id: u64, vacated: Option<usize>) {
     let spec = {
         let inner = shared.inner.lock().expect(POISONED);
@@ -1279,7 +1267,6 @@ fn resume_job(shared: &CoordShared, id: u64, vacated: Option<usize>) {
         };
         let mut spec = job.spec.clone();
         spec.checkpoint = job.checkpoint.clone();
-        spec.warm_cache = inner.cache.get(&id).cloned().unwrap_or_default();
         spec
     };
     let placed = forward(shared, id, &spec, false);

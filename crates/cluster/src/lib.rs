@@ -36,10 +36,6 @@
 //!   probing every node, adopting live exports, resuming orphans from
 //!   replicated checkpoints — before accepting traffic, so a SIGKILLed
 //!   coordinator loses zero jobs;
-//! - **cross-node cache sharing**: the hot eval-cache entries each node
-//!   exports alongside its checkpoints are replicated too, and every
-//!   resume carries them as the spec's warm cache, so a moved job
-//!   re-hits instead of re-simulating;
 //! - **aggregated observability**: cluster `/stats` folds every node's
 //!   counters ([`fold_stats`]) — last-known snapshots standing in for
 //!   unreachable nodes — and adds the coordinator's own: routed jobs,

@@ -22,13 +22,6 @@
 //! record, and restart accounting is indistinguishable from an
 //! uninterrupted run.
 //!
-//! Replicated eval-cache entries are deliberately *not* persisted: they
-//! are a bounded warm-start optimisation that the first post-restart
-//! replication beat rebuilds from the nodes themselves, and they would
-//! dominate the log's size. Losing them costs re-simulation, never
-//! correctness — cached metrics are a deterministic function of their
-//! keys.
-//!
 //! Durability is process-crash durability: every append is written and
 //! flushed to the OS before the state transition is visible to clients,
 //! which survives SIGKILL. Surviving power loss would need fsync on
@@ -63,8 +56,8 @@ const LOG: &str = "wal.jsonl";
 const COMPACT_EVERY: u64 = 256;
 
 /// One routed job: the coordinator's durable record of it. What is
-/// rebuilt at recovery (liveness, windows, migration flags, replicated
-/// cache entries) lives outside it.
+/// rebuilt at recovery (liveness, windows, migration flags) lives outside
+/// it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedJob {
     /// The cluster-wide job id.

@@ -217,6 +217,34 @@ fn setup_with(
     Ok(Setup { env, evaluator, counter, cache, initial_metrics, objective })
 }
 
+/// Rejects a checkpoint whose tracker no `RunTracker` could have written:
+/// an empty trajectory, an eval count that disagrees with the
+/// checkpoint's, a best cost that is not the trajectory's last, or a best
+/// placement `env` will not install. Resuming one would report a wrong
+/// initial or best cost with no error. Leaves `env` at the best
+/// placement on success; the caller installs the working one next.
+fn check_tracker(ckpt: &RunCheckpoint, env: &mut LayoutEnv) -> Result<(), PlaceError> {
+    let bad = |reason: String| PlaceError::BadConfig { reason };
+    let tracker = &ckpt.tracker;
+    let Some(&(_, last_cost)) = tracker.trajectory.last() else {
+        return Err(bad("checkpoint tracker has an empty trajectory".into()));
+    };
+    if tracker.evals != ckpt.evals {
+        return Err(bad(format!(
+            "checkpoint tracker counts {} evals, the checkpoint {}",
+            tracker.evals, ckpt.evals
+        )));
+    }
+    if tracker.best_cost.to_bits() != last_cost.to_bits() {
+        return Err(bad(format!(
+            "checkpoint best cost {} is not its trajectory's last cost {last_cost}",
+            tracker.best_cost
+        )));
+    }
+    env.set_placement(tracker.best_placement.clone())
+        .map_err(|e| bad(format!("checkpoint best placement does not install: {e}")))
+}
+
 fn sample_of(objective: &Objective, m: &Metrics) -> Sample {
     Sample { cost: objective.cost(m), primary: m.primary() }
 }
@@ -366,7 +394,10 @@ impl Driver {
     /// # Errors
     ///
     /// As [`Driver::run`], plus [`PlaceError::BadConfig`] on a snapshot
-    /// that does not match the optimizer.
+    /// that does not match the optimizer, or on a tracker with an empty
+    /// trajectory, an eval count other than the checkpoint's, a best cost
+    /// other than the trajectory's last, or a best placement that does
+    /// not install.
     pub fn resume<O: Optimizer + ?Sized>(
         &self,
         task: &PlacementTask,
@@ -444,6 +475,7 @@ impl Driver {
                 (tracker, opt.label().to_string(), 0)
             }
             Some(ckpt) => {
+                check_tracker(ckpt, &mut env)?;
                 opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
                     reason: format!("optimizer snapshot does not restore: {e}"),
                 })?;
@@ -976,6 +1008,34 @@ mod tests {
         assert_eq!(resumed.sims_to_target, full.sims_to_target);
         // `simulations`/cache stats intentionally differ: the resumed run
         // re-solves states the interrupted run had cached.
+    }
+
+    #[test]
+    fn resume_rejects_a_tracker_no_run_could_have_written() {
+        let t = task();
+        let cfg = quick_cfg(7);
+        let driver = Driver::new(Budget::from_mlma(&cfg));
+        let mut placer = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
+        let SliceOutcome::Paused(ckpt) = driver.run_slice(&t, &mut placer, 100).unwrap() else {
+            panic!("a 250-eval run pauses after 100 evals");
+        };
+        let rejects = |what: &str, corrupt: fn(&mut RunCheckpoint)| {
+            let mut bad = (*ckpt).clone();
+            corrupt(&mut bad);
+            let mut fresh = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
+            let resumed = driver.resume(&t, &mut fresh, &bad);
+            assert!(matches!(resumed, Err(PlaceError::BadConfig { .. })), "{what}: {resumed:?}");
+            let sliced = driver.resume_slice(&t, &mut fresh, &bad, 25);
+            assert!(matches!(sliced, Err(PlaceError::BadConfig { .. })), "{what}: {sliced:?}");
+        };
+        rejects("empty trajectory", |c| c.tracker.trajectory.clear());
+        rejects("eval count", |c| c.tracker.evals += 1);
+        rejects("best cost", |c| c.tracker.best_cost *= 0.5);
+        rejects("best placement", |c| {
+            c.tracker.best_placement = Placement::from_positions(Vec::new()).unwrap();
+        });
+        let mut fresh = MultiLevelPlacer::new(&t.initial_env().unwrap(), cfg);
+        assert!(driver.resume(&t, &mut fresh, &ckpt).is_ok(), "the intact checkpoint resumes");
     }
 
     #[test]

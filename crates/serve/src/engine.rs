@@ -61,12 +61,6 @@ use crate::protocol::{
 /// `DelayMs` an artificially slow slice.
 pub const FAIL_SLICE: &str = "serve::slice";
 
-/// Hottest eval-cache entries exported per job in
-/// [`ServeHandle::export_jobs`]. Bounds the replication payload: at ~150
-/// bytes of JSON per entry this keeps a job's cache share under ~40 KB
-/// while still covering far more states than a slice revisits.
-pub const CACHE_EXPORT_LIMIT: usize = 256;
-
 /// What a poisoned lock means here: a worker panicked mid-update, and the
 /// registry can no longer be trusted. Slice execution itself is guarded by
 /// `catch_unwind`, so an optimizer panic cannot poison these locks — only
@@ -139,11 +133,6 @@ impl JobRecord {
         // node's job here) starts from it: the worker's slice loop resumes
         // from `JobRecord::checkpoint` whenever one is present.
         let checkpoint = spec.checkpoint.clone();
-        // Likewise a spec carrying replicated cache entries warm-starts
-        // its private cache — revisited placements hit instead of paying
-        // a fresh solve. Seeding never changes results, only sim counts.
-        let cache = EvalCache::default();
-        cache.absorb(&spec.warm_cache);
         JobRecord {
             spec,
             state: JobState::Queued,
@@ -152,7 +141,7 @@ impl JobRecord {
             report: None,
             checkpoint,
             cancel: Arc::new(AtomicBool::new(false)),
-            cache,
+            cache: EvalCache::default(),
             counter: SimCounter::new(),
             terminal_at: None,
         }
@@ -236,6 +225,44 @@ impl Shared {
         drop(retired);
         // Waiters on an evicted id must wake to observe JobEvicted.
         self.state_cv.notify_all();
+    }
+
+    /// The one writer of terminal job state: installs `state` (and, for
+    /// completions, the report plus a final status refresh), stamps the
+    /// retention clock, counts the outcome in the matching `/stats`
+    /// counter, wakes waiters, and applies the retention policy. `jobs` is
+    /// the held registry guard, so the count lands before the wake-up and
+    /// a waiter that sees the terminal state also sees it counted; the
+    /// retired lock is taken inside (queue → jobs → retired). The latest
+    /// checkpoint is deliberately retained for cancelled and timed-out
+    /// jobs — that is what makes them resumable.
+    fn set_terminal(
+        &self,
+        jobs: &mut HashMap<u64, JobRecord>,
+        id: u64,
+        state: JobState,
+        completion: Option<(Box<RunReport>, RunStatus)>,
+    ) {
+        let outcomes = match state {
+            JobState::Done => &self.jobs_done,
+            JobState::Failed { .. } => &self.jobs_failed,
+            JobState::TimedOut { .. } => &self.jobs_timed_out,
+            JobState::Cancelled { .. } => &self.jobs_cancelled,
+            JobState::Queued | JobState::Running => {
+                unreachable!("only terminal states are installed")
+            }
+        };
+        outcomes.fetch_add(1, Ordering::Relaxed);
+        if let Some(job) = jobs.get_mut(&id) {
+            job.state = state;
+            job.terminal_at = Some(self.clock.now());
+            if let Some((report, status)) = completion {
+                job.report = Some(report);
+                job.status = Some(status);
+            }
+        }
+        self.state_cv.notify_all();
+        self.evict_terminal(jobs);
     }
 
     /// The error for an id absent from the registry: ids this server
@@ -460,23 +487,22 @@ impl ServeHandle {
         let mut queue = self.shared.queue.lock().expect(POISONED);
         let mut jobs = self.shared.jobs.lock().expect(POISONED);
         let job = jobs.get_mut(&id.0).ok_or_else(|| self.shared.missing(id))?;
-        match job.state {
-            JobState::Queued => {
-                queue.retain(|&queued| queued != id.0);
-                job.state = JobState::Cancelled { resumable: job.checkpoint.is_some() };
-                job.terminal_at = Some(self.shared.clock.now());
-                self.shared.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-                self.shared.state_cv.notify_all();
-            }
-            JobState::Running => job.cancel.store(true, Ordering::SeqCst),
-            _ => {}
-        }
-        Ok(StatusResponse {
+        let mut response = StatusResponse {
             id,
             state: job.state.clone(),
             status: job.status,
             warnings: job.warnings.clone(),
-        })
+        };
+        match job.state {
+            JobState::Queued => {
+                queue.retain(|&queued| queued != id.0);
+                response.state = JobState::Cancelled { resumable: job.checkpoint.is_some() };
+                self.shared.set_terminal(&mut jobs, id.0, response.state.clone(), None);
+            }
+            JobState::Running => job.cancel.store(true, Ordering::SeqCst),
+            _ => {}
+        }
+        Ok(response)
     }
 
     /// A point-in-time snapshot of the whole server: queue depth,
@@ -538,11 +564,11 @@ impl ServeHandle {
     }
 
     /// Exports every live job's replicable state — id, lifecycle state,
-    /// latest progress, latest slice-boundary checkpoint, and (alongside
-    /// a checkpoint) the hottest [`CACHE_EXPORT_LIMIT`] entries of the
-    /// job's eval cache — sorted by id. One call per heartbeat is how a
-    /// coordinator keeps its replicated checkpoint store fresh enough to
-    /// resume this node's jobs elsewhere, warm-cached, if it dies.
+    /// latest progress and latest slice-boundary checkpoint — sorted by
+    /// id. One call per heartbeat is how a coordinator keeps its
+    /// replicated checkpoint store fresh enough to resume this node's jobs
+    /// elsewhere if it dies. No job's eval cache is read: a resumed job
+    /// starts with an empty one.
     pub fn export_jobs(&self) -> Vec<JobExport> {
         let jobs = self.shared.jobs.lock().expect(POISONED);
         let mut out: Vec<JobExport> = jobs
@@ -552,11 +578,6 @@ impl ServeHandle {
                 state: job.state.clone(),
                 status: job.status,
                 checkpoint: job.checkpoint.clone(),
-                cache: if job.checkpoint.is_some() {
-                    job.cache.export_hot(CACHE_EXPORT_LIMIT)
-                } else {
-                    Vec::new()
-                },
             })
             .collect();
         out.sort_by_key(|e| e.id);
@@ -696,7 +717,7 @@ fn run_job(shared: &Shared, id: u64) {
         // slices; the driver itself is never interrupted mid-evaluation.
         if cancel.load(Ordering::SeqCst) {
             let resumable = checkpoint.is_some();
-            set_terminal(shared, id, JobState::Cancelled { resumable }, None);
+            finish(shared, id, JobState::Cancelled { resumable }, None);
             return;
         }
         if shared.draining.load(Ordering::SeqCst) {
@@ -710,7 +731,7 @@ fn run_job(shared: &Shared, id: u64) {
                 // A timeout is not a failure: the latest slice-boundary
                 // checkpoint stays behind, resumable like a cancellation.
                 let resumable = checkpoint.is_some();
-                set_terminal(shared, id, JobState::TimedOut { resumable }, None);
+                finish(shared, id, JobState::TimedOut { resumable }, None);
                 return;
             }
         }
@@ -753,7 +774,7 @@ fn run_job(shared: &Shared, id: u64) {
                     elapsed_ms: report.elapsed_ms,
                     cache: cache.snapshot(&counter),
                 };
-                set_terminal(shared, id, JobState::Done, Some((report, status)));
+                finish(shared, id, JobState::Done, Some((report, status)));
                 return;
             }
             Ok(SliceOutcome::Paused(ckpt)) => {
@@ -789,42 +810,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn fail(shared: &Shared, id: u64, error: String) {
-    set_terminal(shared, id, JobState::Failed { error }, None);
-}
-
-/// Installs a terminal state (and, for completions, the report plus a
-/// final status refresh), stamps the retention clock, counts the outcome
-/// in the matching `/stats` counter, wakes waiters, and applies the
-/// retention policy. The count lands under the jobs lock and before the
-/// wake-up, so a waiter that sees the terminal state also sees it
-/// counted. The latest checkpoint is deliberately retained for cancelled
-/// and timed-out jobs — that is what makes them resumable.
-fn set_terminal(
+/// Ends a running job in the given terminal state (worker side).
+fn finish(
     shared: &Shared,
     id: u64,
     state: JobState,
     completion: Option<(Box<RunReport>, RunStatus)>,
 ) {
-    let outcomes = match state {
-        JobState::Done => &shared.jobs_done,
-        JobState::Failed { .. } => &shared.jobs_failed,
-        JobState::TimedOut { .. } => &shared.jobs_timed_out,
-        JobState::Cancelled { .. } => &shared.jobs_cancelled,
-        JobState::Queued | JobState::Running => unreachable!("only terminal states are installed"),
-    };
-    let mut jobs = shared.jobs.lock().expect(POISONED);
-    outcomes.fetch_add(1, Ordering::Relaxed);
-    if let Some(job) = jobs.get_mut(&id) {
-        job.state = state;
-        job.terminal_at = Some(shared.clock.now());
-        if let Some((report, status)) = completion {
-            job.report = Some(report);
-            job.status = Some(status);
-        }
-    }
-    shared.state_cv.notify_all();
-    shared.evict_terminal(&mut jobs);
+    shared.set_terminal(&mut shared.jobs.lock().expect(POISONED), id, state, completion);
+}
+
+fn fail(shared: &Shared, id: u64, error: String) {
+    finish(shared, id, JobState::Failed { error }, None);
 }
 
 /// Drain path: the job goes back to the queue *front* (it already made

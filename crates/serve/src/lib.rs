@@ -70,9 +70,9 @@ pub mod http;
 pub mod protocol;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, InvariantResult};
-pub use engine::{ServeConfig, ServeEngine, ServeHandle, CACHE_EXPORT_LIMIT, FAIL_SLICE};
+pub use engine::{ServeConfig, ServeEngine, ServeHandle, FAIL_SLICE};
 pub use http::{HttpServer, JobApi, DEFAULT_CONN_WORKERS, FAIL_HTTP_RESPOND, KEEP_ALIVE_IDLE};
 pub use protocol::{
-    CacheExportEntry, Healthz, JobExport, JobId, JobSpec, JobState, RunStatus, ServeError,
-    ServerStats, StatusResponse, SubmitResponse, TaskSpec,
+    Healthz, JobExport, JobId, JobSpec, JobState, RunStatus, ServeError, ServerStats,
+    StatusResponse, SubmitResponse, TaskSpec,
 };

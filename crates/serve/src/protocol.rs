@@ -15,7 +15,6 @@ use std::fmt;
 use breaksym_core::{Budget, MethodSpec, PlacementTask, RunCheckpoint, StatsSnapshot};
 use breaksym_lde::LdeModel;
 use breaksym_netlist::circuits;
-pub use breaksym_sim::CacheExportEntry;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of one submitted job, unique within a server's lifetime.
@@ -182,16 +181,10 @@ pub struct JobSpec {
     /// A mid-run checkpoint to resume from instead of starting fresh.
     /// This is how a coordinator moves a dead node's job to a survivor:
     /// resubmit the original spec carrying the last replicated
-    /// checkpoint, and the run continues bit-identically from it.
+    /// checkpoint, and the run continues bit-identically from it. The job
+    /// starts with an empty eval cache, as every job does.
     #[serde(default)]
     pub checkpoint: Option<Box<RunCheckpoint>>,
-    /// Hot eval-cache entries to pre-seed the job's private cache with —
-    /// the replicated export of the cache the job built before it moved.
-    /// Purely an accelerator: cached metrics are deterministic functions
-    /// of their keys, so seeding changes simulation counts, never
-    /// results.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub warm_cache: Vec<CacheExportEntry>,
 }
 
 impl JobSpec {
@@ -205,7 +198,6 @@ impl JobSpec {
             timeout_ms: None,
             slice_evals: None,
             checkpoint: None,
-            warm_cache: Vec::new(),
         }
     }
 
@@ -398,6 +390,8 @@ pub struct Healthz {
 /// export: everything a coordinator needs to resume the job elsewhere if
 /// this node dies. Reports are deliberately excluded — they are final
 /// artifacts, not resume state, and can be regenerated from a checkpoint.
+/// So is the job's eval cache: a search needs each verdict before its
+/// next move, so a moved job could reuse only the placements it revisits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobExport {
     /// The node-local job id.
@@ -411,12 +405,6 @@ pub struct JobExport {
     /// The latest slice-boundary checkpoint, when one exists.
     #[serde(default)]
     pub checkpoint: Option<Box<RunCheckpoint>>,
-    /// A bounded export of the job's hottest eval-cache entries,
-    /// piggybacked on checkpoint replication so a resume elsewhere
-    /// warm-starts instead of re-simulating. Present only alongside a
-    /// checkpoint; empty from builds predating cache sharing.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub cache: Vec<CacheExportEntry>,
 }
 
 /// Service-level request failures, serialised on the wire as a tagged

@@ -576,63 +576,70 @@ fn virtual_idle_expiry_closes_keep_alive_connections() {
 }
 
 #[test]
-fn warm_cache_resumes_simulate_less_than_cold_resumes() {
+fn a_cancelled_queued_job_is_retired_like_a_finished_one() {
+    let engine = ServeEngine::start(ServeConfig {
+        workers: 1,
+        slice_evals: 20,
+        retain_max: 0,
+        ..ServeConfig::default()
+    });
+    let handle = engine.handle();
+
+    // With nothing retained, a job that ends Done is evicted at once...
+    let mut quick =
+        JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(quick_cfg()));
+    quick.seed = Some(9);
+    let done = handle.submit(quick).unwrap();
+    match handle.wait(done, Duration::from_secs(120)) {
+        Err(ServeError::JobEvicted { id }) => assert_eq!(id, done),
+        other => panic!("expected JobEvicted, got {other:?}"),
+    }
+    assert_eq!(handle.stats().jobs_retired, 1);
+
+    // ...and so is a queued job cancelled before any worker claims it.
+    // The one worker is busy with the endless job, so the second waits.
+    let running = handle.submit(long_spec(3)).unwrap();
+    let queued = handle.submit(long_spec(5)).unwrap();
+    let cancelled = handle.cancel(queued).unwrap();
+    assert_eq!(cancelled.state, JobState::Cancelled { resumable: false });
+    match handle.status(queued) {
+        Err(ServeError::JobEvicted { id }) => assert_eq!(id, queued),
+        other => panic!("expected JobEvicted, got {other:?}"),
+    }
+    let stats = handle.stats();
+    assert_eq!((stats.jobs_cancelled, stats.jobs_retired), (1, 2));
+
+    handle.cancel(running).unwrap();
+    assert!(matches!(
+        handle.wait(running, Duration::from_secs(120)),
+        Err(ServeError::JobEvicted { .. })
+    ));
+    engine.shutdown();
+}
+
+#[test]
+fn a_checkpoint_with_an_inconsistent_tracker_fails_its_job() {
     let engine =
         ServeEngine::start(ServeConfig { workers: 1, slice_evals: 20, ..ServeConfig::default() });
     let handle = engine.handle();
 
-    // Run a job a couple of slices in, cancel it, and capture the
-    // exported checkpoint plus the hot cache entries replicated with it.
-    let id = handle.submit(long_spec(9)).unwrap();
-    wait_until(&handle, id, |s| s.status.is_some_and(|rs| rs.evals >= 40));
+    let id = handle.submit(long_spec(7)).unwrap();
+    wait_until(&handle, id, |s| s.status.is_some_and(|rs| rs.evals >= 20));
     handle.cancel(id).unwrap();
-    wait_until(&handle, id, |s| matches!(s.state, JobState::Cancelled { .. }));
-    let export = handle
-        .export_jobs()
-        .into_iter()
-        .find(|e| e.id == id)
-        .expect("cancelled job is exported");
-    let ckpt = export.checkpoint.clone().expect("cancelled mid-run keeps its checkpoint");
-    assert!(!export.cache.is_empty(), "a resumable export carries hot cache entries");
+    handle.wait(id, Duration::from_secs(120)).unwrap();
+    let mut ckpt = handle.checkpoint(id).unwrap().expect("cancelled mid-run keeps its checkpoint");
 
-    // Resume that checkpoint twice — once cold, once warm-seeded with the
-    // export — capped a finite distance past the cancellation point.
-    let target = ckpt.evals + 200;
-    let resume_spec = |warm_cache: Vec<breaksym_sim::CacheExportEntry>| {
-        let mut spec = long_spec(9);
-        spec.max_evals = Some(target);
-        spec.checkpoint = Some(ckpt.clone());
-        spec.warm_cache = warm_cache;
-        spec
-    };
-    let cold = handle.submit(resume_spec(Vec::new())).unwrap();
-    let done = handle.wait(cold, Duration::from_secs(120)).unwrap();
-    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
-    let warm = handle.submit(resume_spec(export.cache.clone())).unwrap();
-    let done = handle.wait(warm, Duration::from_secs(120)).unwrap();
-    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
-
-    // Warm-seeding changes the accounting only: cached metrics are a
-    // deterministic function of their keys, so the reports stay
-    // bit-identical...
-    let cold_report = handle.report(cold).unwrap();
-    let warm_report = handle.report(warm).unwrap();
-    assert_eq!(cold_report.best_cost.to_bits(), warm_report.best_cost.to_bits());
-    assert_eq!(cold_report.evaluations, warm_report.evaluations);
-    assert_eq!(cold_report.trajectory, warm_report.trajectory);
-    assert_eq!(cold_report.best_placement, warm_report.best_placement);
-
-    // ...while the warm job answers early lookups from the imported
-    // entries instead of re-simulating them.
-    let cold_stats = handle.status(cold).unwrap().status.expect("cold ran").cache;
-    let warm_stats = handle.status(warm).unwrap().status.expect("warm ran").cache;
-    assert!(
-        warm_stats.sims < cold_stats.sims,
-        "warm resume re-simulated as much as cold: {warm_stats:?} vs {cold_stats:?}"
-    );
-    assert!(
-        warm_stats.hits > cold_stats.hits,
-        "warm resume hit no imported entries: {warm_stats:?} vs {cold_stats:?}"
-    );
+    // A checkpoint whose trajectory was emptied would resume to a report
+    // with the wrong initial cost; the driver rejects it instead, and the
+    // job fails like any other driver error.
+    ckpt.tracker.trajectory.clear();
+    let mut spec = long_spec(7);
+    spec.checkpoint = Some(Box::new(ckpt));
+    let resumed = handle.submit(spec).unwrap();
+    let done = handle.wait(resumed, Duration::from_secs(120)).unwrap();
+    match done.state {
+        JobState::Failed { error } => assert!(error.contains("empty trajectory"), "{error}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
     engine.shutdown();
 }

@@ -177,22 +177,6 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-/// One memoized `placement → metrics` pair in portable form, produced by
-/// [`EvalCache::export_hot`] and re-seeded with [`EvalCache::absorb`].
-///
-/// Keys already mix circuit and grid identity with the placement's
-/// Zobrist fingerprint, and the metrics themselves are deterministic
-/// functions of the key's placement — so an exported entry means the same
-/// thing on every node, and absorbing one can never change what a lookup
-/// would have computed, only whether it costs a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacheExportEntry {
-    /// The cache key (circuit/grid identity ⊕ placement fingerprint).
-    pub key: u64,
-    /// The memoized evaluation result.
-    pub metrics: Metrics,
-}
-
 /// A bounded, shared memo of placement → [`Metrics`].
 ///
 /// Cloning shares the underlying store (like
@@ -314,55 +298,6 @@ impl EvalCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The hottest entries — most recently touched first — up to `limit`,
-    /// in portable form. This is the bounded export the serving layer
-    /// piggybacks on checkpoint replication so a job resumed elsewhere
-    /// warm-starts its cache instead of re-simulating; ordering hottest
-    /// first means a truncating importer keeps the entries most likely to
-    /// be revisited. Does not count as hits and does not disturb LRU
-    /// positions.
-    pub fn export_hot(&self, limit: usize) -> Vec<CacheExportEntry> {
-        let g = self.inner.lock();
-        let mut pairs: Vec<(u64, u64, Metrics)> =
-            g.map.iter().map(|(&k, e)| (e.tick, k, e.metrics)).collect();
-        drop(g);
-        // Ticks are unique, so this order is total and deterministic.
-        pairs.sort_unstable_by_key(|p| std::cmp::Reverse(p.0));
-        pairs.truncate(limit);
-        pairs
-            .into_iter()
-            .map(|(_, key, metrics)| CacheExportEntry { key, metrics })
-            .collect()
-    }
-
-    /// Seeds entries exported from another cache. Pre-seeding is not a
-    /// lookup: it touches neither the hit nor the miss counter, so the
-    /// accounting still describes only what this run actually asked for.
-    /// Keys already present are left alone (a resident entry is at least
-    /// as fresh), and the capacity bound applies as usual.
-    pub fn absorb(&self, entries: &[CacheExportEntry]) {
-        if entries.is_empty() {
-            return;
-        }
-        let capacity = self.counters.capacity.load(Ordering::Relaxed);
-        let (evicted, resident) = {
-            let mut g = self.inner.lock();
-            // Exports are hottest-first; inserting in reverse gives the
-            // hottest entry the freshest tick, preserving LRU priority.
-            for entry in entries.iter().rev() {
-                g.tick += 1;
-                let tick = g.tick;
-                g.map.entry(entry.key).or_insert(Entry { metrics: entry.metrics, tick });
-            }
-            let evicted = g.evict_if_full(capacity);
-            (evicted, g.map.len())
-        };
-        if evicted > 0 {
-            self.counters.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        self.counters.entries.store(resident, Ordering::Relaxed);
     }
 
     /// Drops every entry *and* zeroes the statistics.
@@ -495,58 +430,6 @@ mod tests {
         let m = a.merged(b);
         assert_eq!(m, StatsSnapshot { hits: 11, misses: 22, entries: 33, sims: 44 });
         assert_eq!(StatsSnapshot::default().merged(a), a);
-    }
-
-    #[test]
-    fn export_hot_is_hottest_first_and_bounded() {
-        let c = EvalCache::new(16);
-        for k in 0..5 {
-            c.insert(k, metrics(k as f64));
-        }
-        // Touch 1 then 3: the hottest order is now 3, 1, 4, 2, 0.
-        c.get(1);
-        c.get(3);
-        let hot = c.export_hot(3);
-        let keys: Vec<u64> = hot.iter().map(|e| e.key).collect();
-        assert_eq!(keys, [3, 1, 4]);
-        assert_eq!(c.export_hot(0).len(), 0);
-        assert_eq!(c.export_hot(100).len(), 5, "limit beyond len exports everything");
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (2, 0), "exporting must not count as lookups");
-    }
-
-    #[test]
-    fn absorb_seeds_without_touching_hit_or_miss_counters() {
-        let donor = EvalCache::new(16);
-        donor.insert(1, metrics(1.0));
-        donor.insert(2, metrics(2.0));
-        let exported = donor.export_hot(16);
-
-        let c = EvalCache::new(16);
-        c.insert(2, metrics(99.0)); // resident entry must win over the import
-        c.absorb(&exported);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (0, 0), "absorb is not a lookup");
-        assert_eq!(s.entries, 2);
-        assert_eq!(c.get(1).expect("seeded entry answers").area_um2, 1.0);
-        assert_eq!(c.get(2).expect("resident entry kept").area_um2, 99.0);
-        assert_eq!(c.stats().hits, 2, "seeded entries then hit like any other");
-    }
-
-    #[test]
-    fn absorb_respects_the_capacity_bound() {
-        let donor = EvalCache::new(64);
-        for k in 0..10 {
-            donor.insert(k, metrics(k as f64));
-        }
-        let c = EvalCache::new(4);
-        c.absorb(&donor.export_hot(64));
-        let s = c.stats();
-        assert!(s.entries <= 4, "absorbed past capacity: {s:?}");
-        assert!(s.evictions > 0);
-        // Hottest-first export + reverse insertion: the hottest donor
-        // entries are the ones that survive the bound.
-        assert!(c.get(9).is_some(), "hottest entry survives the bound");
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod workspace;
 
 pub use ac::{AcSolver, AcSweep};
 pub use autowire::{autowire, Autowired};
-pub use cache::{CacheExportEntry, CacheStats, EvalCache, StatsSnapshot, DEFAULT_CACHE_CAPACITY};
+pub use cache::{CacheStats, EvalCache, StatsSnapshot, DEFAULT_CACHE_CAPACITY};
 pub use complex::Complex;
 pub use counter::SimCounter;
 pub use dc::{DcSolution, DcSolver};

@@ -21,7 +21,10 @@ use breaksym::geometry::GridSpec;
 use breaksym::layout::{LayoutEnv, Placement};
 use breaksym::lde::LdeModel;
 use breaksym::netlist::{circuits, UnitId};
-use breaksym::serve::{JobSpec, JobState, ServeError, ServerStats, StatusResponse, TaskSpec};
+use breaksym::serve::{
+    JobExport, JobId, JobSpec, JobState, RunStatus, ServeError, ServerStats, StatusResponse,
+    TaskSpec,
+};
 use breaksym::sim::StatsSnapshot;
 use breaksym_testkit::check_cases;
 use rand::Rng;
@@ -539,4 +542,53 @@ fn oldest_job_spec_wire_format_still_parses() {
     });
     let back: JobSpec = serde_json::from_value(v).unwrap();
     assert_eq!(back, full);
+}
+
+/// One cache entry in the shape nodes exported before the eval cache
+/// stopped leaving the process: a key and the metrics it memoized.
+fn retired_cache_entry() -> Value {
+    serde_json::json!({
+        "key": 0x9e37_79b9_7f4a_7c15_u64,
+        "metrics": serde_json::to_value(fixture().baseline.best_metrics).unwrap(),
+    })
+}
+
+#[test]
+fn job_specs_that_still_carry_replicated_cache_entries_parse_without_them() {
+    let fx = fixture();
+    let mut full = JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(fx.cfg));
+    full.checkpoint = Some(Box::new(fx.checkpoint.clone()));
+    let mut v = serde_json::to_value(&full).unwrap();
+    v.as_object_mut()
+        .unwrap()
+        .insert("warm_cache".into(), Value::Array(vec![retired_cache_entry()]));
+    let back: JobSpec = serde_json::from_value(v).unwrap();
+    assert_eq!(back, full);
+}
+
+#[test]
+fn node_exports_that_still_carry_cache_entries_parse_at_the_coordinator() {
+    // A node from before the deletion still sends `cache` beside each
+    // checkpoint. The coordinator reads `/checkpoints` as a JSON array of
+    // `JobExport`; if the old key failed that parse, replication would
+    // stop silently during a rolling upgrade.
+    let fx = fixture();
+    let export = JobExport {
+        id: JobId(3),
+        state: JobState::Running,
+        status: Some(RunStatus {
+            evals: fx.checkpoint.evals,
+            best_cost: fx.checkpoint.tracker.best_cost,
+            elapsed_ms: 12,
+            cache: StatsSnapshot { hits: 4, misses: 47, entries: 47, sims: 47 },
+        }),
+        checkpoint: Some(Box::new(fx.checkpoint.clone())),
+    };
+    let mut v = serde_json::to_value(&export).unwrap();
+    v.as_object_mut()
+        .unwrap()
+        .insert("cache".into(), Value::Array(vec![retired_cache_entry(), retired_cache_entry()]));
+    let body = serde_json::to_string(&Value::Array(vec![v])).unwrap();
+    let back: Vec<JobExport> = serde_json::from_str(&body).unwrap();
+    assert_eq!(back, [export]);
 }
