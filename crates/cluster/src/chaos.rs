@@ -8,7 +8,10 @@
 //! - **cluster `/stats` accounting is exact** — routed/terminal counters
 //!   match the observed states, `reroutes` equals the per-job sum of
 //!   detours and resumes, `jobs_resumed` equals the per-job resume sum,
-//!   and the killed node is accounted dead;
+//!   and the killed node is accounted dead — after a plain kill, with
+//!   at least one of its jobs moved (every slice the fleet runs while
+//!   the faults are armed is held a few milliseconds, so the kill
+//!   catches a job mid-run on any host);
 //! - **replicated checkpoints resume bit-identically** — every
 //!   checkpoint in the coordinator's replica store passes the same
 //!   twice-resumed comparison the single-node harness uses;
@@ -69,9 +72,9 @@ use std::time::{Duration, Instant};
 use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport};
 use breaksym_serve::chaos::{reports_match, resumes_bit_identically, verify_report, ReportVerdict};
 use breaksym_serve::{
-    HttpServer, InvariantResult, JobId, JobSpec, ServeConfig, ServeEngine, TaskSpec,
+    HttpServer, InvariantResult, JobId, JobSpec, ServeConfig, ServeEngine, TaskSpec, FAIL_SLICE,
 };
-use breaksym_testkit::{fault, FaultAction, FaultPlan};
+use breaksym_testkit::{fault, FaultAction, FaultPlan, FaultTrigger};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -140,7 +143,8 @@ impl JobFingerprint {
 pub struct ClusterChaosReport {
     /// The configuration the run was derived from.
     pub config: ClusterChaosConfig,
-    /// The seed-derived fault schedule armed during the run.
+    /// The fault schedule armed during the run: the seed-derived
+    /// triggers plus the slice hold.
     pub plan: FaultPlan,
     /// The node the harness killed (the one routing the most jobs).
     pub doomed_node: usize,
@@ -238,6 +242,11 @@ pub fn cluster_fault_plan(seed: u64, faults: usize, nodes: usize) -> FaultPlan {
     plan.triggers.retain(|t| t.site != FAIL_FORWARD || kept.contains(&t.at));
     plan
 }
+
+/// Milliseconds every slice sleeps while a chaos round's plan is armed.
+/// Jobs then outlast the heartbeat that replicates their first
+/// checkpoint by far, so the kill lands mid-run on any host.
+const SLICE_HOLD_MS: u64 = 10;
 
 /// The beat (1-indexed) at which revive mode's scripted kill starts —
 /// late enough (~1s at the harness's 25ms interval) that first slices
@@ -344,6 +353,16 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
             );
         }
     }
+    // Hold every slice the fleet runs while the plan is armed, so a job
+    // is still running on the doomed node when the kill lands however
+    // fast the host: a kill that catches nothing mid-run moves no job and
+    // checks no resume.
+    plan.triggers.push(FaultTrigger {
+        site: FAIL_SLICE.to_string(),
+        at: 1,
+        count: u64::MAX,
+        action: FaultAction::DelayMs { ms: SLICE_HOLD_MS },
+    });
     let specs = cluster_job_mix(config.seed, config.jobs);
     let guard = fault::install(plan.clone());
     let ids: Vec<JobId> = specs
@@ -420,19 +439,20 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         }
     }
 
-    // The doomed node must die (and in revive mode rejoin) before the
-    // verdicts are taken; fast jobs can all settle before the heartbeat
-    // declares the kill, so wait on the monotone counters, not on
-    // liveness.
-    let settled_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = handle.stats();
-        if (stats.node_deaths >= 1 && (!config.revive || stats.node_revivals >= 1))
-            || Instant::now() >= settled_deadline
-        {
-            break;
+    // In revive mode the doomed node must die and rejoin before the
+    // verdicts are taken; fast jobs can settle before the scripted kill
+    // even lands, so wait on the monotone counters, not on liveness.
+    if config.revive {
+        let revived_deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let stats = handle.stats();
+            if (stats.node_deaths >= 1 && stats.node_revivals >= 1)
+                || Instant::now() >= revived_deadline
+            {
+                break;
+            }
+            thread::sleep(Duration::from_millis(10));
         }
-        thread::sleep(Duration::from_millis(10));
     }
     drop(guard);
 
@@ -470,7 +490,8 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
     let death_ok = if config.revive {
         stats.node_deaths >= 1 && stats.node_revivals >= 1 && stats.nodes[doomed_node].alive
     } else {
-        stats.node_deaths >= 1 && !stats.nodes[doomed_node].alive
+        // The kill must have moved a job, or no resume was checked.
+        stats.node_deaths >= 1 && !stats.nodes[doomed_node].alive && resumes_total >= 1
     };
     invariants.push(InvariantResult {
         name: "cluster-stats-accounting-exact".into(),
@@ -558,7 +579,8 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
 
     // Fingerprints come from the direct runs, not the cluster's reports:
     // a job that finished on the doomed node just before the kill has no
-    // fetchable report, and which jobs those are depends on timing.
+    // fetchable report if no heartbeat replicated it first, and which
+    // jobs those are depends on timing.
     // Invariant 4 pins cluster reports to these same direct runs.
     let fingerprints: Vec<Option<JobFingerprint>> = job_states
         .iter()

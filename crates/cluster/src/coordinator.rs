@@ -21,7 +21,9 @@
 //! [`ClusterConfig::heartbeat_interval`] (measured on the injected
 //! [`Clock`](breaksym_testkit::Clock), so tests drive it virtually) and,
 //! on each healthy beat, pulls the node's bulk `/checkpoints` export
-//! into the coordinator's replicated checkpoint store. A node that
+//! into the coordinator's replicated checkpoint store; a job the export
+//! shows done has its final report copied too, once, so a report
+//! outlives the node it finished on. A node that
 //! misses [`ClusterConfig::failure_threshold`] consecutive probes is
 //! declared dead — exactly once — and every non-terminal job mapped to
 //! it is resubmitted to the ring's next surviving node with its
@@ -45,11 +47,11 @@
 //! Durable state — the job table, the cluster id counter, the dead-node
 //! set and the routing counters — is one [`CoordState`], and it changes
 //! in exactly one way: a transition (submit, observation, checkpoint
-//! adoption, move, cancel request, node death or revival) builds one
-//! [`WalRecord`], appends it to the write-ahead log when the coordinator
-//! was started durable ([`Coordinator::start_durable`]), and then applies
-//! it with [`CoordState::apply`] — the function recovery replays the log
-//! through. A live coordinator and one recovered from its log therefore
+//! or report adoption, move, cancel request, node death or revival)
+//! builds one [`WalRecord`], appends it to the write-ahead log when the
+//! coordinator was started durable ([`Coordinator::start_durable`]), and
+//! then applies it with [`CoordState::apply`] — the function recovery
+//! replays the log through. A live coordinator and one recovered from its log therefore
 //! agree by construction. Progress alone is committed from the
 //! heartbeat's replication, at most once per job per beat; a client's
 //! status poll answers the node's live progress and commits only a state
@@ -434,6 +436,7 @@ impl ClusterHandle {
             cancel_requested: false,
             detours: placed.detours,
             resumes: 0,
+            report: None,
         };
         let mut inner = self.shared.inner.lock().expect(POISONED);
         commit(&self.shared, &mut inner, WalRecord::Routed { job: Box::new(job) });
@@ -488,7 +491,8 @@ impl ClusterHandle {
         }
     }
 
-    /// The final report of a completed job, fetched from its node.
+    /// The final report of a completed job: the replica once a heartbeat
+    /// has copied it off the job's node, otherwise fetched from the node.
     ///
     /// # Errors
     ///
@@ -496,15 +500,25 @@ impl ClusterHandle {
     /// unreachable, or the node no longer knows it mid-death — all three
     /// answer the same retryable "resumes on a survivor" shape, never a
     /// raw transport error (a dead node's jobs become fetchable again
-    /// once resumed and finished elsewhere); the node's own error
-    /// otherwise, with ids rewritten to cluster ids.
+    /// once resumed and finished elsewhere) — and for a job that finished
+    /// on a node that died before its report was replicated; the node's
+    /// own error otherwise, with ids rewritten to cluster ids.
     pub fn report(&self, id: JobId) -> Result<RunReport, ServeError> {
         let (node, node_job_id, alive, terminal) = {
             let inner = self.shared.inner.lock().expect(POISONED);
             let job = inner.job(id)?;
+            if let Some(report) = &job.report {
+                return Ok(RunReport::clone(report));
+            }
             (job.node, job.node_job_id, inner.is_alive(job.node), job.state.is_terminal())
         };
         let resuming = |reason: String| ServeError::NotReady { reason };
+        if !alive && terminal {
+            return Err(resuming(format!(
+                "node {node} died before the job's report was replicated; \
+                 it returns if the node rejoins"
+            )));
+        }
         if !alive {
             return Err(resuming(format!("node {node} is dead; the job resumes on a survivor")));
         }
@@ -772,6 +786,7 @@ impl ClusterHandle {
                 node_job_id: job.node_job_id,
                 state: job.state.label().to_string(),
                 has_checkpoint: job.checkpoint.is_some(),
+                has_report: job.report.is_some(),
                 detours: job.detours,
                 resumes: job.resumes,
                 cancel_requested: job.cancel_requested,
@@ -1214,8 +1229,11 @@ fn pull_exports(shared: &CoordShared, node: usize) -> Option<Vec<JobExport>> {
 
 /// Adopts one node's export into the replicated store: fresher
 /// checkpoints (by evaluation count) replace the replica, and
-/// states/progress flow through the usual observation.
+/// states/progress flow through the usual observation. A job the export
+/// shows done gets its final report fetched and replicated, once, so the
+/// report outlives the node.
 fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
+    let mut unreported = Vec::new();
     let mut inner = shared.inner.lock().expect(POISONED);
     let by_node_id: HashMap<u64, u64> = inner
         .state
@@ -1236,7 +1254,30 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
                 commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
             }
         }
+        let done = matches!(export.state, JobState::Done);
         observe(shared, &mut inner, id, export.state, export.status);
+        let unreported_done = inner
+            .state
+            .job(id)
+            .is_some_and(|job| matches!(job.state, JobState::Done) && job.report.is_none());
+        if done && unreported_done {
+            unreported.push((id, export.id.0));
+        }
+    }
+    drop(inner);
+    for (id, node_job_id) in unreported {
+        let fetched = {
+            let mut client = shared.clients[node].lock().expect(POISONED);
+            client
+                .get(&format!("/jobs/{node_job_id}/report"))
+                .ok()
+                .filter(|resp| resp.status == 200)
+                .and_then(|resp| resp.json::<RunReport>().ok())
+        };
+        if let Some(report) = fetched {
+            let mut inner = shared.inner.lock().expect(POISONED);
+            commit(shared, &mut inner, WalRecord::Reported { id, report: Box::new(report) });
+        }
     }
 }
 
@@ -1295,7 +1336,7 @@ fn resume_job(shared: &CoordShared, id: u64, vacated: Option<usize>) {
 /// Declares a node dead — exactly once — and moves its unfinished jobs:
 /// cancel-requested ones are cancelled in place; the rest are
 /// resubmitted, in ascending cluster-id order, to the ring's surviving
-/// fallback with their replicated checkpoints and warm caches attached.
+/// fallback with their replicated checkpoints attached.
 fn declare_dead(shared: &CoordShared, node: usize) {
     {
         let mut inner = shared.inner.lock().expect(POISONED);

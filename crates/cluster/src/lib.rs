@@ -16,7 +16,8 @@
 //!   propagating the 429/503 semantics end-to-end;
 //! - **checkpoint replication** ([`coordinator`]): every heartbeat pulls
 //!   each node's bulk `/checkpoints` export, so the coordinator holds a
-//!   recent resumable checkpoint for every running job;
+//!   recent resumable checkpoint for every running job and the final
+//!   report of every job seen done;
 //! - **death detection and resume**: a node missing
 //!   [`ClusterConfig::failure_threshold`] consecutive `/healthz` probes
 //!   is declared dead and its unfinished jobs are resubmitted to

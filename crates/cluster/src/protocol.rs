@@ -110,6 +110,9 @@ pub struct JobInspect {
     pub state: String,
     /// Whether a replicated checkpoint is held for the job.
     pub has_checkpoint: bool,
+    /// Whether the job's final report is replicated.
+    #[serde(default)]
+    pub has_report: bool,
     /// Submit-time detours: forwards that fell past the ring's first
     /// choice because of transport errors or node rejections.
     #[serde(default)]

@@ -37,7 +37,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 
-use breaksym_core::RunCheckpoint;
+use breaksym_core::{RunCheckpoint, RunReport};
 use breaksym_serve::protocol::{JobSpec, JobState, RunStatus};
 use breaksym_testkit::{fault, FaultAction};
 use serde::{Deserialize, Serialize};
@@ -85,6 +85,10 @@ pub struct PersistedJob {
     /// Times the job was moved (death-resumes plus rebalances).
     #[serde(default)]
     pub resumes: u32,
+    /// The final report, replicated from the node once the job is done,
+    /// so it outlives that node.
+    #[serde(default)]
+    pub report: Option<Box<RunReport>>,
 }
 
 /// The coordinator's routing counters, as persisted and as re-derived by
@@ -164,6 +168,13 @@ pub enum WalRecord {
         #[serde(default)]
         detours_added: u32,
     },
+    /// A done job's final report was replicated.
+    Reported {
+        /// Cluster job id.
+        id: u64,
+        /// The report as its node served it.
+        report: Box<RunReport>,
+    },
     /// A cancel was requested through the coordinator.
     CancelRequested {
         /// Cluster job id.
@@ -236,6 +247,11 @@ impl CoordState {
             WalRecord::Checkpoint { id, checkpoint } => {
                 if let Some(job) = self.job_mut(id) {
                     job.checkpoint = Some(checkpoint);
+                }
+            }
+            WalRecord::Reported { id, report } => {
+                if let Some(job) = self.job_mut(id) {
+                    job.report = Some(report);
                 }
             }
             WalRecord::Moved { id, node, node_job_id, detours_added } => {
@@ -395,7 +411,7 @@ impl WalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use breaksym_core::{MethodSpec, MlmaConfig};
+    use breaksym_core::{Driver, MethodSpec, MlmaConfig};
     use breaksym_serve::protocol::TaskSpec;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -424,6 +440,7 @@ mod tests {
             cancel_requested: false,
             detours: 0,
             resumes: 0,
+            report: None,
         }
     }
 
@@ -457,6 +474,28 @@ mod tests {
         assert_eq!(state.counters.jobs_resumed, 1);
         assert_eq!(state.counters.reroutes, 2, "1 move + 1 detour");
         assert_eq!(state.dead_nodes, vec![0], "node 0 died and never rejoined");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replicated_reports_replay_and_older_jobs_parse_without_one() {
+        let dir = tempdir("report");
+        let mut wal = WalStore::open(&dir).unwrap();
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
+        wal.append(&WalRecord::Observed { id: 1, state: JobState::Done, status: None });
+        let spec = sample_job(1).spec;
+        let task = spec.task.resolve().unwrap();
+        let (method, budget) = spec.resolved_method();
+        let report = Driver::new(budget).run(&task, method.build(&task).unwrap().as_mut()).unwrap();
+        wal.append(&WalRecord::Reported { id: 1, report: Box::new(report.clone()) });
+        let state = wal.load().unwrap().expect("recovered");
+        assert_eq!(state.jobs[0].report.as_deref(), Some(&report));
+
+        // A job written before reports were replicated has none.
+        let mut old = serde_json::to_value(sample_job(2)).unwrap();
+        assert!(old.as_object_mut().unwrap().remove("report").is_some());
+        let back: PersistedJob = serde_json::from_value(old).unwrap();
+        assert_eq!(back, sample_job(2));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -235,6 +235,50 @@ fn dead_node_jobs_resume_on_a_survivor() {
 }
 
 #[test]
+fn a_finished_jobs_report_outlives_its_node_and_the_coordinator() {
+    let _serial = serial();
+    let (mut nodes, addrs) = fleet(2);
+    let dir = state_dir("report");
+    let cfg = ClusterConfig {
+        heartbeat_interval: Duration::from_millis(20),
+        failure_threshold: 3,
+        rpc_timeout: Duration::from_secs(2),
+        ..ClusterConfig::default()
+    };
+    let coordinator = Coordinator::start_durable(addrs.clone(), cfg, &dir).expect("starts");
+    let handle = coordinator.handle();
+
+    let spec = job(5, 120, 16);
+    let id = handle.submit(spec.clone()).expect("submit");
+    let done = handle.wait(id, Duration::from_secs(60)).expect("job settles");
+    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
+    assert!(
+        poll_until(Duration::from_secs(30), || handle.inspect()[0].has_report),
+        "no report replicated in time: {:?}",
+        handle.inspect()
+    );
+
+    // The node the job finished on dies; the report does not.
+    let home = handle.inspect()[0].node;
+    nodes[home].server.stop();
+    assert!(poll_until(Duration::from_secs(30), || !handle.node_alive(home)));
+    let direct = direct_report(&spec);
+    assert_bit_identical(&handle.report(id).expect("report outlives its node"), &direct);
+    assert_eq!(handle.inspect()[0].resumes, 0, "a finished job never moves");
+
+    // Nor does a coordinator restart, with the node still dead.
+    drop(coordinator);
+    let coordinator = Coordinator::start_durable(addrs, cfg, &dir).expect("restarts");
+    let handle = coordinator.handle();
+    assert!(!handle.node_alive(home));
+    assert_bit_identical(&handle.report(id).expect("report outlives a restart"), &direct);
+
+    coordinator.shutdown();
+    teardown(nodes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn heartbeat_failpoint_kills_a_node_on_the_virtual_clock() {
     let _serial = serial();
     let (nodes, addrs) = fleet(2);

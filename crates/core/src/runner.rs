@@ -220,10 +220,9 @@ fn setup_with(
 /// Rejects a checkpoint whose tracker no `RunTracker` could have written:
 /// an empty trajectory, an eval count that disagrees with the
 /// checkpoint's, a best cost that is not the trajectory's last, or a best
-/// placement `env` will not install. Resuming one would report a wrong
-/// initial or best cost with no error. Leaves `env` at the best
-/// placement on success; the caller installs the working one next.
-fn check_tracker(ckpt: &RunCheckpoint, env: &mut LayoutEnv) -> Result<(), PlaceError> {
+/// placement `env` would refuse to install. Resuming one would report a
+/// wrong initial or best cost with no error.
+fn check_tracker(ckpt: &RunCheckpoint, env: &LayoutEnv) -> Result<(), PlaceError> {
     let bad = |reason: String| PlaceError::BadConfig { reason };
     let tracker = &ckpt.tracker;
     let Some(&(_, last_cost)) = tracker.trajectory.last() else {
@@ -241,7 +240,7 @@ fn check_tracker(ckpt: &RunCheckpoint, env: &mut LayoutEnv) -> Result<(), PlaceE
             tracker.best_cost
         )));
     }
-    env.set_placement(tracker.best_placement.clone())
+    env.validate_placement(&tracker.best_placement)
         .map_err(|e| bad(format!("checkpoint best placement does not install: {e}")))
 }
 
@@ -475,7 +474,7 @@ impl Driver {
                 (tracker, opt.label().to_string(), 0)
             }
             Some(ckpt) => {
-                check_tracker(ckpt, &mut env)?;
+                check_tracker(ckpt, &env)?;
                 opt.restore(&ckpt.optimizer).map_err(|e| PlaceError::BadConfig {
                     reason: format!("optimizer snapshot does not restore: {e}"),
                 })?;

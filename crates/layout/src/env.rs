@@ -149,23 +149,21 @@ impl LayoutEnv {
     }
 
     /// Replaces the placement wholesale (used by baseline generators,
-    /// warm-start resets and resumes). The placement's occupancy map and
-    /// fingerprint are rebuilt first: a deserialised placement arrives
-    /// without them, and legality checks, the LDE model and the evaluation
-    /// cache all read them. This is the one place a stored placement gets
-    /// its index, so placements kept in search state or checkpoints need
-    /// no fix-up of their own.
+    /// warm-start resets and resumes). A legal placement has its
+    /// occupancy map and fingerprint rebuilt before it is installed: a
+    /// deserialised placement arrives without them, and legality checks,
+    /// the LDE model and the evaluation cache all read them. This is the
+    /// one place a stored placement gets its index, so placements kept in
+    /// search state or checkpoints need no fix-up of their own.
     ///
     /// # Errors
     ///
-    /// Same validation as [`LayoutEnv::new`].
+    /// Same validation as [`LayoutEnv::new`]
+    /// ([`LayoutEnv::validate_placement`]); the current placement stays.
     pub fn set_placement(&mut self, mut placement: Placement) -> Result<(), LayoutError> {
+        self.validate_placement(&placement)?;
         placement.rebuild_index();
-        let old = std::mem::replace(&mut self.placement, placement);
-        if let Err(e) = self.validate() {
-            self.placement = old;
-            return Err(e);
-        }
+        self.placement = placement;
         Ok(())
     }
 
@@ -190,25 +188,37 @@ impl LayoutEnv {
     ///
     /// Returns the first violation found.
     pub fn validate(&self) -> Result<(), LayoutError> {
-        if self.placement.len() != self.circuit.num_units() {
+        self.validate_placement(&self.placement)
+    }
+
+    /// The audit of [`LayoutEnv::validate`] applied to any placement of
+    /// this circuit — what [`LayoutEnv::set_placement`] checks before
+    /// installing one. Reads positions and dummies only, so a
+    /// deserialised placement needs no index first.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found.
+    pub fn validate_placement(&self, placement: &Placement) -> Result<(), LayoutError> {
+        if placement.len() != self.circuit.num_units() {
             return Err(LayoutError::WrongUnitCount {
-                got: self.placement.len(),
+                got: placement.len(),
                 expected: self.circuit.num_units(),
             });
         }
         let bounds = self.spec.bounds();
-        for &p in self.placement.positions() {
+        for &p in placement.positions() {
             if !bounds.contains(p) {
                 return Err(LayoutError::OutOfBounds { cell: p });
             }
         }
-        for &d in self.placement.dummies() {
+        for &d in placement.dummies() {
             if !bounds.contains(d) {
                 return Err(LayoutError::OutOfBounds { cell: d });
             }
         }
         for (gi, units) in self.group_units.iter().enumerate() {
-            let cells: Vec<GridPoint> = units.iter().map(|&u| self.placement.position(u)).collect();
+            let cells: Vec<GridPoint> = units.iter().map(|&u| placement.position(u)).collect();
             if !is_connected4(&cells) {
                 return Err(LayoutError::DisconnectsGroup { group: GroupId::new(gi as u32) });
             }

@@ -586,15 +586,20 @@ fn a_cancelled_queued_job_is_retired_like_a_finished_one() {
     let handle = engine.handle();
 
     // With nothing retained, a job that ends Done is evicted at once...
+    // Watched through the counters: `wait` and `status` cannot tell how
+    // an evicted job ended (see ROADMAP, "`retain_max: 0` hides how a job
+    // ended").
     let mut quick =
         JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(quick_cfg()));
     quick.seed = Some(9);
     let done = handle.submit(quick).unwrap();
-    match handle.wait(done, Duration::from_secs(120)) {
-        Err(ServeError::JobEvicted { id }) => assert_eq!(id, done),
-        other => panic!("expected JobEvicted, got {other:?}"),
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while handle.stats().jobs_done == 0 {
+        assert!(Instant::now() < deadline, "job {done} never finished");
+        std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(handle.stats().jobs_retired, 1);
+    assert!(matches!(handle.status(done), Err(ServeError::JobEvicted { id }) if id == done));
 
     // ...and so is a queued job cancelled before any worker claims it.
     // The one worker is busy with the endless job, so the second waits.
@@ -610,10 +615,10 @@ fn a_cancelled_queued_job_is_retired_like_a_finished_one() {
     assert_eq!((stats.jobs_cancelled, stats.jobs_retired), (1, 2));
 
     handle.cancel(running).unwrap();
-    assert!(matches!(
-        handle.wait(running, Duration::from_secs(120)),
-        Err(ServeError::JobEvicted { .. })
-    ));
+    while handle.stats().jobs_retired < 3 {
+        assert!(Instant::now() < deadline, "job {running} never stopped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     engine.shutdown();
 }
 

@@ -409,16 +409,18 @@ fn cluster_healthz_and_job_inspect_without_optional_keys_still_deserialize() {
         node_job_id: 2,
         state: "running".into(),
         has_checkpoint: true,
+        has_report: true,
         detours: 1,
         resumes: 1,
         cancel_requested: false,
     };
     let mut v = serde_json::to_value(&inspect).unwrap();
     let obj = v.as_object_mut().unwrap();
-    for newer in ["detours", "resumes", "cancel_requested"] {
+    for newer in ["has_report", "detours", "resumes", "cancel_requested"] {
         assert!(obj.remove(newer).is_some(), "{newer} missing from the wire format");
     }
     let back: JobInspect = serde_json::from_value(v).unwrap();
+    assert!(!back.has_report);
     assert_eq!(back.detours, 0);
     assert_eq!(back.resumes, 0);
     assert!(!back.cancel_requested);
