@@ -379,7 +379,6 @@ fn serve(flags: &[String]) {
         workers,
         queue_cap,
         slice_evals,
-        default_timeout_ms: None,
         retain_ttl: (retain_secs > 0).then(|| Duration::from_secs(retain_secs)),
         retain_max,
     });

@@ -58,11 +58,12 @@
 //!   inject exactly `failure_threshold` consecutive misses for the
 //!   doomed node — deterministically, unlike a *sampled* heartbeat
 //!   fault. The node (which never actually stopped) then answers the
-//!   revival hysteresis and rejoins, and home-keyed jobs migrate back.
+//!   revival hysteresis and rejoins, and home-keyed jobs move back.
 //!   The doomed node here is *predicted* from the pure ring rather than
 //!   observed, so the trigger schedule is a seed function. Invariants
-//!   additionally require a revival and the doomed node alive at the
-//!   end.
+//!   additionally require a revival, the doomed node alive at the end,
+//!   and a job that moved off its home node and back (it ends there with
+//!   at least two resumes).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +83,7 @@ use serde::{Deserialize, Serialize};
 use crate::coordinator::{
     ClusterConfig, Coordinator, FAIL_FORWARD, FAIL_HEARTBEAT, FAIL_REPLICATE,
 };
-use crate::ring::HashRing;
+use crate::ring::{HashRing, VNODES};
 
 /// Knobs of one multi-node chaos run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -249,21 +250,21 @@ pub fn cluster_fault_plan(seed: u64, faults: usize, nodes: usize) -> FaultPlan {
 const SLICE_HOLD_MS: u64 = 10;
 
 /// The beat (1-indexed) at which revive mode's scripted kill starts —
-/// late enough (~1s at the harness's 25ms interval) that first slices
-/// have checkpointed and replicated, fixed so the trigger schedule is a
-/// pure seed function.
-const REVIVE_KILL_BEAT: u64 = 40;
+/// early, while the busiest node (one worker, at least two jobs) still
+/// has work queued, so jobs it hands to survivors are still unfinished
+/// three beats later, when it revives and takes them back. Fixed, so the
+/// trigger schedule is a pure seed function.
+const REVIVE_KILL_BEAT: u64 = 3;
 
 /// Predicts the busiest node from the pure ring — where revive mode aims
 /// its scripted kill. Home routes (whole fleet alive) for ids
 /// `1..=jobs`, ties to the lowest index: a pure function of the
 /// configuration, so both runs of a seed aim at the same node.
 fn predicted_busiest(nodes: usize, jobs: usize) -> usize {
-    let ring = HashRing::new(nodes, ClusterConfig::default().vnodes);
-    let alive = vec![true; nodes];
+    let ring = HashRing::new(nodes, VNODES);
     let mut counts = vec![0usize; nodes];
     for id in 1..=jobs as u64 {
-        if let Some(node) = ring.route(id, &alive) {
+        if let Some(node) = ring.preferred(id) {
             counts[node] += 1;
         }
     }
@@ -327,7 +328,6 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         failure_threshold: 3,
         inflight_window: config.jobs.max(8),
         rpc_timeout: Duration::from_secs(2),
-        ..ClusterConfig::default()
     };
     let state_dir = config.coordinator_restart.then(|| scratch_state_dir(config.seed));
     let mut coordinator = match &state_dir {
@@ -487,8 +487,20 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         && stats.jobs_cancelled == cancelled;
     let reroute_ok =
         stats.jobs_resumed == resumes_total && stats.reroutes == resumes_total + detours_total;
+    // In revive mode, jobs that moved off their home node and back: they
+    // end there having been resumed at least twice.
+    let ring = HashRing::new(nodes, VNODES);
+    let moved_home = inspect
+        .iter()
+        .filter(|job| job.resumes >= 2 && ring.preferred(job.id) == Some(job.node))
+        .count();
     let death_ok = if config.revive {
-        stats.node_deaths >= 1 && stats.node_revivals >= 1 && stats.nodes[doomed_node].alive
+        // The revival must have taken a job back, or no move home was
+        // checked.
+        stats.node_deaths >= 1
+            && stats.node_revivals >= 1
+            && stats.nodes[doomed_node].alive
+            && moved_home >= 1
     } else {
         // The kill must have moved a job, or no resume was checked.
         stats.node_deaths >= 1 && !stats.nodes[doomed_node].alive && resumes_total >= 1
@@ -499,7 +511,8 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         details: format!(
             "stats: {}/{}/{}/{}/{} routed/done/failed/timed_out/cancelled, \
              {} reroutes ({} detours + {} resumes over {} resumed jobs), \
-             {} node deaths / {} revivals (doomed {} alive: {}); observed: \
+             {} node deaths / {} revivals (doomed {} alive: {}), \
+             {moved_home} jobs moved off their home and back; observed: \
              {done}/{failed}/{timed_out}/{cancelled}",
             stats.jobs_routed,
             stats.jobs_done,

@@ -36,11 +36,15 @@
 //! Dead nodes keep being probed. One that answers
 //! [`ClusterConfig::failure_threshold`] consecutive probes (hysteresis —
 //! a flapping node must re-earn its place) is revived, and every
-//! unfinished job whose *home* ring position is the revived node is
-//! migrated back at a slice boundary: cancel-with-checkpoint on the
-//! survivor, resume on the home node. A migration counts as one resume
-//! and `1 + detours` reroutes, exactly like a death-resume, so the
-//! `reroutes == detours + resumes` accounting identity survives rejoin.
+//! unfinished job whose *home* ring position is the revived node moves
+//! back exactly as a death-resume moves a job: it is resumed on the home
+//! node from its replicated checkpoint, and once that move is committed
+//! the copy left on the survivor gets one fire-and-forget cancel. The
+//! home node repeats what the survivor ran since the last replicated
+//! checkpoint (about one heartbeat of progress); resume is bit-identical,
+//! so the report is the same. Every move counts as one resume and
+//! `1 + detours` reroutes, so the `reroutes == detours + resumes`
+//! accounting identity survives rejoin.
 //!
 //! # Durability
 //!
@@ -61,8 +65,8 @@
 //! declaring the unreachable dead — before accepting traffic. See the
 //! [`wal`](crate::wal) module docs for the format and the recovery
 //! rules. Only ephemeral state lives beside `CoordState`: liveness and
-//! probe counters, in-flight window reservations, migration flags, and
-//! the id reservation counter.
+//! probe counters, in-flight window reservations, and the id reservation
+//! counter.
 //!
 //! # Lock discipline
 //!
@@ -92,7 +96,7 @@ use breaksym_testkit::{fault, real_clock, FaultAction, SharedClock};
 
 use crate::client::NodeClient;
 use crate::protocol::{fold_stats, ClusterHealthz, ClusterStats, JobInspect, NodeReport};
-use crate::ring::HashRing;
+use crate::ring::{HashRing, VNODES};
 use crate::wal::{CoordState, PersistedJob, WalRecord, WalStore};
 
 /// Failpoint hit once per forward attempt (submit and death-resume
@@ -112,7 +116,7 @@ pub const FAIL_HEARTBEAT: &str = "cluster::heartbeat";
 /// pull for this beat (stale replicas, not missed heartbeats).
 pub const FAIL_REPLICATE: &str = "cluster::replicate";
 
-/// Failpoint hit once per rebalance candidate, before its migration.
+/// Failpoint hit once per rebalance candidate, before its move home.
 /// `Fail` and `Drop` actions skip the move — the job simply finishes on
 /// its survivor, which is always safe.
 pub const FAIL_REBALANCE: &str = "cluster::rebalance";
@@ -138,8 +142,6 @@ pub struct ClusterConfig {
     /// cluster-level backpressure valve in front of each node's own
     /// bounded queue.
     pub inflight_window: usize,
-    /// Virtual nodes per real node on the hash ring.
-    pub vnodes: usize,
     /// Socket timeout for every coordinator→node RPC.
     pub rpc_timeout: Duration,
 }
@@ -150,7 +152,6 @@ impl Default for ClusterConfig {
             heartbeat_interval: Duration::from_millis(1000),
             failure_threshold: 3,
             inflight_window: 32,
-            vnodes: 16,
             rpc_timeout: Duration::from_secs(5),
         }
     }
@@ -163,10 +164,6 @@ struct Inner {
     /// Jobs are in ascending id order, so every iteration — replication
     /// matching, death-resume order, exports — is deterministic.
     state: CoordState,
-    /// Jobs a rejoin migration owns right now: terminal states observed
-    /// from their (old) node are the migration's own cancel and must not
-    /// settle them.
-    migrating: HashSet<u64>,
     alive: Vec<bool>,
     /// Consecutive missed heartbeats per node.
     misses: Vec<u32>,
@@ -307,7 +304,7 @@ impl Coordinator {
             }
         }
         let shared = Arc::new(CoordShared {
-            ring: HashRing::new(nodes, cfg.vnodes),
+            ring: HashRing::new(nodes, VNODES),
             clients: addrs
                 .iter()
                 .map(|addr| Mutex::new(NodeClient::new(addr.clone(), cfg.rpc_timeout)))
@@ -318,7 +315,6 @@ impl Coordinator {
             inner: Mutex::new(Inner {
                 next_id: state.next_id,
                 state,
-                migrating: HashSet::new(),
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
                 revive_hits: vec![0; nodes],
@@ -414,7 +410,7 @@ impl ClusterHandle {
     /// [`ServeError::ShuttingDown`] when draining or no node is
     /// reachable; [`ServeError::BadRequest`] when the task does not
     /// resolve.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
+    pub fn submit(&self, mut spec: JobSpec) -> Result<JobId, ServeError> {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
@@ -425,9 +421,11 @@ impl ClusterHandle {
             inner.next_id
         };
         let placed = forward(&self.shared, id, &spec, true)?;
+        // The checkpoint is held once, as the replica: a move attaches the
+        // replica to the spec it forwards.
         let job = PersistedJob {
             id,
-            checkpoint: spec.checkpoint.clone(),
+            checkpoint: spec.checkpoint.take(),
             spec,
             node: placed.node,
             node_job_id: placed.node_job_id,
@@ -444,11 +442,11 @@ impl ClusterHandle {
     }
 
     /// The job's state: live from its node when reachable, otherwise the
-    /// coordinator's replicated view (which is also what dead-node and
-    /// mid-migration jobs show while their move is pending). The state
-    /// is always the coordinator's *settled* view — a live poll is
-    /// folded through the same sticky-terminal observation every other
-    /// path uses — and the progress is the poll's own.
+    /// coordinator's replicated view (which is also what a dead node's
+    /// jobs show while their move is pending). The state is always the
+    /// coordinator's *settled* view — a live poll is folded through the
+    /// same sticky-terminal observation every other path uses — and the
+    /// progress is the poll's own.
     ///
     /// # Errors
     ///
@@ -458,9 +456,7 @@ impl ClusterHandle {
         let (node, node_job_id, poll_live, cached) = {
             let inner = self.shared.inner.lock().expect(POISONED);
             let job = inner.job(id)?;
-            let poll_live = !job.state.is_terminal()
-                && inner.is_alive(job.node)
-                && !inner.migrating.contains(&id.0);
+            let poll_live = !job.state.is_terminal() && inner.is_alive(job.node);
             (
                 job.node,
                 job.node_job_id,
@@ -482,7 +478,7 @@ impl ClusterHandle {
         };
         match fetched {
             Ok(resp) if resp.status == 200 => match resp.json::<StatusResponse>() {
-                Ok(live) => self.settle_poll(id, live),
+                Ok(live) => self.settle_poll(id, (node, node_job_id), live),
                 Err(_) => Ok(cached),
             },
             // Unreachable node or node-side eviction: the replicated view
@@ -586,15 +582,16 @@ impl ClusterHandle {
 
     /// Cancels a job wherever it lives. On a live node the node decides
     /// (its usual slice-boundary semantics); on a dead node the job is
-    /// cancelled locally instead of being resumed; mid-migration the
-    /// request is recorded and the coordinator's view answers.
+    /// cancelled locally instead of being resumed. The request is
+    /// recorded first, so a move committed after it cancels the copy it
+    /// places too.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownJob`] for an id this coordinator never
     /// routed.
     pub fn cancel(&self, id: JobId) -> Result<StatusResponse, ServeError> {
-        let (node, node_job_id, alive, terminal, migrating) = {
+        let (node, node_job_id, alive, terminal) = {
             let mut inner = self.shared.inner.lock().expect(POISONED);
             let job = inner.job(id)?;
             let (node, node_job_id, terminal) =
@@ -602,15 +599,9 @@ impl ClusterHandle {
             if !terminal && !job.cancel_requested {
                 commit(&self.shared, &mut inner, WalRecord::CancelRequested { id: id.0 });
             }
-            (
-                node,
-                node_job_id,
-                inner.is_alive(node),
-                terminal,
-                inner.migrating.contains(&id.0),
-            )
+            (node, node_job_id, inner.is_alive(node), terminal)
         };
-        if terminal || migrating {
+        if terminal {
             return self.cached_status(id);
         }
         if !alive {
@@ -626,7 +617,7 @@ impl ClusterHandle {
         };
         match fetched {
             Ok(resp) if resp.status == 200 => match resp.json::<StatusResponse>() {
-                Ok(live) => self.settle_poll(id, live),
+                Ok(live) => self.settle_poll(id, (node, node_job_id), live),
                 Err(_) => self.cached_status(id),
             },
             // The cancel flag is recorded: if the node later dies, the
@@ -636,20 +627,31 @@ impl ClusterHandle {
     }
 
     /// Folds a node's answer to a client poll into the settled view.
-    /// Only a state change is committed (with the progress it carries);
+    /// The answer is bound to `placement`, the `(node, node_job_id)` the
+    /// poll went to: if the job has moved since, the answer describes a
+    /// copy the coordinator no longer owns (typically one it cancelled),
+    /// so the settled view answers and nothing is committed. Otherwise
+    /// only a state change is committed (with the progress it carries);
     /// the poll's progress is answered live but left to the heartbeat,
     /// which commits it once per beat — so reads, however often a client
     /// polls, append to the WAL only when a job changes state.
-    fn settle_poll(&self, id: JobId, live: StatusResponse) -> Result<StatusResponse, ServeError> {
+    fn settle_poll(
+        &self,
+        id: JobId,
+        placement: (usize, u64),
+        live: StatusResponse,
+    ) -> Result<StatusResponse, ServeError> {
         let mut inner = self.shared.inner.lock().expect(POISONED);
-        if inner.job(id)?.state != live.state {
+        let job = inner.job(id)?;
+        let current = (job.node, job.node_job_id) == placement;
+        if current && job.state != live.state {
             observe(&self.shared, &mut inner, id.0, live.state, live.status);
         }
         let job = inner.job(id)?;
         Ok(StatusResponse {
             id,
             state: job.state.clone(),
-            status: live.status.or(job.status),
+            status: live.status.filter(|_| current).or(job.status),
             warnings: Vec::new(),
         })
     }
@@ -916,7 +918,7 @@ fn commit(shared: &CoordShared, inner: &mut Inner, record: WalRecord) {
 /// home-keyed jobs are rebalanced back exactly as a live rejoin would.
 /// The probes and adoption consult no failpoints — reconciliation is
 /// startup, and keeping it off the fault registry keeps chaos hit
-/// cadences beat-aligned — though the rebalance migrations still consume
+/// cadences beat-aligned — though the rebalance moves still consume
 /// their usual [`FAIL_REBALANCE`] hits.
 fn reconcile(shared: &CoordShared) {
     let mut revived = Vec::new();
@@ -944,14 +946,14 @@ fn reconcile(shared: &CoordShared) {
         // coordinator was down).
         let orphans =
             unfinished_jobs(shared, |job| job.node == node && !exported.contains(&job.node_job_id));
-        resume_orphans(shared, orphans, Some(node));
+        resume_orphans(shared, orphans);
     }
     // Jobs recovered on a node index this fleet does not have are
     // orphans too; no window slot was ever reserved for them.
     let nodes = shared.addrs.len();
-    resume_orphans(shared, unfinished_jobs(shared, |job| job.node >= nodes), None);
-    // Rebalance after the whole fleet is adopted, so migrations see
-    // final liveness and the freshest replicated checkpoints.
+    resume_orphans(shared, unfinished_jobs(shared, |job| job.node >= nodes));
+    // Rebalance after the whole fleet is adopted, so moves see final
+    // liveness and the freshest replicated checkpoints.
     for node in revived {
         rebalance(shared, node);
     }
@@ -965,9 +967,9 @@ fn unfinished_jobs(shared: &CoordShared, filter: impl Fn(&PersistedJob) -> bool)
 }
 
 /// Resumes jobs that no node holds any more from their replicated
-/// checkpoints, like any other move. A cancel-requested orphan is
-/// cancelled in place instead.
-fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>, vacated: Option<usize>) {
+/// checkpoints, like any other move; one that no node accepts fails. A
+/// cancel-requested orphan is cancelled in place instead.
+fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>) {
     for id in orphans {
         let cancelled = {
             let mut inner = shared.inner.lock().expect(POISONED);
@@ -977,8 +979,12 @@ fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>, vacated: Option<usize
             }
             requested
         };
-        if !cancelled {
-            resume_job(shared, id, vacated);
+        if cancelled {
+            continue;
+        }
+        if let Err(e) = resume_job(shared, id) {
+            let failed = JobState::Failed { error: format!("resume after a move failed: {e}") };
+            observe(shared, &mut shared.inner.lock().expect(POISONED), id, failed, None);
         }
     }
 }
@@ -988,6 +994,17 @@ fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>, vacated: Option<usize
 fn cancel_in_place(shared: &CoordShared, inner: &mut Inner, id: u64) {
     let resumable = inner.state.job(id).is_some_and(|job| job.checkpoint.is_some());
     observe(shared, inner, id, JobState::Cancelled { resumable }, None);
+}
+
+/// Sends one fire-and-forget cancel to the copy `node_job_id` on `node`
+/// — a copy the coordinator no longer owns (left behind by a move, or
+/// placed by a move that lost a race to the job's end), or the new
+/// placement of a cancel-requested job. The answer is ignored: the
+/// heartbeat observes only each job's current placement. Called outside
+/// the `inner` lock.
+fn cancel_copy(shared: &CoordShared, node: usize, node_job_id: u64) {
+    let mut client = shared.clients[node].lock().expect(POISONED);
+    let _ = client.request("POST", &format!("/jobs/{node_job_id}/cancel"), None);
 }
 
 // ------------------------------------------------------------ forwarding
@@ -1104,10 +1121,11 @@ fn forward(
 
 /// Records an observation of a job under the `inner` lock. Terminal is
 /// sticky: nothing a node says later can resurrect a job the coordinator
-/// has settled. While a migration owns the job, terminal states from its
-/// old node are the migration's own cancel at work and are ignored. A new
-/// state or new progress is committed as one `Observed` record, whose
-/// apply bumps the matching terminal counter on the first transition to
+/// has settled. Callers pass only what the job's current placement said
+/// (the heartbeat matches exports by the job's node, and client polls go
+/// through `ClusterHandle::settle_poll`), so a copy a move left behind
+/// never settles the job. A new state or new progress is committed as
+/// one `Observed` record, whose apply bumps the matching terminal counter on the first transition to
 /// terminal — exactly once per job, whatever mixture of polls,
 /// heartbeats, and cancels observed it; that transition also frees the
 /// job's window slot. An observation that changes nothing records
@@ -1124,7 +1142,7 @@ fn observe(
     let Some(job) = inner.state.job(id) else {
         return;
     };
-    let held = job.state.is_terminal() || (state.is_terminal() && inner.migrating.contains(&id));
+    let held = job.state.is_terminal();
     let state = if held { job.state.clone() } else { state };
     let status = status.filter(|&status| job.status != Some(status));
     if state == job.state && status.is_none() {
@@ -1295,42 +1313,52 @@ fn replicate(shared: &CoordShared, node: usize) {
     adopt_exports(shared, node, exports);
 }
 
-/// Re-forwards one non-terminal job — death-resume, rejoin migration, or
-/// restart reconciliation — with its replicated checkpoint attached, and
-/// commits the move (`+1` resume, `1 + detours` reroutes). `vacated`
-/// names a node whose window slot the job leaves behind, when the caller
-/// has not already zeroed it.
-fn resume_job(shared: &CoordShared, id: u64, vacated: Option<usize>) {
+/// Moves one non-terminal job — death-resume, rejoin rebalance, or
+/// restart reconciliation: forwards its spec with the replicated
+/// checkpoint attached, then commits the move (`+1` resume, `1 + detours`
+/// reroutes) and frees the window slot of the node it left (a dead
+/// node's window is already zeroed). Returns the `(node, node_job_id)`
+/// the job left when the move committed, and the forward's error when no
+/// node took the job.
+///
+/// The forward runs without the `inner` lock, so the job may settle
+/// meanwhile — a client cancel on a dead node does exactly that. Then no
+/// move is committed: the terminal state stands, and the copy just
+/// placed is released and cancelled. A cancel requested before the move
+/// commits is sent on to the new placement.
+fn resume_job(shared: &CoordShared, id: u64) -> Result<Option<(usize, u64)>, ServeError> {
     let spec = {
         let inner = shared.inner.lock().expect(POISONED);
         let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
-            return;
+            return Ok(None);
         };
         let mut spec = job.spec.clone();
         spec.checkpoint = job.checkpoint.clone();
         spec
     };
-    let placed = forward(shared, id, &spec, false);
+    let placed = forward(shared, id, &spec, false)?;
     let mut inner = shared.inner.lock().expect(POISONED);
-    inner.migrating.remove(&id);
-    match placed {
-        Ok(placed) => {
-            if let Some(node) = vacated {
-                inner.release(node);
-            }
-            let record = WalRecord::Moved {
-                id,
-                node: placed.node,
-                node_job_id: placed.node_job_id,
-                detours_added: placed.detours,
-            };
-            commit(shared, &mut inner, record);
-        }
-        Err(e) => {
-            let failed = JobState::Failed { error: format!("resume after a move failed: {e}") };
-            observe(shared, &mut inner, id, failed, None);
-        }
+    let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
+        inner.release(placed.node);
+        drop(inner);
+        cancel_copy(shared, placed.node, placed.node_job_id);
+        return Ok(None);
+    };
+    let left = (job.node, job.node_job_id);
+    inner.release(left.0);
+    let record = WalRecord::Moved {
+        id,
+        node: placed.node,
+        node_job_id: placed.node_job_id,
+        detours_added: placed.detours,
+    };
+    commit(shared, &mut inner, record);
+    let cancel_requested = inner.state.job(id).is_some_and(|job| job.cancel_requested);
+    drop(inner);
+    if cancel_requested {
+        cancel_copy(shared, placed.node, placed.node_job_id);
     }
+    Ok(Some(left))
 }
 
 /// Declares a node dead — exactly once — and moves its unfinished jobs:
@@ -1348,12 +1376,12 @@ fn declare_dead(shared: &CoordShared, node: usize) {
         inner.revive_hits[node] = 0;
         commit(shared, &mut inner, WalRecord::NodeDead { node });
     }
-    resume_orphans(shared, unfinished_jobs(shared, |job| job.node == node), None);
+    resume_orphans(shared, unfinished_jobs(shared, |job| job.node == node));
 }
 
 // ------------------------------------------------------------ rejoin
 
-/// Revives a dead node and migrates its home-keyed jobs back.
+/// Revives a dead node and moves its home-keyed jobs back.
 fn revive(shared: &CoordShared, node: usize) {
     {
         let mut inner = shared.inner.lock().expect(POISONED);
@@ -1370,15 +1398,15 @@ fn revive(shared: &CoordShared, node: usize) {
 
 /// Moves every unfinished job whose *home* ring position (the route with
 /// the whole fleet up) is the revived node back onto it, in ascending
-/// cluster-id order. Each candidate consumes one [`FAIL_REBALANCE`] hit;
-/// an injected fault skips that job's migration — it simply finishes on
-/// its survivor, which is always correct.
+/// cluster-id order. Each move is a [`resume_job`] from the replicated
+/// checkpoint, like a death-resume; once it commits, the copy left on
+/// the survivor is cancelled. Each candidate consumes one
+/// [`FAIL_REBALANCE`] hit; an injected fault, or a forward no node
+/// takes, skips that job's move — it simply finishes on its survivor,
+/// which is always correct.
 fn rebalance(shared: &CoordShared, home: usize) {
-    let whole_fleet = vec![true; shared.addrs.len()];
     let candidates = unfinished_jobs(shared, |job| {
-        !job.cancel_requested
-            && job.node != home
-            && shared.ring.route(job.id, &whole_fleet) == Some(home)
+        !job.cancel_requested && job.node != home && shared.ring.preferred(job.id) == Some(home)
     });
     for id in candidates {
         if matches!(
@@ -1387,84 +1415,8 @@ fn rebalance(shared: &CoordShared, home: usize) {
         ) {
             continue;
         }
-        migrate(shared, id);
-    }
-}
-
-/// Migrates one job back to its revived home node: cancel on the
-/// survivor, wait for the slice boundary, carry the cancellation
-/// checkpoint (at least as fresh as the replica) home, resume there.
-/// Runs on the heartbeat thread; the job is marked `migrating`
-/// throughout so no racing poll can settle it on the survivor's cancel.
-fn migrate(shared: &CoordShared, id: u64) {
-    let Some((survivor, node_job_id)) = ({
-        let mut guard = shared.inner.lock().expect(POISONED);
-        let inner = &mut *guard;
-        inner
-            .state
-            .job(id)
-            .filter(|job| !job.state.is_terminal() && !job.cancel_requested)
-            .map(|job| (job.node, job.node_job_id))
-            // Claim the job; one another migration already owns is skipped.
-            .filter(|_| inner.migrating.insert(id))
-    }) else {
-        return;
-    };
-    // Ask the survivor to stop at the next slice boundary, then wait
-    // (bounded, on the real clock — the node runs on one) for it.
-    let posted = {
-        let mut client = shared.clients[survivor].lock().expect(POISONED);
-        client.request("POST", &format!("/jobs/{node_job_id}/cancel"), None).is_ok()
-    };
-    let mut finished_instead = None;
-    let mut fresh_ckpt: Option<Box<RunCheckpoint>> = None;
-    if posted {
-        let deadline = Instant::now() + shared.cfg.rpc_timeout;
-        loop {
-            let settled = {
-                let mut client = shared.clients[survivor].lock().expect(POISONED);
-                client
-                    .get(&format!("/jobs/{node_job_id}"))
-                    .ok()
-                    .filter(|resp| resp.status == 200)
-                    .and_then(|resp| resp.json::<StatusResponse>().ok())
-                    .filter(|resp| resp.state.is_terminal())
-            };
-            if let Some(resp) = settled {
-                if !matches!(resp.state, JobState::Cancelled { .. }) {
-                    // The job beat the cancel to its own finish line:
-                    // nothing to move, the terminal state is real.
-                    finished_instead = Some((resp.state, resp.status));
-                }
-                break;
-            }
-            if Instant::now() >= deadline {
-                // The survivor is stalling or dying mid-migration; fall
-                // through to a resume from the replica — worst case both
-                // copies run, deterministically to the same answer.
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        if finished_instead.is_none() {
-            let mut client = shared.clients[survivor].lock().expect(POISONED);
-            fresh_ckpt = client
-                .get(&format!("/jobs/{node_job_id}/checkpoint"))
-                .ok()
-                .filter(|resp| resp.status == 200)
-                .and_then(|resp| resp.json::<RunCheckpoint>().ok())
-                .map(Box::new);
+        if let Ok(Some((survivor, node_job_id))) = resume_job(shared, id) {
+            cancel_copy(shared, survivor, node_job_id);
         }
     }
-    let mut inner = shared.inner.lock().expect(POISONED);
-    if let Some((state, status)) = finished_instead {
-        inner.migrating.remove(&id);
-        observe(shared, &mut inner, id, state, status);
-        return;
-    }
-    if let Some(checkpoint) = fresh_ckpt {
-        commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
-    }
-    drop(inner);
-    resume_job(shared, id, Some(survivor));
 }

@@ -27,9 +27,9 @@
 //! - **rejoin rebalancing**: a dead node that answers the same
 //!   threshold's worth of *consecutive* probes (hysteresis) is revived,
 //!   and unfinished jobs whose home ring position is the revived node
-//!   migrate back at a slice boundary — cancel-with-checkpoint on the
-//!   survivor, resume at home — keeping the
-//!   `reroutes == detours + resumes` accounting identity;
+//!   move back the way a death-resume moves a job — resumed at home from
+//!   the replicated checkpoint, then the survivor's copy cancelled —
+//!   keeping the `reroutes == detours + resumes` accounting identity;
 //! - **coordinator durability** ([`wal`]): started with a state
 //!   directory ([`Coordinator::start_durable`]), every change to the
 //!   job table and counters is one write-ahead-logged record, and a

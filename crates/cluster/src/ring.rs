@@ -12,6 +12,9 @@
 //! makes the chaos harness's run-twice determinism possible, and it
 //! means a restarted coordinator routes identically to its predecessor.
 
+/// Virtual nodes per real node on every coordinator's ring.
+pub(crate) const VNODES: usize = 16;
+
 /// FNV-1a over a byte string: tiny, dependency-free, and stable — the
 /// properties that matter here; cryptographic strength does not.
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -56,13 +56,14 @@ const LOG: &str = "wal.jsonl";
 const COMPACT_EVERY: u64 = 256;
 
 /// One routed job: the coordinator's durable record of it. What is
-/// rebuilt at recovery (liveness, windows, migration flags) lives outside
-/// it.
+/// rebuilt at recovery (liveness, windows) lives outside it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedJob {
     /// The cluster-wide job id.
     pub id: u64,
-    /// The spec as submitted.
+    /// The spec as submitted, minus its checkpoint: a submitted
+    /// checkpoint becomes the replica below, and every move attaches the
+    /// replica (older logs that still carry one here load the same).
     pub spec: JobSpec,
     /// Node responsible at write time.
     pub node: usize,
@@ -205,9 +206,10 @@ impl CoordState {
     }
 
     /// Applies one record — the only way a coordinator's durable state
-    /// changes, live or replayed. Terminal states are sticky, terminal
-    /// counters bump exactly once per job, and every move counts one
-    /// resume and `1 + detours` reroutes.
+    /// changes, live or replayed. Terminal states are sticky (a move of a
+    /// terminal job changes nothing), terminal counters bump exactly once
+    /// per job, and every move counts one resume and `1 + detours`
+    /// reroutes.
     pub fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::Routed { job } => {
@@ -255,13 +257,14 @@ impl CoordState {
                 }
             }
             WalRecord::Moved { id, node, node_job_id, detours_added } => {
-                if let Some(job) = self.job_mut(id) {
-                    job.node = node;
-                    job.node_job_id = node_job_id;
-                    job.state = JobState::Queued;
-                    job.detours += detours_added;
-                    job.resumes += 1;
-                }
+                let Some(job) = self.job_mut(id).filter(|job| !job.state.is_terminal()) else {
+                    return;
+                };
+                job.node = node;
+                job.node_job_id = node_job_id;
+                job.state = JobState::Queued;
+                job.detours += detours_added;
+                job.resumes += 1;
                 self.counters.jobs_resumed += 1;
                 self.counters.reroutes += 1 + u64::from(detours_added);
             }
@@ -454,9 +457,10 @@ mod tests {
         wal.append(&WalRecord::NodeDead { node: 0 });
         wal.append(&WalRecord::Moved { id: 1, node: 1, node_job_id: 77, detours_added: 1 });
         wal.append(&WalRecord::Observed { id: 1, state: JobState::Done, status: None });
-        // Sticky terminal: a late Running must not resurrect job 1 or
-        // double-bump a counter.
+        // Sticky terminal: a late Running or move must not resurrect job
+        // 1, move it, or bump a counter.
         wal.append(&WalRecord::Observed { id: 1, state: JobState::Running, status: None });
+        wal.append(&WalRecord::Moved { id: 1, node: 0, node_job_id: 78, detours_added: 0 });
 
         let state = wal.load().unwrap().expect("state recovered");
         assert_eq!(state.next_id, 2);

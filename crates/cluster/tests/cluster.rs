@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 
 use breaksym_cluster::{
     run_cluster_chaos, ClusterChaosConfig, ClusterConfig, ClusterHandle, Coordinator, NodeClient,
-    WalStore, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
+    WalStore, FAIL_FORWARD, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
 };
-use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport};
+use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport, SliceOutcome};
 use breaksym_serve::{
     Healthz, HttpServer, JobSpec, JobState, ServeConfig, ServeEngine, ServeError, SubmitResponse,
     TaskSpec, FAIL_SLICE,
@@ -490,6 +490,139 @@ fn revived_node_takes_back_its_home_jobs() {
 fn rebalance_failpoint_leaves_the_job_on_its_survivor() {
     let _serial = serial();
     rejoin_round(true);
+}
+
+/// A client cancel that lands while a death-resume's forward is out must
+/// stick: the coordinator commits no move for the job, counts it once,
+/// as cancelled, and cancels the copy the forward placed on the survivor.
+#[test]
+fn a_cancel_during_a_death_resume_sticks() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(2);
+    let clock = TestClock::new();
+    let coordinator = Coordinator::start_with_clock(
+        addrs,
+        ClusterConfig {
+            heartbeat_interval: Duration::from_millis(100),
+            failure_threshold: 3,
+            rpc_timeout: Duration::from_secs(2),
+            ..ClusterConfig::default()
+        },
+        clock.to_shared(),
+    );
+    let handle = coordinator.handle();
+
+    let hold = fault::install(holding_slices(FaultPlan::new()));
+    let id = handle.submit(job(13, 600, 8)).expect("submit");
+    let home = handle.inspect()[0].node;
+    let survivor = 1 - home;
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            clock.advance_ms(100);
+            handle.inspect()[0].has_checkpoint
+        }),
+        "no checkpoint replicated: {:?}",
+        handle.inspect()
+    );
+    settle_beats();
+
+    // Three missed probes kill the home node; the death-resume's forward,
+    // the first forward since this install, then stalls for a second.
+    let miss = |beat: u64| (beat - 1) * 2 + home as u64 + 1;
+    let plan = holding_slices(FaultPlan::new())
+        .with(FAIL_HEARTBEAT, miss(1), FaultAction::Fail { what: "miss".into() })
+        .with(FAIL_HEARTBEAT, miss(2), FaultAction::Fail { what: "miss".into() })
+        .with(FAIL_HEARTBEAT, miss(3), FaultAction::Fail { what: "miss".into() })
+        .with(FAIL_FORWARD, 1, FaultAction::DelayMs { ms: 1000 });
+    drop(hold);
+    let guard = fault::install(plan);
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            clock.advance_ms(100);
+            fault::hits(FAIL_FORWARD) == 1
+        }),
+        "the death-resume never forwarded"
+    );
+    let answer = handle.cancel(id).expect("cancel");
+    assert!(matches!(answer.state, JobState::Cancelled { .. }), "{:?}", answer.state);
+
+    // The forward lands on the survivor; that copy must end there too.
+    let copy = nodes[survivor].engine.handle();
+    assert!(
+        poll_until(Duration::from_secs(60), || {
+            clock.advance_ms(100);
+            let stats = copy.stats();
+            stats.jobs_submitted == 1 && stats.jobs_cancelled + stats.jobs_done == 1
+        }),
+        "the survivor's copy never ended: {:?}",
+        copy.stats()
+    );
+    for _ in 0..5 {
+        clock.advance_ms(100);
+        thread::sleep(Duration::from_millis(20));
+    }
+    drop(guard);
+
+    let inspect = handle.inspect();
+    assert_eq!(inspect[0].state, "cancelled", "{inspect:?}");
+    assert_eq!(inspect[0].resumes, 0, "no move was committed: {inspect:?}");
+    let stats = handle.stats();
+    assert_eq!((stats.jobs_done, stats.jobs_cancelled), (0, 1));
+    assert_eq!(
+        stats.jobs_done + stats.jobs_failed + stats.jobs_timed_out + stats.jobs_cancelled,
+        stats.jobs_routed
+    );
+    assert_eq!(copy.stats().jobs_cancelled, 1, "the survivor's copy was not cancelled");
+
+    coordinator.shutdown();
+    teardown(nodes);
+}
+
+/// A submission that carries a checkpoint is logged with it once, as the
+/// job's replica — not a second time inside the spec — and resumes from
+/// it to the uninterrupted report.
+#[test]
+fn a_resumed_submission_logs_its_checkpoint_once() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(1);
+    let dir = state_dir("checkpoint-once");
+    let clock = TestClock::new();
+    let coordinator = Coordinator::start_durable_with_clock(
+        addrs,
+        ClusterConfig::default(),
+        &dir,
+        clock.to_shared(),
+    )
+    .expect("durable start");
+    let handle = coordinator.handle();
+
+    let mut spec = job(17, 96, 16);
+    let task = spec.task.resolve().expect("task resolves");
+    let mut opt = spec.method.build(&task).expect("method builds");
+    let driver = Driver::new(spec.method.budget());
+    let Ok(SliceOutcome::Paused(ckpt)) = driver.run_slice(&task, opt.as_mut(), 32) else {
+        panic!("the first slice should pause");
+    };
+    spec.checkpoint = Some(ckpt.clone());
+    let id = handle.submit(spec.clone()).expect("submit");
+
+    let log = std::fs::read_to_string(dir.join("wal.jsonl")).expect("the log exists");
+    let routed: serde_json::Value =
+        serde_json::from_str(log.lines().next().expect("a routed record")).expect("json");
+    assert_eq!(routed["op"], "routed");
+    assert!(
+        routed["job"]["spec"]["checkpoint"].is_null(),
+        "the spec still holds a checkpoint"
+    );
+    assert_eq!(routed["job"]["checkpoint"]["evals"], ckpt.evals);
+
+    let done = handle.wait(id, Duration::from_secs(120)).expect("job settles");
+    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
+    assert_bit_identical(&handle.report(id).expect("report"), &direct_report(&spec));
+
+    coordinator.shutdown();
+    teardown(nodes);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Asserts that the coordinator's view equals the state its WAL

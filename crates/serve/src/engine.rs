@@ -79,17 +79,18 @@ pub struct ServeConfig {
     /// [`JobSpec::slice_evals`]. Smaller slices mean faster reaction to
     /// cancel/drain at slightly more checkpoint overhead.
     pub slice_evals: u64,
-    /// Default per-job cap on running wall-clock milliseconds; `None`
-    /// means unlimited. Jobs may override via [`JobSpec::timeout_ms`].
-    pub default_timeout_ms: Option<u64>,
     /// How long a terminal job (done, failed, timed out, cancelled) is
     /// retained in the registry before eviction; `None` disables the
     /// TTL. Evicted jobs keep their statistics in the retired
     /// accumulator and answer [`ServeError::JobEvicted`] afterwards.
     pub retain_ttl: Option<Duration>,
     /// Upper bound on retained terminal jobs; beyond it the oldest are
-    /// evicted first, whatever the TTL says. This is the hard memory
-    /// bound of a long-lived server.
+    /// evicted first, whatever the TTL says. Eviction runs at every
+    /// submission and every [`ServeHandle::stats`] call, never in the
+    /// step that ends a job, so a waiter reads how its job ended. The
+    /// registry therefore holds at most `retain_max` terminal jobs plus
+    /// the jobs queued or running at the latest submission — the hard
+    /// memory bound of a long-lived server.
     pub retain_max: usize,
 }
 
@@ -99,7 +100,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_cap: 16,
             slice_evals: 64,
-            default_timeout_ms: None,
             retain_ttl: None,
             retain_max: 1024,
         }
@@ -128,11 +128,12 @@ struct JobRecord {
 }
 
 impl JobRecord {
-    fn new(spec: JobSpec, warnings: Vec<String>) -> Self {
+    fn new(mut spec: JobSpec, warnings: Vec<String>) -> Self {
         // A spec that carries a checkpoint (a coordinator moving a dead
         // node's job here) starts from it: the worker's slice loop resumes
-        // from `JobRecord::checkpoint` whenever one is present.
-        let checkpoint = spec.checkpoint.clone();
+        // from `JobRecord::checkpoint` whenever one is present. Moved out
+        // of the spec, so the job holds it once.
+        let checkpoint = spec.checkpoint.take();
         JobRecord {
             spec,
             state: JobState::Queued,
@@ -230,12 +231,13 @@ impl Shared {
     /// The one writer of terminal job state: installs `state` (and, for
     /// completions, the report plus a final status refresh), stamps the
     /// retention clock, counts the outcome in the matching `/stats`
-    /// counter, wakes waiters, and applies the retention policy. `jobs` is
-    /// the held registry guard, so the count lands before the wake-up and
-    /// a waiter that sees the terminal state also sees it counted; the
-    /// retired lock is taken inside (queue → jobs → retired). The latest
-    /// checkpoint is deliberately retained for cancelled and timed-out
-    /// jobs — that is what makes them resumable.
+    /// counter, and wakes waiters. `jobs` is the held registry guard, so
+    /// the count lands before the wake-up and a waiter that sees the
+    /// terminal state also sees it counted. Nothing is evicted here: the
+    /// next submission or `stats()` beat applies the retention policy,
+    /// so the waiters read the state first. The latest checkpoint is
+    /// deliberately retained for cancelled and timed-out jobs — that is
+    /// what makes them resumable.
     fn set_terminal(
         &self,
         jobs: &mut HashMap<u64, JobRecord>,
@@ -262,7 +264,6 @@ impl Shared {
             }
         }
         self.state_cv.notify_all();
-        self.evict_terminal(jobs);
     }
 
     /// The error for an id absent from the registry: ids this server
@@ -701,7 +702,6 @@ fn run_job(shared: &Shared, id: u64) {
         .with_counter(counter.clone())
         .with_clock(shared.clock.clone());
     let slice = spec.slice_evals.unwrap_or(shared.cfg.slice_evals).max(1);
-    let timeout_ms = spec.timeout_ms.or(shared.cfg.default_timeout_ms);
     // Wall clock spent on this job: what earlier servers/workers banked in
     // the checkpoint, plus a real `Instant` spanning this worker's slices.
     // Reading the *last checkpoint's* elapsed_ms instead (as this loop once
@@ -724,7 +724,7 @@ fn run_job(shared: &Shared, id: u64) {
             requeue(shared, id);
             return;
         }
-        if let Some(limit) = timeout_ms {
+        if let Some(limit) = spec.timeout_ms {
             let running = shared.clock.now().duration_since(claimed);
             let spent = base_elapsed_ms + running.as_millis() as u64;
             if spent >= limit {

@@ -169,8 +169,7 @@ pub struct JobSpec {
     #[serde(default)]
     pub max_evals: Option<u64>,
     /// Per-job cap on *running* wall-clock milliseconds (queue wait
-    /// excluded), enforced at slice boundaries. `None` uses the server's
-    /// default.
+    /// excluded), enforced at slice boundaries. `None` means unlimited.
     #[serde(default)]
     pub timeout_ms: Option<u64>,
     /// Evaluations per resumable slice — the granularity at which status,

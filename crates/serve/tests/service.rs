@@ -288,8 +288,9 @@ fn eviction_preserves_stats_totals_and_answers_410() {
     assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
 
     // The second completion pushed the retained-terminal count past the
-    // cap, evicting the oldest terminal job — distinguishable from an id
-    // that never existed.
+    // cap, so the next retention beat (this stats poll) evicts the oldest
+    // terminal job — distinguishable from an id that never existed.
+    let after = handle.stats();
     match handle.status(first) {
         Err(ServeError::JobEvicted { id }) => assert_eq!(id, first),
         other => panic!("expected JobEvicted, got {other:?}"),
@@ -305,7 +306,6 @@ fn eviction_preserves_stats_totals_and_answers_410() {
 
     // The retired accumulator keeps `/stats` totals exact: two identical
     // jobs, so exactly double one job's accounting, eviction or not.
-    let after = handle.stats();
     assert_eq!(after.jobs_retired, 1);
     assert_eq!(after.jobs_done, 2);
     assert_eq!(after.cache.sims, 2 * before.cache.sims);
@@ -585,19 +585,14 @@ fn a_cancelled_queued_job_is_retired_like_a_finished_one() {
     });
     let handle = engine.handle();
 
-    // With nothing retained, a job that ends Done is evicted at once...
-    // Watched through the counters: `wait` and `status` cannot tell how
-    // an evicted job ended (see ROADMAP, "`retain_max: 0` hides how a job
-    // ended").
+    // With nothing retained, a job that ends Done is evicted at the next
+    // retention beat — after its waiter has read how it ended...
     let mut quick =
         JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(quick_cfg()));
     quick.seed = Some(9);
     let done = handle.submit(quick).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while handle.stats().jobs_done == 0 {
-        assert!(Instant::now() < deadline, "job {done} never finished");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let ended = handle.wait(done, Duration::from_secs(120)).unwrap();
+    assert_eq!(ended.state, JobState::Done);
     assert_eq!(handle.stats().jobs_retired, 1);
     assert!(matches!(handle.status(done), Err(ServeError::JobEvicted { id }) if id == done));
 
@@ -607,12 +602,13 @@ fn a_cancelled_queued_job_is_retired_like_a_finished_one() {
     let queued = handle.submit(long_spec(5)).unwrap();
     let cancelled = handle.cancel(queued).unwrap();
     assert_eq!(cancelled.state, JobState::Cancelled { resumable: false });
+    let stats = handle.stats();
+    assert_eq!((stats.jobs_cancelled, stats.jobs_retired), (1, 2));
     match handle.status(queued) {
         Err(ServeError::JobEvicted { id }) => assert_eq!(id, queued),
         other => panic!("expected JobEvicted, got {other:?}"),
     }
-    let stats = handle.stats();
-    assert_eq!((stats.jobs_cancelled, stats.jobs_retired), (1, 2));
+    let deadline = Instant::now() + Duration::from_secs(120);
 
     handle.cancel(running).unwrap();
     while handle.stats().jobs_retired < 3 {
