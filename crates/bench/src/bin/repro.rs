@@ -567,8 +567,8 @@ fn chaos(flags: &[String]) {
     }
 
     println!(
-        "== chaos — seed {}, {} jobs, {} sampled faults, {} worker ==",
-        cfg.seed, cfg.jobs, cfg.faults, cfg.workers
+        "== chaos — seed {}, {} jobs, {} sampled faults, 1 worker ==",
+        cfg.seed, cfg.jobs, cfg.faults
     );
     let first = run_chaos(&cfg);
     let second = run_chaos(&cfg);

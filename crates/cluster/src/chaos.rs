@@ -13,12 +13,14 @@
 //!   the faults are armed is held a few milliseconds, so the kill
 //!   catches a job mid-run on any host);
 //! - **replicated checkpoints resume bit-identically** — every
-//!   checkpoint in the coordinator's replica store passes the same
-//!   twice-resumed comparison the single-node harness uses;
+//!   checkpoint in the coordinator's replica store when the kill lands
+//!   (at least one), and every one it still holds once the jobs settle,
+//!   passes the same twice-resumed comparison the single-node harness
+//!   uses;
 //! - **cluster reports match direct runs** — every report fetched
 //!   through the coordinator is bit-identical to the same spec executed
-//!   directly on a fresh [`Driver`], even when the job was resumed on a
-//!   survivor halfway through;
+//!   directly on a fresh [`Driver`](breaksym_core::Driver), even when
+//!   the job was resumed on a survivor halfway through;
 //! - **reported placements are legal and fresh** — the single-node
 //!   replay checks, unchanged.
 //!
@@ -70,8 +72,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport};
-use breaksym_serve::chaos::{reports_match, resumes_bit_identically, verify_report, ReportVerdict};
+use breaksym_core::{MethodSpec, MlmaConfig, RunCheckpoint, RunReport};
+use breaksym_serve::chaos::{
+    direct_report, reports_match, resumes_bit_identically, verify_report, ReportVerdict,
+};
 use breaksym_serve::{
     HttpServer, InvariantResult, JobId, JobSpec, ServeConfig, ServeEngine, TaskSpec, FAIL_SLICE,
 };
@@ -291,15 +295,6 @@ fn is_terminal_label(label: &str) -> bool {
     matches!(label, "done" | "failed" | "timed_out" | "cancelled")
 }
 
-/// Runs the spec directly on a fresh driver — the ground truth every
-/// cluster-served report must match bit-identically.
-fn direct_report(spec: &JobSpec) -> Option<RunReport> {
-    let task = spec.task.resolve().ok()?;
-    let (method, budget) = spec.resolved_method();
-    let mut opt = method.build(&task).ok()?;
-    Driver::new(budget).run(&task, opt.as_mut()).ok()
-}
-
 /// Runs one multi-node chaos round: boot the fleet, arm the seed-derived
 /// faults, submit the seed-derived jobs, kill the busiest node once its
 /// jobs are replicated, wait for every job to settle, then check every
@@ -404,6 +399,14 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         }
         thread::sleep(Duration::from_millis(5));
     }
+    // The replicated checkpoints as they stand mid-run, resume-checked
+    // fault-free below: once a job's report is replicated its checkpoint
+    // is freed, so the settled store holds none for a finished job.
+    let mid_run: Vec<(JobId, Box<RunCheckpoint>)> = handle
+        .export_jobs()
+        .into_iter()
+        .filter_map(|export| Some((export.id, export.checkpoint?)))
+        .collect();
 
     // Kill and restart the coordinator mid-run: an abrupt drop (the WAL
     // is flushed per append, so recovery from a drop is exactly recovery
@@ -530,24 +533,28 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
         ),
     });
 
-    // 3. Replicated checkpoints resume bit-identically.
+    // 3. Replicated checkpoints resume bit-identically: the mid-run
+    // snapshot, then whatever the settled store still holds (jobs that
+    // did not finish). The snapshot holds at least the doomed node's
+    // unfinished jobs, so a round that checks none checked nothing.
+    let settled = handle
+        .export_jobs()
+        .into_iter()
+        .filter_map(|export| Some((export.id, export.checkpoint?)));
     let mut resume_checked = 0usize;
     let mut resume_bad = Vec::new();
-    for export in handle.export_jobs() {
-        let Some(ckpt) = export.checkpoint else {
-            continue;
-        };
-        let Some(pos) = ids.iter().position(|&id| id == export.id) else {
+    for (id, ckpt) in mid_run.into_iter().chain(settled) {
+        let Some(pos) = ids.iter().position(|&known| known == id) else {
             continue;
         };
         resume_checked += 1;
         if !resumes_bit_identically(&specs[pos], &ckpt) {
-            resume_bad.push(export.id);
+            resume_bad.push(id);
         }
     }
     invariants.push(InvariantResult {
         name: "replicated-checkpoints-resume-bit-identically".into(),
-        ok: resume_bad.is_empty(),
+        ok: resume_checked >= 1 && resume_bad.is_empty(),
         details: format!(
             "{resume_checked} replicated checkpoints resumed twice, divergent: {resume_bad:?}"
         ),

@@ -137,14 +137,15 @@ impl NodeClient {
     ) -> io::Result<HttpResponse> {
         let conn = self.connect()?;
         let payload = body.unwrap_or(&[]);
-        let head = format!(
+        // Head and payload leave as one buffer: one write, one segment.
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nHost: node\r\nContent-Type: application/json\r\n\
              Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
             payload.len()
-        );
-        conn.stream.write_all(head.as_bytes())?;
-        conn.stream.write_all(payload)?;
-        conn.stream.flush()?;
+        )
+        .into_bytes();
+        request.extend_from_slice(payload);
+        conn.stream.write_all(&request)?;
 
         let mut status_line = String::new();
         conn.reader.read_line(&mut status_line)?;

@@ -39,12 +39,13 @@
 //! unfinished job whose *home* ring position is the revived node moves
 //! back exactly as a death-resume moves a job: it is resumed on the home
 //! node from its replicated checkpoint, and once that move is committed
-//! the copy left on the survivor gets one fire-and-forget cancel. The
-//! home node repeats what the survivor ran since the last replicated
-//! checkpoint (about one heartbeat of progress); resume is bit-identical,
-//! so the report is the same. Every move counts as one resume and
-//! `1 + detours` reroutes, so the `reroutes == detours + resumes`
-//! accounting identity survives rejoin.
+//! the copy left on the survivor gets one fire-and-forget cancel. A move
+//! home is offered to the home node only; if it does not take the job,
+//! the job stays where it is. The home node repeats what the survivor
+//! ran since the last replicated checkpoint (about one heartbeat of
+//! progress); resume is bit-identical, so the report is the same. Every
+//! move counts as one resume and `1 + detours` reroutes, so the
+//! `reroutes == detours + resumes` accounting identity survives rejoin.
 //!
 //! # Durability
 //!
@@ -99,10 +100,10 @@ use crate::protocol::{fold_stats, ClusterHealthz, ClusterStats, JobInspect, Node
 use crate::ring::{HashRing, VNODES};
 use crate::wal::{CoordState, PersistedJob, WalRecord, WalStore};
 
-/// Failpoint hit once per forward attempt (submit and death-resume
-/// alike), before the RPC goes out. `Fail` and `Drop` actions simulate a
-/// transport failure to that node, sending the forward down the ring's
-/// fallback order.
+/// Failpoint hit once per forward attempt (submit, death-resume and move
+/// home alike), before the RPC goes out. `Fail` and `Drop` actions
+/// simulate a transport failure to that node, sending the forward down
+/// the ring's fallback order — or, for a move home, skipping the move.
 pub const FAIL_FORWARD: &str = "cluster::forward";
 
 /// Failpoint hit exactly once per node per heartbeat — alive or dead, so
@@ -420,7 +421,7 @@ impl ClusterHandle {
             inner.next_id += 1;
             inner.next_id
         };
-        let placed = forward(&self.shared, id, &spec, true)?;
+        let placed = forward(&self.shared, id, None, &spec, true)?;
         // The checkpoint is held once, as the replica: a move attaches the
         // replica to the spec it forwards.
         let job = PersistedJob {
@@ -982,7 +983,7 @@ fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>) {
         if cancelled {
             continue;
         }
-        if let Err(e) = resume_job(shared, id) {
+        if let Err(e) = resume_job(shared, id, None) {
             let failed = JobState::Failed { error: format!("resume after a move failed: {e}") };
             observe(shared, &mut shared.inner.lock().expect(POISONED), id, failed, None);
         }
@@ -1037,7 +1038,8 @@ fn fallback_order(ring: &HashRing, key: u64, alive: &[bool]) -> Vec<usize> {
     order
 }
 
-/// Forwards a spec down `key`'s fallback order until a node accepts it.
+/// Forwards a spec down `key`'s fallback order until a node accepts it,
+/// or to `only` that node when one is given (a move home).
 ///
 /// Backpressure (a full in-flight window here, or 429/503 from the node)
 /// is propagated to the caller when `reject_when_full` and the rejection
@@ -1048,12 +1050,16 @@ fn fallback_order(ring: &HashRing, key: u64, alive: &[bool]) -> Vec<usize> {
 fn forward(
     shared: &CoordShared,
     key: u64,
+    only: Option<usize>,
     spec: &JobSpec,
     reject_when_full: bool,
 ) -> Result<Placed, ServeError> {
-    let order = {
-        let inner = shared.inner.lock().expect(POISONED);
-        fallback_order(&shared.ring, key, &inner.alive)
+    let order = match only {
+        Some(node) => vec![node],
+        None => {
+            let inner = shared.inner.lock().expect(POISONED);
+            fallback_order(&shared.ring, key, &inner.alive)
+        }
     };
     if order.is_empty() {
         return Err(ServeError::ShuttingDown);
@@ -1265,8 +1271,11 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
             continue;
         };
         if let Some(checkpoint) = export.checkpoint {
+            // A replicated report supersedes any checkpoint (a node from
+            // before done jobs dropped theirs still exports one).
             let fresher = inner.state.job(id).is_some_and(|job| {
-                job.checkpoint.as_ref().is_none_or(|old| checkpoint.evals > old.evals)
+                job.report.is_none()
+                    && job.checkpoint.as_ref().is_none_or(|old| checkpoint.evals > old.evals)
             });
             if fresher {
                 commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
@@ -1315,7 +1324,8 @@ fn replicate(shared: &CoordShared, node: usize) {
 
 /// Moves one non-terminal job — death-resume, rejoin rebalance, or
 /// restart reconciliation: forwards its spec with the replicated
-/// checkpoint attached, then commits the move (`+1` resume, `1 + detours`
+/// checkpoint attached (to `only` that node when given, else down the
+/// ring's fallback order), then commits the move (`+1` resume, `1 + detours`
 /// reroutes) and frees the window slot of the node it left (a dead
 /// node's window is already zeroed). Returns the `(node, node_job_id)`
 /// the job left when the move committed, and the forward's error when no
@@ -1326,7 +1336,11 @@ fn replicate(shared: &CoordShared, node: usize) {
 /// move is committed: the terminal state stands, and the copy just
 /// placed is released and cancelled. A cancel requested before the move
 /// commits is sent on to the new placement.
-fn resume_job(shared: &CoordShared, id: u64) -> Result<Option<(usize, u64)>, ServeError> {
+fn resume_job(
+    shared: &CoordShared,
+    id: u64,
+    only: Option<usize>,
+) -> Result<Option<(usize, u64)>, ServeError> {
     let spec = {
         let inner = shared.inner.lock().expect(POISONED);
         let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
@@ -1336,7 +1350,7 @@ fn resume_job(shared: &CoordShared, id: u64) -> Result<Option<(usize, u64)>, Ser
         spec.checkpoint = job.checkpoint.clone();
         spec
     };
-    let placed = forward(shared, id, &spec, false)?;
+    let placed = forward(shared, id, only, &spec, false)?;
     let mut inner = shared.inner.lock().expect(POISONED);
     let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
         inner.release(placed.node);
@@ -1400,10 +1414,13 @@ fn revive(shared: &CoordShared, node: usize) {
 /// the whole fleet up) is the revived node back onto it, in ascending
 /// cluster-id order. Each move is a [`resume_job`] from the replicated
 /// checkpoint, like a death-resume; once it commits, the copy left on
-/// the survivor is cancelled. Each candidate consumes one
-/// [`FAIL_REBALANCE`] hit; an injected fault, or a forward no node
-/// takes, skips that job's move — it simply finishes on its survivor,
-/// which is always correct.
+/// the survivor is cancelled. The move goes to the home node only: were
+/// it to walk the fallback order after the home node failed the forward,
+/// it would land back on a survivor and restart the job there from its
+/// replica. Each candidate consumes one [`FAIL_REBALANCE`] hit; an
+/// injected fault, or a forward the home node does not take, skips that
+/// job's move — it simply finishes on its survivor, which is always
+/// correct.
 fn rebalance(shared: &CoordShared, home: usize) {
     let candidates = unfinished_jobs(shared, |job| {
         !job.cancel_requested && job.node != home && shared.ring.preferred(job.id) == Some(home)
@@ -1415,7 +1432,7 @@ fn rebalance(shared: &CoordShared, home: usize) {
         ) {
             continue;
         }
-        if let Ok(Some((survivor, node_job_id))) = resume_job(shared, id) {
+        if let Ok(Some((survivor, node_job_id))) = resume_job(shared, id, Some(home)) {
             cancel_copy(shared, survivor, node_job_id);
         }
     }

@@ -17,7 +17,7 @@
 //! - **checkpoint replication** ([`coordinator`]): every heartbeat pulls
 //!   each node's bulk `/checkpoints` export, so the coordinator holds a
 //!   recent resumable checkpoint for every running job and the final
-//!   report of every job seen done;
+//!   report of every job seen done (which replaces its checkpoint);
 //! - **death detection and resume**: a node missing
 //!   [`ClusterConfig::failure_threshold`] consecutive `/healthz` probes
 //!   is declared dead and its unfinished jobs are resubmitted to
@@ -28,7 +28,8 @@
 //!   threshold's worth of *consecutive* probes (hysteresis) is revived,
 //!   and unfinished jobs whose home ring position is the revived node
 //!   move back the way a death-resume moves a job — resumed at home from
-//!   the replicated checkpoint, then the survivor's copy cancelled —
+//!   the replicated checkpoint, then the survivor's copy cancelled; a
+//!   job the home node does not take stays on its survivor —
 //!   keeping the `reroutes == detours + resumes` accounting identity;
 //! - **coordinator durability** ([`wal`]): started with a state
 //!   directory ([`Coordinator::start_durable`]), every change to the

@@ -74,7 +74,8 @@ pub struct PersistedJob {
     /// Last observed progress.
     #[serde(default)]
     pub status: Option<RunStatus>,
-    /// Replicated checkpoint.
+    /// Replicated checkpoint; `None` once the report is replicated (older
+    /// logs that hold both load the same).
     #[serde(default)]
     pub checkpoint: Option<Box<RunCheckpoint>>,
     /// Whether a cancel was requested through the coordinator.
@@ -169,7 +170,8 @@ pub enum WalRecord {
         #[serde(default)]
         detours_added: u32,
     },
-    /// A done job's final report was replicated.
+    /// A done job's final report was replicated. It supersedes the job's
+    /// replicated checkpoint, which applying the record frees.
     Reported {
         /// Cluster job id.
         id: u64,
@@ -208,8 +210,8 @@ impl CoordState {
     /// Applies one record — the only way a coordinator's durable state
     /// changes, live or replayed. Terminal states are sticky (a move of a
     /// terminal job changes nothing), terminal counters bump exactly once
-    /// per job, and every move counts one resume and `1 + detours`
-    /// reroutes.
+    /// per job, every move counts one resume and `1 + detours`
+    /// reroutes, and a replicated report frees the job's checkpoint.
     pub fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::Routed { job } => {
@@ -254,6 +256,7 @@ impl CoordState {
             WalRecord::Reported { id, report } => {
                 if let Some(job) = self.job_mut(id) {
                     job.report = Some(report);
+                    job.checkpoint = None;
                 }
             }
             WalRecord::Moved { id, node, node_job_id, detours_added } => {
@@ -414,7 +417,7 @@ impl WalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use breaksym_core::{Driver, MethodSpec, MlmaConfig};
+    use breaksym_core::{Driver, MethodSpec, MlmaConfig, SliceOutcome};
     use breaksym_serve::protocol::TaskSpec;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -500,6 +503,39 @@ mod tests {
         assert!(old.as_object_mut().unwrap().remove("report").is_some());
         let back: PersistedJob = serde_json::from_value(old).unwrap();
         assert_eq!(back, sample_job(2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_replicated_report_frees_the_checkpoint() {
+        let dir = tempdir("report-frees");
+        let mut wal = WalStore::open(&dir).unwrap();
+        let spec = sample_job(1).spec;
+        let task = spec.task.resolve().unwrap();
+        let (method, budget) = spec.resolved_method();
+        let driver = Driver::new(budget);
+        let mut opt = method.build(&task).unwrap();
+        let Ok(SliceOutcome::Paused(checkpoint)) = driver.run_slice(&task, opt.as_mut(), 4) else {
+            panic!("a 4-eval slice of an 8-eval job pauses");
+        };
+        let report = driver.resume(&task, opt.as_mut(), &checkpoint).unwrap();
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
+        wal.append(&WalRecord::Checkpoint { id: 1, checkpoint: checkpoint.clone() });
+        let state = wal.load().unwrap().expect("recovered");
+        assert_eq!(state.jobs[0].checkpoint.as_ref(), Some(&checkpoint));
+
+        wal.append(&WalRecord::Observed { id: 1, state: JobState::Done, status: None });
+        wal.append(&WalRecord::Reported { id: 1, report: Box::new(report.clone()) });
+        let state = wal.load().unwrap().expect("recovered");
+        assert_eq!(state.jobs[0].checkpoint, None, "the report supersedes the checkpoint");
+        assert_eq!(state.jobs[0].report.as_deref(), Some(&report));
+
+        // A snapshot written before reports freed checkpoints holds both,
+        // and still loads.
+        let mut old = state.clone();
+        old.jobs[0].checkpoint = Some(checkpoint);
+        wal.compact(&old).unwrap();
+        assert_eq!(wal.load().unwrap(), Some(old));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -492,6 +492,97 @@ fn rebalance_failpoint_leaves_the_job_on_its_survivor() {
     rejoin_round(true);
 }
 
+/// A move home goes to the home node or nowhere: when the revived home
+/// node fails the forward, the job stays on its survivor as it was — no
+/// move is committed and its copy there keeps running — instead of being
+/// restarted on the survivor from its replica.
+#[test]
+fn a_move_home_the_home_node_refuses_leaves_the_job_in_place() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(2);
+    let clock = TestClock::new();
+    let coordinator = Coordinator::start_with_clock(
+        addrs,
+        ClusterConfig {
+            heartbeat_interval: Duration::from_millis(100),
+            failure_threshold: 3,
+            rpc_timeout: Duration::from_secs(2),
+            ..ClusterConfig::default()
+        },
+        clock.to_shared(),
+    );
+    let handle = coordinator.handle();
+
+    let hold = fault::install(holding_slices(FaultPlan::new()));
+    let spec = job(19, 600, 8);
+    let id = handle.submit(spec.clone()).expect("submit");
+    let home = handle.inspect()[0].node;
+    let survivor = 1 - home;
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            clock.advance_ms(100);
+            handle.inspect()[0].has_checkpoint
+        }),
+        "no checkpoint replicated: {:?}",
+        handle.inspect()
+    );
+    settle_beats();
+
+    // Three missed probes kill the home node; the death-resume's forward
+    // is the first since this install, the move home's the second.
+    let miss = |beat: u64| (beat - 1) * 2 + home as u64 + 1;
+    let plan = holding_slices(FaultPlan::new())
+        .with(FAIL_HEARTBEAT, miss(1), FaultAction::Fail { what: "miss".into() })
+        .with(FAIL_HEARTBEAT, miss(2), FaultAction::Fail { what: "miss".into() })
+        .with(FAIL_HEARTBEAT, miss(3), FaultAction::Fail { what: "miss".into() })
+        .with(FAIL_FORWARD, 2, FaultAction::Fail { what: "home refuses".into() });
+    drop(hold);
+    let guard = fault::install(plan);
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            clock.advance_ms(100);
+            handle.inspect()[0].resumes == 1
+        }),
+        "the job did not move off its dead home: {:?}",
+        handle.inspect()
+    );
+    let moved = handle.inspect()[0].clone();
+    assert_eq!(moved.node, survivor);
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            clock.advance_ms(100);
+            fault::hits(FAIL_REBALANCE) == 1
+        }),
+        "the home node was not revived: {:?}",
+        handle.inspect()
+    );
+    // The rebalance runs inside the revival's heartbeat, so any later
+    // heartbeat hit comes after it finished.
+    let beats = fault::hits(FAIL_HEARTBEAT);
+    assert!(poll_until(Duration::from_secs(30), || {
+        clock.advance_ms(100);
+        fault::hits(FAIL_HEARTBEAT) > beats
+    }));
+
+    let inspect = handle.inspect();
+    assert_eq!(fault::hits(FAIL_FORWARD), 2, "the move home tried another node: {inspect:?}");
+    assert_eq!(
+        (inspect[0].node, inspect[0].node_job_id, inspect[0].resumes),
+        (survivor, moved.node_job_id, 1),
+        "the job left its survivor copy: {inspect:?}"
+    );
+    assert_eq!(handle.stats().jobs_resumed, 1, "a move was committed");
+    assert_eq!(nodes[survivor].engine.handle().stats().jobs_submitted, 1);
+    drop(guard);
+
+    let done = handle.wait(id, Duration::from_secs(120)).expect("job settles");
+    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
+    assert_bit_identical(&handle.report(id).expect("report"), &direct_report(&spec));
+
+    coordinator.shutdown();
+    teardown(nodes);
+}
+
 /// A client cancel that lands while a death-resume's forward is out must
 /// stick: the coordinator commits no move for the job, counts it once,
 /// as cancelled, and cancels the copy the forward placed on the survivor.

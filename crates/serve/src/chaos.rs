@@ -14,7 +14,11 @@
 //! - **`/stats` accounting is exact** — the terminal counters sum to the
 //!   submissions and match the observed per-job states;
 //! - **checkpoints resume bit-identically** — any checkpoint left behind
-//!   resumes to the same report twice in a row;
+//!   (done jobs keep none) resumes to the same report twice in a row;
+//! - **served equals direct** — every completed job that no injected
+//!   simulator failure reached reports exactly what one unsliced direct
+//!   run of its spec reports: slicing, cache loss and the other jobs'
+//!   faults changed nothing;
 //! - **reported placements are legal** — every completed job's
 //!   `best_placement` applies cleanly to a fresh environment;
 //! - **cached equals fresh** — every completed job's `best_metrics` is
@@ -43,19 +47,17 @@ use crate::protocol::{JobId, JobSpec, TaskSpec};
 pub struct ChaosConfig {
     /// Master seed: drives both the fault plan and the job mix.
     pub seed: u64,
-    /// Jobs submitted.
+    /// Jobs submitted, each once the one before it has settled, to an
+    /// engine with one worker: the whole run replays bit-identically
+    /// from the seed.
     pub jobs: usize,
-    /// Worker threads. With 1 (the default) job execution is strictly
-    /// sequential and the whole run replays bit-identically from the
-    /// seed; more workers keep the invariants but let scheduling vary.
-    pub workers: usize,
     /// Triggers sampled into the fault plan.
     pub faults: usize,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
-        ChaosConfig { seed: 0, jobs: 6, workers: 1, faults: 5 }
+        ChaosConfig { seed: 0, jobs: 6, faults: 5 }
     }
 }
 
@@ -163,7 +165,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let specs = job_mix(config.seed, config.jobs);
 
     let engine = ServeEngine::start(ServeConfig {
-        workers: config.workers.max(1),
+        workers: 1,
         queue_cap: config.jobs.max(16),
         ..ServeConfig::default()
     });
@@ -172,13 +174,16 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     // Faults are armed only while the jobs run; the post-hoc invariant
     // checks below (resume, fresh evaluation) must be fault-free.
     let guard = fault::install(plan.clone());
-    let ids: Vec<JobId> = specs
-        .iter()
-        .map(|spec| handle.submit(spec.clone()).expect("chaos submit"))
-        .collect();
-    let mut job_states = Vec::with_capacity(ids.len());
+    // Each job is submitted once the one before it settled, so the
+    // `sim::evaluate` hits between two settles are exactly one job's.
+    let mut ids: Vec<JobId> = Vec::with_capacity(specs.len());
+    let mut job_states = Vec::with_capacity(specs.len());
     let mut stuck = Vec::new();
-    for &id in &ids {
+    let mut evaluator_faulted = Vec::with_capacity(specs.len());
+    for spec in &specs {
+        let before = fault::hits(FAIL_EVALUATE);
+        let id = handle.submit(spec.clone()).expect("chaos submit");
+        ids.push(id);
         match handle.wait(id, Duration::from_secs(120)) {
             Ok(resp) => job_states.push(resp.state.label().to_string()),
             Err(e) => {
@@ -186,6 +191,10 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
                 stuck.push(id);
             }
         }
+        let after = fault::hits(FAIL_EVALUATE);
+        evaluator_faulted.push(plan.triggers.iter().any(|t| {
+            t.site == FAIL_EVALUATE && t.at <= after && t.at + t.count.max(1) > before + 1
+        }));
     }
     drop(guard);
 
@@ -232,7 +241,8 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let mut report_checked = 0usize;
     let mut illegal = Vec::new();
     let mut mismatched = Vec::new();
-    for (&id, spec) in ids.iter().zip(&specs) {
+    let (mut direct_checked, mut diverged) = (0usize, Vec::new());
+    for ((&id, spec), faulted) in ids.iter().zip(&specs).zip(evaluator_faulted) {
         if let Ok(Some(ckpt)) = handle.checkpoint(id) {
             resume_checked += 1;
             if !resumes_bit_identically(spec, &ckpt) {
@@ -246,12 +256,28 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
                 ReportVerdict::IllegalPlacement => illegal.push(id),
                 ReportVerdict::MetricsMismatch => mismatched.push(id),
             }
+            // An injected simulator failure is a penalised sample: it
+            // steers the search, so such a run has no direct twin.
+            if !faulted {
+                direct_checked += 1;
+                if !direct_report(spec).is_some_and(|direct| reports_match(&report, &direct)) {
+                    diverged.push(id);
+                }
+            }
         }
     }
     invariants.push(InvariantResult::new(
         "checkpoints-resume-bit-identically",
         resume_bad.is_empty(),
         format!("{resume_checked} checkpoints resumed twice, divergent: {resume_bad:?}"),
+    ));
+    invariants.push(InvariantResult::new(
+        "served-equals-direct-run",
+        diverged.is_empty(),
+        format!(
+            "{direct_checked} of {report_checked} reports compared with direct runs (the rest \
+             took an injected simulator failure), divergent: {diverged:?}"
+        ),
     ));
     invariants.push(InvariantResult::new(
         "reported-placements-legal",
@@ -283,6 +309,16 @@ pub fn resumes_bit_identically(spec: &JobSpec, ckpt: &breaksym_core::RunCheckpoi
         (Some(a), Some(b)) => reports_match(&a, &b),
         _ => false,
     }
+}
+
+/// Runs the spec directly, in one unsliced call on a fresh driver — the
+/// ground truth a served report must match bit for bit. Public for the
+/// multi-node harness.
+pub fn direct_report(spec: &JobSpec) -> Option<RunReport> {
+    let task = spec.task.resolve().ok()?;
+    let (method, budget) = spec.resolved_method();
+    let mut opt = method.build(&task).ok()?;
+    Driver::new(budget).run(&task, opt.as_mut()).ok()
 }
 
 /// Whether two reports of the same job agree on what the search did:

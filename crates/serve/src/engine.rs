@@ -236,8 +236,9 @@ impl Shared {
     /// terminal state also sees it counted. Nothing is evicted here: the
     /// next submission or `stats()` beat applies the retention policy,
     /// so the waiters read the state first. The latest checkpoint is
-    /// deliberately retained for cancelled and timed-out jobs — that is
-    /// what makes them resumable.
+    /// deliberately retained for cancelled, timed-out and failed jobs —
+    /// that is what makes them resumable. A done job's is dropped: its
+    /// report supersedes it, and nothing resumes a finished run.
     fn set_terminal(
         &self,
         jobs: &mut HashMap<u64, JobRecord>,
@@ -256,6 +257,9 @@ impl Shared {
         };
         outcomes.fetch_add(1, Ordering::Relaxed);
         if let Some(job) = jobs.get_mut(&id) {
+            if state == JobState::Done {
+                job.checkpoint = None;
+            }
             job.state = state;
             job.terminal_at = Some(self.clock.now());
             if let Some((report, status)) = completion {
@@ -463,7 +467,8 @@ impl ServeHandle {
 
     /// The job's latest resumable [`RunCheckpoint`], if any slice boundary
     /// has produced one. Available while running, after cancellation
-    /// (`resumable: true`), and for jobs requeued by a drain.
+    /// (`resumable: true`), timeout or failure, and for jobs requeued by a
+    /// drain. A done job keeps none: its report supersedes it.
     ///
     /// # Errors
     ///

@@ -2,7 +2,8 @@
 //! [`ServeHandle`] or a cluster coordinator — built on `std::net` only;
 //! no async runtime, no HTTP crate.
 //!
-//! One accept thread hands sockets to a bounded pool of
+//! One accept thread, blocked in `accept` so a connection is taken the
+//! moment it arrives, hands sockets to a bounded pool of
 //! connection-handler threads over an in-process queue; every response is
 //! JSON. The pool is what keeps one slow or stalled client from
 //! head-of-line-blocking everyone else: a handler stuck in the 10 s
@@ -32,6 +33,14 @@
 //!
 //! [`Clock`]: breaksym_testkit::Clock
 //!
+//! # One write per response
+//!
+//! Accepted sockets set `TCP_NODELAY`, and each response's head and body
+//! are built into one buffer and leave in one write. Sent as two writes,
+//! the body waited behind Nagle's algorithm for the client's delayed ACK
+//! of the head — about 40 ms on Linux loopback, on every request, which
+//! was most of a served job's latency.
+//!
 //! # Endpoints
 //!
 //! | Method & path              | Body              | Success payload      |
@@ -56,7 +65,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -399,9 +408,6 @@ impl HttpServer {
         let service: Arc<dyn JobApi> = Arc::new(service);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Non-blocking accept + short sleeps, so the thread can observe
-        // the stop flag without a self-connect dance.
-        listener.set_nonblocking(true)?;
         let conn_workers = conn_workers.max(1);
         let queue = Arc::new(ConnQueue::new(conn_workers * PENDING_PER_WORKER, clock.clone()));
         // Virtual-time steps must expire idle keep-alive connections
@@ -462,10 +468,28 @@ impl HttpServer {
     /// Stops the accept thread and the handler pool and waits for them to
     /// exit; queued-but-unserved sockets are dropped and in-flight
     /// connections are woken immediately by shutting their sockets down.
+    /// The accept thread blocks in `accept`, so it is woken by one
+    /// connection to the listener's own address (loopback when bound to
+    /// the unspecified address), after which it sees the stop flag. If
+    /// that connection cannot be made (out of file descriptors, say), the
+    /// accept thread is not waited for: it ends at its next accept.
     /// Idempotent.
     pub fn stop(&mut self) {
         self.queue.shut_down();
-        for thread in self.threads.drain(..) {
+        let mut threads = self.threads.drain(..);
+        if let Some(accept) = threads.next() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = accept.join();
+            }
+        }
+        for thread in threads {
             let _ = thread.join();
         }
     }
@@ -477,9 +501,16 @@ impl Drop for HttpServer {
     }
 }
 
+/// Blocks in `accept` and hands each socket to the pool.
+/// [`HttpServer::stop`] wakes it with a connection of its own, which the
+/// stop check after every accept drops.
 fn accept_loop(listener: &TcpListener, queue: &ConnQueue) {
-    while !queue.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if queue.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if let Some(rejected) = queue.push(stream) {
                     // Every handler busy and the queue full: shed load
@@ -487,9 +518,8 @@ fn accept_loop(listener: &TcpListener, queue: &ConnQueue) {
                     let _ = reject_busy(rejected);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A persistent error (`EMFILE`: out of file descriptors)
+            // fails every call at once; back off so it cannot spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -498,7 +528,6 @@ fn accept_loop(listener: &TcpListener, queue: &ConnQueue) {
 /// 503 for a connection the pool has no room for. Bounded by a short
 /// write timeout so a client that refuses to read cannot stall accepts.
 fn reject_busy(mut stream: TcpStream) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(Duration::from_millis(250)))?;
     let body = "{\"error\": \"busy\", \"reason\": \"all connection handlers are busy; retry\"}";
     write_response(&mut stream, 503, body, false)
@@ -599,7 +628,7 @@ fn handle_connection(
     clock: &SharedClock,
     stream: TcpStream,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
     let mut stream = stream;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -808,7 +837,9 @@ fn route_job(api: &dyn JobApi, method: &str, path: &str) -> (u16, String) {
         ("GET", Some("report")) => reply(api.report(id)),
         ("GET", Some("checkpoint")) => reply(api.checkpoint(id).and_then(|ckpt| {
             ckpt.ok_or_else(|| ServeError::NotReady {
-                reason: "no checkpoint captured yet; poll again after a slice completes".into(),
+                reason: "no checkpoint: none captured yet (poll again after a slice completes), \
+                         or the job is done (fetch its report)"
+                    .into(),
             })
         })),
         ("POST", Some("cancel")) => reply(api.cancel(id)),
@@ -854,22 +885,22 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
+/// Sends the head and the body in one write (see "One write per
+/// response" in the module docs).
 fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
+    let response = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: \
-         {}\r\nConnection: {}\r\n\r\n",
+         {}\r\nConnection: {}\r\n\r\n{body}",
         status_reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" }
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.write_all(response.as_bytes())
 }
 
 #[cfg(test)]

@@ -388,8 +388,8 @@ pub struct Healthz {
 /// One job's replicable state, as returned by the bulk `/checkpoints`
 /// export: everything a coordinator needs to resume the job elsewhere if
 /// this node dies. Reports are deliberately excluded — they are final
-/// artifacts, not resume state, and can be regenerated from a checkpoint.
-/// So is the job's eval cache: a search needs each verdict before its
+/// artifacts, not resume state; a coordinator fetches a done job's report
+/// once, on its own. So is the job's eval cache: a search needs each verdict before its
 /// next move, so a moved job could reuse only the placements it revisits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobExport {
@@ -401,7 +401,8 @@ pub struct JobExport {
     /// Live progress, when at least one slice has completed.
     #[serde(default)]
     pub status: Option<RunStatus>,
-    /// The latest slice-boundary checkpoint, when one exists.
+    /// The latest slice-boundary checkpoint, when one exists. A done job
+    /// has none: its report supersedes it.
     #[serde(default)]
     pub checkpoint: Option<Box<RunCheckpoint>>,
 }

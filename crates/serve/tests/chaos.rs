@@ -222,7 +222,7 @@ fn wait_deadlines_are_virtual_under_a_test_clock() {
 
 #[test]
 fn chaos_invariants_hold_and_replay_identically() {
-    let cfg = ChaosConfig { seed: 1, jobs: 4, faults: 4, ..ChaosConfig::default() };
+    let cfg = ChaosConfig { seed: 1, jobs: 4, faults: 4 };
     let first = run_chaos(&cfg);
     assert!(first.ok(), "invariants violated: {:#?}", first.invariants);
     let second = run_chaos(&cfg);

@@ -235,9 +235,8 @@ fn http_request(
 }
 
 /// Reads one whole response from a keep-alive `stream`: the head up to its
-/// blank line, then exactly `Content-Length` body bytes. The server may send
-/// the head and the body in separate writes, so one `read` can return the
-/// head alone.
+/// blank line, then exactly `Content-Length` body bytes. The server sends a
+/// response in one write, but one `read` may still return part of it.
 fn read_response(stream: &mut TcpStream) -> String {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
@@ -643,4 +642,85 @@ fn a_checkpoint_with_an_inconsistent_tracker_fails_its_job() {
         other => panic!("expected Failed, got {other:?}"),
     }
     engine.shutdown();
+}
+
+#[test]
+fn a_done_job_keeps_no_checkpoint() {
+    let engine =
+        ServeEngine::start(ServeConfig { workers: 1, slice_evals: 25, ..ServeConfig::default() });
+    let handle = engine.handle();
+    let mut server = HttpServer::bind(handle.clone(), "127.0.0.1:0").unwrap();
+
+    // 120 evaluations in 25-eval slices: the run paused at checkpoints
+    // before it finished.
+    let mut spec = JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(quick_cfg()));
+    spec.seed = Some(3);
+    let id = handle.submit(spec).unwrap();
+    let done = handle.wait(id, Duration::from_secs(120)).unwrap();
+    assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
+    assert_eq!(done.status.unwrap().evals, 120);
+
+    // The report supersedes the last checkpoint; nothing keeps it.
+    assert!(handle.checkpoint(id).unwrap().is_none(), "a done job keeps a checkpoint");
+    let (status, exports) = http_request(server.addr(), "GET", "/checkpoints", "");
+    assert_eq!(status, 200, "{exports}");
+    assert_eq!(exports[0]["id"], id.0);
+    assert_eq!(exports[0]["state"], "done");
+    assert!(exports[0]["checkpoint"].is_null(), "{}", exports[0]["checkpoint"]);
+    let (status, _) = http_request(server.addr(), "GET", &format!("/jobs/{id}/checkpoint"), "");
+    assert_eq!(status, 409);
+
+    server.stop();
+    engine.shutdown();
+}
+
+/// Every response leaves in one write on a `TCP_NODELAY` socket. Sent as
+/// a head write and a body write, the body waited behind Nagle's
+/// algorithm for the client's delayed ACK — about 40 ms on Linux
+/// loopback — so these 40 requests took about 1.7 s.
+#[test]
+fn keep_alive_requests_do_not_wait_for_delayed_acks() {
+    let engine = ServeEngine::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut server = HttpServer::bind(engine.handle(), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut healthz = || {
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n")
+            .unwrap();
+        assert!(read_response(&mut stream).starts_with("HTTP/1.1 200"), "healthz reply");
+    };
+    // Warm-up: a fresh connection ACKs its first segments at once.
+    for _ in 0..5 {
+        healthz();
+    }
+    let started = Instant::now();
+    for _ in 0..40 {
+        healthz();
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(800), "40 keep-alive requests took {took:?}");
+
+    server.stop();
+    engine.shutdown();
+}
+
+/// The accept thread blocks in `accept`; `stop` must wake it, also when
+/// the server is bound to the unspecified address.
+#[test]
+fn stop_wakes_an_accept_that_never_saw_a_connection() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let engine = ServeEngine::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+        let mut server = HttpServer::bind(engine.handle(), bind).unwrap();
+        let (stopped, wait) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = stopped.send(());
+        });
+        assert!(
+            wait.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "{bind}: stop did not return within 1 s"
+        );
+        engine.shutdown();
+    }
 }
