@@ -39,6 +39,7 @@
 //! exiting.
 
 use std::env;
+use std::str::FromStr;
 use std::time::Duration;
 
 use breaksym_bench as bench;
@@ -119,29 +120,20 @@ fn parse_args() -> Args {
     }
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--budget" => {
-                args.budget = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--budget needs an integer"))
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"))
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs an integer"))
-            }
+            "--budget" => args.budget = flag_value(&mut it, "--budget needs an integer"),
+            "--seed" => args.seed = flag_value(&mut it, "--seed needs an integer"),
+            "--threads" => args.threads = flag_value(&mut it, "--threads needs an integer"),
             "--json" => args.json = true,
             other => die(&format!("unknown flag `{other}`")),
         }
     }
     args
+}
+
+/// The next argument parsed as `T`; a missing or unparsable value exits
+/// 2 with `msg`.
+fn flag_value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, msg: &str) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| die(msg))
 }
 
 fn die(msg: &str) -> ! {
@@ -331,43 +323,18 @@ fn serve(flags: &[String]) {
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--addr" => addr = it.next().cloned().unwrap_or_else(|| die("--addr needs host:port")),
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--workers needs an integer"))
-            }
-            "--queue-cap" => {
-                queue_cap = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--queue-cap needs an integer"))
-            }
-            "--slice" => {
-                slice_evals = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--slice needs an integer"))
-            }
+            "--addr" => addr = flag_value(&mut it, "--addr needs host:port"),
+            "--workers" => workers = flag_value(&mut it, "--workers needs an integer"),
+            "--queue-cap" => queue_cap = flag_value(&mut it, "--queue-cap needs an integer"),
+            "--slice" => slice_evals = flag_value(&mut it, "--slice needs an integer"),
             "--conn-workers" => {
-                conn_workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--conn-workers needs an integer"))
+                conn_workers = flag_value(&mut it, "--conn-workers needs an integer")
             }
             "--retain-secs" => {
-                retain_secs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--retain-secs needs an integer (0 disables the TTL)"))
+                retain_secs =
+                    flag_value(&mut it, "--retain-secs needs an integer (0 disables the TTL)")
             }
-            "--retain-max" => {
-                retain_max = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--retain-max needs an integer"))
-            }
+            "--retain-max" => retain_max = flag_value(&mut it, "--retain-max needs an integer"),
             other => die(&format!(
                 "unknown serve flag `{other}` (try: --addr --workers --queue-cap --slice \
                  --conn-workers --retain-secs --retain-max)"
@@ -436,17 +403,9 @@ fn genbench(flags: &[String]) {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--family" => {
-                family = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--family needs one of: mirror ota comparator"))
+                family = flag_value(&mut it, "--family needs one of: mirror ota comparator")
             }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"))
-            }
+            "--seed" => seed = flag_value(&mut it, "--seed needs an integer"),
             "--json" => json = true,
             "--unannotated" => unannotated = true,
             "--check" => check = true,
@@ -507,32 +466,10 @@ fn chaos(flags: &[String]) {
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"))
-            }
-            "--jobs" => {
-                jobs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--jobs needs an integer")),
-                )
-            }
-            "--faults" => {
-                faults = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--faults needs an integer")),
-                )
-            }
-            "--nodes" => {
-                nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--nodes needs an integer"))
-            }
+            "--seed" => cfg.seed = flag_value(&mut it, "--seed needs an integer"),
+            "--jobs" => jobs = Some(flag_value(&mut it, "--jobs needs an integer")),
+            "--faults" => faults = Some(flag_value(&mut it, "--faults needs an integer")),
+            "--nodes" => nodes = flag_value(&mut it, "--nodes needs an integer"),
             "--coord-restart" => coordinator_restart = true,
             "--revive" => revive = true,
             "--json" => json = true,
@@ -677,56 +614,23 @@ fn cluster(flags: &[String]) -> ! {
     let mut slice_evals = 64u64;
     let mut heartbeat_ms = 1000u64;
     let mut threshold = 3u32;
-    let mut window = 32usize;
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--nodes" => {
-                nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--nodes needs an integer"))
-            }
-            "--addr" => addr = it.next().cloned().unwrap_or_else(|| die("--addr needs host:port")),
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--workers needs an integer (per node)"))
-            }
+            "--nodes" => nodes = flag_value(&mut it, "--nodes needs an integer"),
+            "--addr" => addr = flag_value(&mut it, "--addr needs host:port"),
+            "--workers" => workers = flag_value(&mut it, "--workers needs an integer (per node)"),
             "--queue-cap" => {
-                queue_cap = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--queue-cap needs an integer (per node)"))
+                queue_cap = flag_value(&mut it, "--queue-cap needs an integer (per node)")
             }
-            "--slice" => {
-                slice_evals = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--slice needs an integer"))
-            }
+            "--slice" => slice_evals = flag_value(&mut it, "--slice needs an integer"),
             "--heartbeat-ms" => {
-                heartbeat_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--heartbeat-ms needs an integer"))
+                heartbeat_ms = flag_value(&mut it, "--heartbeat-ms needs an integer")
             }
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threshold needs an integer"))
-            }
-            "--window" => {
-                window = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--window needs an integer"))
-            }
+            "--threshold" => threshold = flag_value(&mut it, "--threshold needs an integer"),
             other => die(&format!(
                 "unknown cluster flag `{other}` (try: --nodes --addr --workers --queue-cap \
-                 --slice --heartbeat-ms --threshold --window)"
+                 --slice --heartbeat-ms --threshold)"
             )),
         }
     }
@@ -759,7 +663,6 @@ fn cluster(flags: &[String]) -> ! {
         ClusterConfig {
             heartbeat_interval: Duration::from_millis(heartbeat_ms),
             failure_threshold: threshold,
-            inflight_window: window,
             ..ClusterConfig::default()
         },
     );
@@ -774,39 +677,19 @@ fn coord(flags: &[String]) -> ! {
     let mut state_dir: Option<String> = None;
     let mut heartbeat_ms = 1000u64;
     let mut threshold = 3u32;
-    let mut window = 32usize;
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--node" => {
-                node_addrs.push(it.next().cloned().unwrap_or_else(|| die("--node needs host:port")))
-            }
-            "--addr" => addr = it.next().cloned().unwrap_or_else(|| die("--addr needs host:port")),
-            "--state-dir" => {
-                state_dir =
-                    Some(it.next().cloned().unwrap_or_else(|| die("--state-dir needs a path")))
-            }
+            "--node" => node_addrs.push(flag_value(&mut it, "--node needs host:port")),
+            "--addr" => addr = flag_value(&mut it, "--addr needs host:port"),
+            "--state-dir" => state_dir = Some(flag_value(&mut it, "--state-dir needs a path")),
             "--heartbeat-ms" => {
-                heartbeat_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--heartbeat-ms needs an integer"))
+                heartbeat_ms = flag_value(&mut it, "--heartbeat-ms needs an integer")
             }
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threshold needs an integer"))
-            }
-            "--window" => {
-                window = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--window needs an integer"))
-            }
+            "--threshold" => threshold = flag_value(&mut it, "--threshold needs an integer"),
             other => die(&format!(
                 "unknown coord flag `{other}` (try: --node --addr --state-dir --heartbeat-ms \
-                 --threshold --window)"
+                 --threshold)"
             )),
         }
     }
@@ -818,7 +701,6 @@ fn coord(flags: &[String]) -> ! {
     let cluster_cfg = ClusterConfig {
         heartbeat_interval: Duration::from_millis(heartbeat_ms),
         failure_threshold: threshold,
-        inflight_window: window,
         ..ClusterConfig::default()
     };
     let coordinator = match state_dir {

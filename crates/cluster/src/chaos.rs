@@ -321,7 +321,6 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
     let cluster_cfg = ClusterConfig {
         heartbeat_interval: Duration::from_millis(25),
         failure_threshold: 3,
-        inflight_window: config.jobs.max(8),
         rpc_timeout: Duration::from_secs(2),
     };
     let state_dir = config.coordinator_restart.then(|| scratch_state_dir(config.seed));

@@ -4,22 +4,25 @@
 //! the serve front-end now speaks persistent connections, so a
 //! heartbeat's health probe and checkpoint pull ride the same socket
 //! instead of paying a fresh connect each. Any transport error drops the
-//! connection; the next call reconnects. Responses are parsed just far
-//! enough for this protocol — status line, `Content-Length`,
-//! `Connection` — because the peer is our own front-end, which always
-//! sends exactly that shape.
+//! connection; the next call reconnects. Response heads are read by the
+//! server's own [`read_head`], under the same caps and framing rules, so
+//! a response whose body cannot be framed is an error and its bytes are
+//! never read as the next response.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use breaksym_serve::http::read_head;
 use breaksym_serve::ServeError;
 
-/// Largest response body accepted from a node — matches the server-side
-/// request cap; a node never sends more.
+/// Largest response body accepted from a node. It is four times the
+/// server's 4 MiB request cap because a node's `/checkpoints` export
+/// carries every job's checkpoint, and one checkpoint can reach a few
+/// hundred KB.
 const MAX_RESPONSE_BYTES: u64 = 16 * 1024 * 1024;
 
 /// A parsed HTTP response: status code plus raw JSON body.
@@ -147,47 +150,30 @@ impl NodeClient {
         request.extend_from_slice(payload);
         conn.stream.write_all(&request)?;
 
-        let mut status_line = String::new();
-        conn.reader.read_line(&mut status_line)?;
-        if status_line.is_empty() {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "node closed mid-response"));
-        }
-        let status: u16 =
-            status_line.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(
-                || {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad status line {status_line:?}"),
-                    )
-                },
-            )?;
-
-        let mut content_length: u64 = 0;
-        let mut close = false;
-        loop {
-            let mut line = String::new();
-            conn.reader.read_line(&mut line)?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().unwrap_or(0);
-                } else if name.eq_ignore_ascii_case("connection")
-                    && value.trim().eq_ignore_ascii_case("close")
-                {
-                    close = true;
-                }
-            }
-        }
+        let head = read_head(&mut conn.reader)?.map_err(|refused| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("node response: {}", refused.reason()),
+            )
+        })?;
+        let status: u16 = head
+            .start_line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad status line {:?}", head.start_line),
+                )
+            })?;
+        let content_length = head.content_length;
         if content_length > MAX_RESPONSE_BYTES {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "response body too large"));
         }
         let mut body = vec![0u8; content_length as usize];
         conn.reader.read_exact(&mut body)?;
-        if close {
+        if head.connection.contains("close") {
             self.conn = None;
         }
         Ok(HttpResponse { status, body })

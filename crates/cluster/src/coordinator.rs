@@ -8,12 +8,13 @@
 //! Every accepted job gets a cluster-wide id and is routed by consistent
 //! hashing on that id ([`HashRing`]): deterministic, stable across
 //! coordinator restarts, and with a fixed per-key fallback order when
-//! nodes are down. A bounded per-node in-flight window applies
-//! backpressure before a node's own queue does; the node's 429/503
-//! answers are propagated to the client verbatim, so the end-to-end
-//! semantics are exactly the single-node ones. Transport errors (a node
-//! that cannot be reached at all) walk the fallback order instead —
-//! every such detour is counted in [`ClusterStats::reroutes`].
+//! nodes are down. Backpressure is each node's own: its bounded queue
+//! answers 429 (or 503 while draining), and when that node is the
+//! ring's first choice the answer is propagated to the client verbatim,
+//! so the end-to-end semantics are exactly the single-node ones.
+//! Transport errors (a node that cannot be reached at all) walk the
+//! fallback order instead — every such detour is counted in
+//! [`ClusterStats::reroutes`].
 //!
 //! # Replication, failure, and rejoin
 //!
@@ -35,9 +36,12 @@
 //!
 //! Dead nodes keep being probed. One that answers
 //! [`ClusterConfig::failure_threshold`] consecutive probes (hysteresis —
-//! a flapping node must re-earn its place) is revived, and every
-//! unfinished job whose *home* ring position is the revived node moves
-//! back exactly as a death-resume moves a job: it is resumed on the home
+//! a flapping node must re-earn its place) is revived. Before it is
+//! marked alive, every unfinished copy it still runs that no job maps
+//! to any more is cancelled: a node declared dead may have kept running
+//! the jobs that moved off it. Then every unfinished job whose *home*
+//! ring position is the revived node moves back exactly as a
+//! death-resume moves a job: it is resumed on the home
 //! node from its replicated checkpoint, and once that move is committed
 //! the copy left on the survivor gets one fire-and-forget cancel. A move
 //! home is offered to the home node only; if it does not take the job,
@@ -66,8 +70,7 @@
 //! declaring the unreachable dead — before accepting traffic. See the
 //! [`wal`](crate::wal) module docs for the format and the recovery
 //! rules. Only ephemeral state lives beside `CoordState`: liveness and
-//! probe counters, in-flight window reservations, and the id reservation
-//! counter.
+//! probe counters, and the id reservation counter.
 //!
 //! # Lock discipline
 //!
@@ -138,11 +141,6 @@ pub struct ClusterConfig {
     /// Consecutive missed heartbeats before a node is declared dead, and
     /// consecutive healthy probes before a dead node is revived.
     pub failure_threshold: u32,
-    /// Per-node cap on jobs routed and not yet terminal; beyond it
-    /// submissions are rejected with [`ServeError::QueueFull`] — the
-    /// cluster-level backpressure valve in front of each node's own
-    /// bounded queue.
-    pub inflight_window: usize,
     /// Socket timeout for every coordinator→node RPC.
     pub rpc_timeout: Duration,
 }
@@ -152,7 +150,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             heartbeat_interval: Duration::from_millis(1000),
             failure_threshold: 3,
-            inflight_window: 32,
             rpc_timeout: Duration::from_secs(5),
         }
     }
@@ -171,8 +168,6 @@ struct Inner {
     /// Consecutive healthy probes per *dead* node — the revival
     /// hysteresis counter.
     revive_hits: Vec<u32>,
-    /// Non-terminal jobs currently mapped to each node — the window.
-    inflight: Vec<usize>,
     /// Last id `submit` reserved. A reserved id enters `state` only once
     /// its forward succeeds.
     next_id: u64,
@@ -183,13 +178,6 @@ impl Inner {
     /// recovered from a larger, older fleet) counts as dead.
     fn is_alive(&self, node: usize) -> bool {
         self.alive.get(node).copied().unwrap_or(false)
-    }
-
-    /// Frees one window slot on `node`.
-    fn release(&mut self, node: usize) {
-        if let Some(slots) = self.inflight.get_mut(node) {
-            *slots = slots.saturating_sub(1);
-        }
     }
 
     fn job(&self, id: JobId) -> Result<&PersistedJob, ServeError> {
@@ -298,12 +286,6 @@ impl Coordinator {
         let started = clock.now();
         let adopted = recovered.is_some();
         let state = recovered.unwrap_or_default();
-        let mut inflight = vec![0usize; nodes];
-        for job in state.jobs.iter().filter(|job| !job.state.is_terminal()) {
-            if let Some(slots) = inflight.get_mut(job.node) {
-                *slots += 1;
-            }
-        }
         let shared = Arc::new(CoordShared {
             ring: HashRing::new(nodes, VNODES),
             clients: addrs
@@ -319,7 +301,6 @@ impl Coordinator {
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
                 revive_hits: vec![0; nodes],
-                inflight,
             }),
             wal: wal.map(Mutex::new),
             last_stats: Mutex::new(vec![None; nodes]),
@@ -406,11 +387,11 @@ impl ClusterHandle {
     ///
     /// # Errors
     ///
-    /// [`ServeError::QueueFull`] when the target node's in-flight window
-    /// is full or the node itself answers 429 (end-to-end backpressure);
-    /// [`ServeError::ShuttingDown`] when draining or no node is
-    /// reachable; [`ServeError::BadRequest`] when the task does not
-    /// resolve.
+    /// [`ServeError::QueueFull`] when the ring's first-choice node
+    /// answers 429 (end-to-end backpressure: that node's queue is full);
+    /// [`ServeError::ShuttingDown`] when draining, when that node is
+    /// draining, or when no node is reachable;
+    /// [`ServeError::BadRequest`] when the task does not resolve.
     pub fn submit(&self, mut spec: JobSpec) -> Result<JobId, ServeError> {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
@@ -915,7 +896,8 @@ fn commit(shared: &CoordShared, inner: &mut Inner, record: WalRecord) {
 /// live exports, resume jobs the live nodes no longer hold, and declare
 /// the unreachable dead — their jobs move to survivors through the usual
 /// death path. A node the recovered state lists as dead that answers
-/// again counts as a revival, and after the whole fleet is adopted its
+/// again counts as a revival — its stale copies are cancelled first, as
+/// on a live rejoin — and after the whole fleet is adopted its
 /// home-keyed jobs are rebalanced back exactly as a live rejoin would.
 /// The probes and adoption consult no failpoints — reconciliation is
 /// startup, and keeping it off the fault registry keeps chaos hit
@@ -932,14 +914,13 @@ fn reconcile(shared: &CoordShared) {
             declare_dead(shared, node);
             continue;
         }
-        {
-            let mut inner = shared.inner.lock().expect(POISONED);
-            if inner.state.dead_nodes.contains(&node) {
-                commit(shared, &mut inner, WalRecord::NodeRevived { node });
-                revived.push(node);
-            }
-        }
         let exports = pull_exports(shared, node).unwrap_or_default();
+        if shared.inner.lock().expect(POISONED).state.dead_nodes.contains(&node) {
+            cancel_stale_copies(shared, node, &exports);
+            let mut inner = shared.inner.lock().expect(POISONED);
+            commit(shared, &mut inner, WalRecord::NodeRevived { node });
+            revived.push(node);
+        }
         let exported: HashSet<u64> = exports.iter().map(|export| export.id.0).collect();
         adopt_exports(shared, node, exports);
         // Non-terminal jobs the coordinator maps to this node but the
@@ -950,7 +931,7 @@ fn reconcile(shared: &CoordShared) {
         resume_orphans(shared, orphans);
     }
     // Jobs recovered on a node index this fleet does not have are
-    // orphans too; no window slot was ever reserved for them.
+    // orphans too.
     let nodes = shared.addrs.len();
     resume_orphans(shared, unfinished_jobs(shared, |job| job.node >= nodes));
     // Rebalance after the whole fleet is adopted, so moves see final
@@ -1008,6 +989,33 @@ fn cancel_copy(shared: &CoordShared, node: usize, node_job_id: u64) {
     let _ = client.request("POST", &format!("/jobs/{node_job_id}/cancel"), None);
 }
 
+/// Cancels every unfinished copy in a reviving node's export that no
+/// coordinator job maps to: the copies its jobs left there when they
+/// moved off a node that was declared dead but kept running (a
+/// partition, or scripted heartbeat misses). Runs before the node is
+/// marked alive, so no forward can place a copy there meanwhile, and
+/// consults no failpoint.
+fn cancel_stale_copies(shared: &CoordShared, node: usize, exports: &[JobExport]) {
+    let stale: Vec<u64> = {
+        let inner = shared.inner.lock().expect(POISONED);
+        let mapped: HashSet<u64> = inner
+            .state
+            .jobs
+            .iter()
+            .filter(|job| job.node == node)
+            .map(|job| job.node_job_id)
+            .collect();
+        exports
+            .iter()
+            .filter(|export| !export.state.is_terminal() && !mapped.contains(&export.id.0))
+            .map(|export| export.id.0)
+            .collect()
+    };
+    for node_job_id in stale {
+        cancel_copy(shared, node, node_job_id);
+    }
+}
+
 // ------------------------------------------------------------ forwarding
 
 /// Where a forward landed.
@@ -1041,8 +1049,8 @@ fn fallback_order(ring: &HashRing, key: u64, alive: &[bool]) -> Vec<usize> {
 /// Forwards a spec down `key`'s fallback order until a node accepts it,
 /// or to `only` that node when one is given (a move home).
 ///
-/// Backpressure (a full in-flight window here, or 429/503 from the node)
-/// is propagated to the caller when `reject_when_full` and the rejection
+/// Backpressure (429/503 from the node's own bounded queue) is
+/// propagated to the caller when `reject_when_full` and the rejection
 /// came from the ring's first choice — that is the end-to-end 429/503
 /// contract. Transport errors always walk on to the next candidate; a
 /// death-resume (`reject_when_full == false`) walks past backpressure
@@ -1066,23 +1074,10 @@ fn forward(
     }
     let mut detours: u32 = 0;
     for (rank, &node) in order.iter().enumerate() {
-        // Reserve a window slot, or treat "full" as backpressure/detour.
-        {
-            let mut inner = shared.inner.lock().expect(POISONED);
-            if !inner.alive[node] {
-                detours += 1;
-                continue;
-            }
-            if inner.inflight[node] >= shared.cfg.inflight_window {
-                if reject_when_full && rank == 0 {
-                    return Err(ServeError::QueueFull { capacity: shared.cfg.inflight_window });
-                }
-                detours += 1;
-                continue;
-            }
-            inner.inflight[node] += 1;
+        if !shared.inner.lock().expect(POISONED).alive[node] {
+            detours += 1;
+            continue;
         }
-        let release = || shared.inner.lock().expect(POISONED).release(node);
         let injected = matches!(
             fault::hit(FAIL_FORWARD),
             Some(FaultAction::Fail { .. }) | Some(FaultAction::Drop)
@@ -1095,16 +1090,10 @@ fn forward(
         };
         match outcome {
             Ok(resp) if resp.status == 200 => match resp.json::<SubmitResponse>() {
-                Ok(sub) => {
-                    return Ok(Placed { node, node_job_id: sub.id.0, detours });
-                }
-                Err(_) => {
-                    release();
-                    detours += 1;
-                }
+                Ok(sub) => return Ok(Placed { node, node_job_id: sub.id.0, detours }),
+                Err(_) => detours += 1,
             },
             Ok(resp) => {
-                release();
                 let err = resp.error();
                 let backpressure =
                     matches!(err, ServeError::QueueFull { .. } | ServeError::ShuttingDown);
@@ -1114,10 +1103,7 @@ fn forward(
                     return Err(err);
                 }
             }
-            Err(_) => {
-                release();
-                detours += 1;
-            }
+            Err(_) => detours += 1,
         }
     }
     Err(ServeError::ShuttingDown)
@@ -1131,11 +1117,11 @@ fn forward(
 /// (the heartbeat matches exports by the job's node, and client polls go
 /// through `ClusterHandle::settle_poll`), so a copy a move left behind
 /// never settles the job. A new state or new progress is committed as
-/// one `Observed` record, whose apply bumps the matching terminal counter on the first transition to
-/// terminal — exactly once per job, whatever mixture of polls,
-/// heartbeats, and cancels observed it; that transition also frees the
-/// job's window slot. An observation that changes nothing records
-/// nothing. Client polls call this only for a state change (see
+/// one `Observed` record, whose apply bumps the matching terminal
+/// counter on the first transition to terminal — exactly once per job,
+/// whatever mixture of polls, heartbeats, and cancels observed it. An
+/// observation that changes nothing records nothing. Client polls call
+/// this only for a state change (see
 /// `ClusterHandle::settle_poll`); progress-only records come from the
 /// heartbeat's replication, at most one per job per beat.
 fn observe(
@@ -1154,11 +1140,7 @@ fn observe(
     if state == job.state && status.is_none() {
         return;
     }
-    let (node, settles) = (job.node, !held && state.is_terminal());
     commit(shared, inner, WalRecord::Observed { id, state, status });
-    if settles {
-        inner.release(node);
-    }
 }
 
 // ------------------------------------------------------------ heartbeat
@@ -1326,15 +1308,14 @@ fn replicate(shared: &CoordShared, node: usize) {
 /// restart reconciliation: forwards its spec with the replicated
 /// checkpoint attached (to `only` that node when given, else down the
 /// ring's fallback order), then commits the move (`+1` resume, `1 + detours`
-/// reroutes) and frees the window slot of the node it left (a dead
-/// node's window is already zeroed). Returns the `(node, node_job_id)`
+/// reroutes). Returns the `(node, node_job_id)`
 /// the job left when the move committed, and the forward's error when no
 /// node took the job.
 ///
 /// The forward runs without the `inner` lock, so the job may settle
 /// meanwhile — a client cancel on a dead node does exactly that. Then no
 /// move is committed: the terminal state stands, and the copy just
-/// placed is released and cancelled. A cancel requested before the move
+/// placed is cancelled. A cancel requested before the move
 /// commits is sent on to the new placement.
 fn resume_job(
     shared: &CoordShared,
@@ -1353,13 +1334,11 @@ fn resume_job(
     let placed = forward(shared, id, only, &spec, false)?;
     let mut inner = shared.inner.lock().expect(POISONED);
     let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
-        inner.release(placed.node);
         drop(inner);
         cancel_copy(shared, placed.node, placed.node_job_id);
         return Ok(None);
     };
     let left = (job.node, job.node_job_id);
-    inner.release(left.0);
     let record = WalRecord::Moved {
         id,
         node: placed.node,
@@ -1386,7 +1365,6 @@ fn declare_dead(shared: &CoordShared, node: usize) {
             return;
         }
         inner.alive[node] = false;
-        inner.inflight[node] = 0;
         inner.revive_hits[node] = 0;
         commit(shared, &mut inner, WalRecord::NodeDead { node });
     }
@@ -1395,8 +1373,11 @@ fn declare_dead(shared: &CoordShared, node: usize) {
 
 // ------------------------------------------------------------ rejoin
 
-/// Revives a dead node and moves its home-keyed jobs back.
+/// Revives a dead node — cancelling the copies it still runs of jobs
+/// that moved away — and moves its home-keyed jobs back.
 fn revive(shared: &CoordShared, node: usize) {
+    let exports = pull_exports(shared, node).unwrap_or_default();
+    cancel_stale_copies(shared, node, &exports);
     {
         let mut inner = shared.inner.lock().expect(POISONED);
         if inner.alive[node] {

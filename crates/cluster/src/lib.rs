@@ -11,9 +11,6 @@
 //! - **consistent-hash routing** ([`ring`]): job ids map to nodes via an
 //!   FNV-1a virtual-node ring, stable across processes and restarts,
 //!   with a deterministic per-key fallback order when nodes are down;
-//! - **bounded in-flight windows** ([`ClusterConfig::inflight_window`]):
-//!   cluster-level backpressure in front of each node's bounded queue,
-//!   propagating the 429/503 semantics end-to-end;
 //! - **checkpoint replication** ([`coordinator`]): every heartbeat pulls
 //!   each node's bulk `/checkpoints` export, so the coordinator holds a
 //!   recent resumable checkpoint for every running job and the final

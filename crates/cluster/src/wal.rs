@@ -56,7 +56,7 @@ const LOG: &str = "wal.jsonl";
 const COMPACT_EVERY: u64 = 256;
 
 /// One routed job: the coordinator's durable record of it. What is
-/// rebuilt at recovery (liveness, windows) lives outside it.
+/// rebuilt at recovery (liveness) lives outside it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedJob {
     /// The cluster-wide job id.

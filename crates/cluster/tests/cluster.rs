@@ -2,8 +2,8 @@
 //! behind real sockets, one coordinator, and the failure modes the crate
 //! exists for — node death, resume on survivors, deterministic chaos.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -11,13 +11,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use breaksym_cluster::{
-    run_cluster_chaos, ClusterChaosConfig, ClusterConfig, ClusterHandle, Coordinator, NodeClient,
-    WalStore, FAIL_FORWARD, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
+    run_cluster_chaos, ClusterChaosConfig, ClusterConfig, ClusterHandle, Coordinator, HashRing,
+    NodeClient, WalStore, FAIL_FORWARD, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
 };
 use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunReport, SliceOutcome};
 use breaksym_serve::{
-    Healthz, HttpServer, JobSpec, JobState, ServeConfig, ServeEngine, ServeError, SubmitResponse,
-    TaskSpec, FAIL_SLICE,
+    Healthz, HttpServer, JobId, JobSpec, JobState, ServeConfig, ServeEngine, ServeError,
+    SubmitResponse, TaskSpec, FAIL_SLICE,
 };
 use breaksym_testkit::{fault, FaultAction, FaultPlan, FaultTrigger, TestClock};
 
@@ -152,6 +152,42 @@ fn node_client_keeps_the_connection_alive() {
     teardown(nodes);
 }
 
+/// A fake node that answers one request per connection with each of
+/// `responses` in turn, then closes.
+fn fake_node(responses: &'static [&'static str]) -> (String, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("fake node binds");
+    let addr = listener.local_addr().expect("fake node addr").to_string();
+    let server = thread::spawn(move || {
+        for response in responses {
+            let (mut stream, _) = listener.accept().expect("fake node accepts");
+            let mut request = Vec::new();
+            let mut byte = [0u8; 1];
+            while !request.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                request.push(byte[0]);
+            }
+            stream.write_all(response.as_bytes()).expect("fake node answers");
+        }
+    });
+    (addr, server)
+}
+
+/// A response whose body cannot be framed is an error, never an empty
+/// body whose bytes would be read as the next response.
+#[test]
+fn node_client_refuses_a_response_it_cannot_frame() {
+    let (addr, server) = fake_node(&[
+        "HTTP/1.1 200 OK\r\nContent-Length: 7x\r\n\r\n{\"a\":1}",
+        "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello",
+    ]);
+    let mut client = NodeClient::new(addr, Duration::from_secs(2));
+    for case in ["malformed length", "conflicting lengths"] {
+        let err = client.request("GET", "/healthz", None).expect_err(case);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+    }
+    assert_eq!(client.reconnects(), 2, "a refused response must drop the connection");
+    server.join().expect("fake node exits");
+}
+
 #[test]
 fn coordinator_routes_jobs_and_aggregates_stats() {
     let _serial = serial();
@@ -188,6 +224,78 @@ fn coordinator_routes_jobs_and_aggregates_stats() {
     teardown(nodes);
 }
 
+/// Each node's bounded queue is the cluster's backpressure valve: when a
+/// submission's first-choice node is full, its 429 reaches the client as
+/// the node's own [`ServeError::QueueFull`]. The submission takes no
+/// detour to the node with room, and nothing is routed or rerouted.
+#[test]
+fn a_full_first_choice_node_refuses_the_submission_end_to_end() {
+    let _serial = serial();
+    let mut nodes = Vec::new();
+    let mut addrs = Vec::new();
+    for _ in 0..2 {
+        let engine =
+            ServeEngine::start(ServeConfig { workers: 1, queue_cap: 1, ..ServeConfig::default() });
+        let server = HttpServer::bind(engine.handle(), "127.0.0.1:0").expect("node binds");
+        addrs.push(server.addr().to_string());
+        nodes.push(Node { engine, server });
+    }
+    let coordinator = Coordinator::start(
+        addrs,
+        ClusterConfig {
+            heartbeat_interval: Duration::from_millis(50),
+            rpc_timeout: Duration::from_secs(2),
+            ..ClusterConfig::default()
+        },
+    );
+    let handle = coordinator.handle();
+    let hold = fault::install(holding_slices(FaultPlan::new()));
+
+    // Cluster ids count up from 1 and route by the coordinator's ring
+    // (16 virtual nodes per node). The first two ids routed to `full`
+    // fill it, one job running and one queued; the third meets the full
+    // queue. Jobs routed to the other node are cancelled as they come,
+    // so that node keeps room a detour could use.
+    let ring = HashRing::new(2, 16);
+    let full = ring.preferred(1).expect("the ring has nodes");
+    let to_full: Vec<u64> = (1..).filter(|&id| ring.preferred(id) == Some(full)).take(3).collect();
+    for id in 1..to_full[2] {
+        let submitted = handle.submit(job(id, 600, 8));
+        if !to_full.contains(&id) {
+            if let Ok(other) = submitted {
+                handle.cancel(other).expect("cancel");
+            }
+            continue;
+        }
+        assert_eq!(submitted, Ok(JobId(id)), "the node has room");
+        let placed = handle.inspect().into_iter().find(|j| j.id == id).expect("routed");
+        assert_eq!(placed.node, full, "the test's ring differs from the coordinator's");
+        if id == to_full[0] {
+            // The worker must hold the first job before the second
+            // arrives, or the second would meet a full queue.
+            let engine = nodes[full].engine.handle();
+            assert!(poll_until(Duration::from_secs(30), || {
+                let copy = engine.status(JobId(placed.node_job_id)).expect("copy known");
+                copy.state == JobState::Running
+            }));
+        }
+    }
+
+    let before = handle.stats();
+    let refused = handle.submit(job(to_full[2], 600, 8));
+    assert!(matches!(refused, Err(ServeError::QueueFull { capacity: 1 })), "{refused:?}");
+    let after = handle.stats();
+    assert_eq!(
+        (after.jobs_routed, after.reroutes),
+        (before.jobs_routed, before.reroutes),
+        "a refused submission is neither routed nor rerouted"
+    );
+    drop(hold);
+
+    coordinator.shutdown();
+    teardown(nodes);
+}
+
 #[test]
 fn dead_node_jobs_resume_on_a_survivor() {
     let _serial = serial();
@@ -198,7 +306,6 @@ fn dead_node_jobs_resume_on_a_survivor() {
             heartbeat_interval: Duration::from_millis(20),
             failure_threshold: 3,
             rpc_timeout: Duration::from_secs(2),
-            ..ClusterConfig::default()
         },
     );
     let handle = coordinator.handle();
@@ -243,7 +350,6 @@ fn a_finished_jobs_report_outlives_its_node_and_the_coordinator() {
         heartbeat_interval: Duration::from_millis(20),
         failure_threshold: 3,
         rpc_timeout: Duration::from_secs(2),
-        ..ClusterConfig::default()
     };
     let coordinator = Coordinator::start_durable(addrs.clone(), cfg, &dir).expect("starts");
     let handle = coordinator.handle();
@@ -298,7 +404,6 @@ fn heartbeat_failpoint_kills_a_node_on_the_virtual_clock() {
             heartbeat_interval: Duration::from_millis(100),
             failure_threshold: 3,
             rpc_timeout: Duration::from_secs(2),
-            ..ClusterConfig::default()
         },
         clock.to_shared(),
     );
@@ -329,7 +434,6 @@ fn durable_coordinator_survives_an_abrupt_restart() {
         heartbeat_interval: Duration::from_millis(20),
         failure_threshold: 3,
         rpc_timeout: Duration::from_secs(2),
-        ..ClusterConfig::default()
     };
     let coordinator = Coordinator::start_durable(addrs.clone(), cfg, &dir).expect("durable start");
     let handle = coordinator.handle();
@@ -376,7 +480,8 @@ fn durable_coordinator_survives_an_abrupt_restart() {
 /// hysteresis re-admit the node. The job is held at slice boundaries
 /// until the rebalance has dealt with it. With `rebalance_blocked` the
 /// [`FAIL_REBALANCE`] failpoint eats the migration and the job must
-/// simply finish on its survivor.
+/// simply finish on its survivor. Either way the copy the death-resume
+/// left on the home node is cancelled when the node revives.
 fn rejoin_round(rebalance_blocked: bool) {
     let (nodes, addrs) = fleet(2);
     let clock = TestClock::new();
@@ -386,7 +491,6 @@ fn rejoin_round(rebalance_blocked: bool) {
             heartbeat_interval: Duration::from_millis(100),
             failure_threshold: 3,
             rpc_timeout: Duration::from_secs(2),
-            ..ClusterConfig::default()
         },
         clock.to_shared(),
     );
@@ -395,6 +499,7 @@ fn rejoin_round(rebalance_blocked: bool) {
     let hold = fault::install(holding_slices(FaultPlan::new()));
     let id = handle.submit(job(11, 600, 8)).expect("submit");
     let home = handle.inspect()[0].node;
+    let home_copy = JobId(handle.inspect()[0].node_job_id);
     // Drive beats until a mid-run checkpoint replicates, so the kill
     // interrupts real partial work.
     assert!(
@@ -449,6 +554,17 @@ fn rejoin_round(rebalance_blocked: bool) {
         }),
         "rebalance did not reach the job: {:?}",
         handle.inspect()
+    );
+    // The home node never stopped, so it still held the job's first copy;
+    // its revival cancels that copy instead of letting it run to the end.
+    let home_engine = nodes[home].engine.handle();
+    assert!(
+        poll_until(Duration::from_secs(30), || {
+            let copy = home_engine.status(home_copy).expect("home copy known");
+            matches!(copy.state, JobState::Cancelled { .. })
+        }),
+        "the revived home node kept running the stale copy: {:?}",
+        home_engine.status(home_copy)
     );
     drop(guard);
 
@@ -507,7 +623,6 @@ fn a_move_home_the_home_node_refuses_leaves_the_job_in_place() {
             heartbeat_interval: Duration::from_millis(100),
             failure_threshold: 3,
             rpc_timeout: Duration::from_secs(2),
-            ..ClusterConfig::default()
         },
         clock.to_shared(),
     );
@@ -597,7 +712,6 @@ fn a_cancel_during_a_death_resume_sticks() {
             heartbeat_interval: Duration::from_millis(100),
             failure_threshold: 3,
             rpc_timeout: Duration::from_secs(2),
-            ..ClusterConfig::default()
         },
         clock.to_shared(),
     );
@@ -786,7 +900,6 @@ fn live_state_equals_recovered_state() {
         heartbeat_interval: Duration::from_millis(100),
         failure_threshold: 3,
         rpc_timeout: Duration::from_secs(2),
-        ..ClusterConfig::default()
     };
     let beat = || {
         clock.advance_ms(100);
@@ -987,7 +1100,6 @@ fn report_on_an_unreachable_node_is_retryable() {
             heartbeat_interval: Duration::from_millis(20),
             failure_threshold: 3,
             rpc_timeout: Duration::from_millis(500),
-            ..ClusterConfig::default()
         },
     );
     let handle = coordinator.handle();

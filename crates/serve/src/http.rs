@@ -533,6 +533,110 @@ fn reject_busy(mut stream: TcpStream) -> io::Result<()> {
     write_response(&mut stream, 503, body, false)
 }
 
+/// The framing one message head declares, as [`read_head`] parsed it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Head {
+    /// The request or status line, terminator trimmed.
+    pub start_line: String,
+    /// The declared body length; 0 when the head declares none.
+    pub content_length: u64,
+    /// The `Connection` header's value, lowercased; empty when absent.
+    pub connection: String,
+}
+
+/// Why [`read_head`] refused a head. After any of these the bytes that
+/// follow cannot be framed, so the connection must close.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadError {
+    /// The head exceeds the header byte or line budget.
+    TooLarge,
+    /// A `Content-Length` that does not parse, or a second one that
+    /// disagrees: the body's end is unknown.
+    BadLength,
+    /// Chunked transfer encoding, which this protocol does not speak.
+    Chunked,
+}
+
+impl HeadError {
+    /// The status the server answers this refusal with.
+    pub fn http_status(self) -> u16 {
+        match self {
+            HeadError::TooLarge => 431,
+            HeadError::BadLength => 400,
+            HeadError::Chunked => 501,
+        }
+    }
+
+    /// A one-line explanation.
+    pub fn reason(self) -> String {
+        match self {
+            HeadError::TooLarge => {
+                format!("headers exceed {MAX_HEADER_BYTES} bytes or {MAX_HEADER_LINES} lines")
+            }
+            HeadError::BadLength => "malformed or conflicting Content-Length".into(),
+            HeadError::Chunked => {
+                "chunked transfer encoding is not supported; send Content-Length".into()
+            }
+        }
+    }
+}
+
+/// Reads one message head, a request's or a response's, through its
+/// blank line: at most 8 KiB in at most 64 header lines, one
+/// `Content-Length` (a repeat must agree), no chunked transfer encoding.
+/// The server frames requests with it and the cluster's node client
+/// frames responses with it, so on a kept-alive connection neither side
+/// can take a body's bytes for the next message.
+///
+/// # Errors
+///
+/// The socket's error, or `UnexpectedEof` when the peer closes before
+/// the head ends. A head it refuses is `Ok(Err(_))`, returned as soon as
+/// the problem is seen.
+pub fn read_head(reader: &mut impl BufRead) -> io::Result<Result<Head, HeadError>> {
+    let mut budget = MAX_HEADER_BYTES;
+    let HeaderLine::Line(start_line) = read_line_capped(reader, &mut budget)? else {
+        return Ok(Err(HeadError::TooLarge));
+    };
+    let mut content_length: Option<u64> = None;
+    let mut chunked = false;
+    let mut connection = String::new();
+    let mut lines = 0usize;
+    loop {
+        let HeaderLine::Line(line) = read_line_capped(reader, &mut budget)? else {
+            return Ok(Err(HeadError::TooLarge));
+        };
+        if line.is_empty() {
+            break;
+        }
+        lines += 1;
+        if lines > MAX_HEADER_LINES {
+            return Ok(Err(HeadError::TooLarge));
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                match value.trim().parse::<u64>() {
+                    Ok(n) if content_length.is_none_or(|prev| prev == n) => {
+                        content_length = Some(n);
+                    }
+                    _ => return Ok(Err(HeadError::BadLength)),
+                }
+            } else if name.eq_ignore_ascii_case("transfer-encoding")
+                && value.to_ascii_lowercase().contains("chunked")
+            {
+                chunked = true;
+            } else if name.eq_ignore_ascii_case("connection") {
+                connection = value.trim().to_ascii_lowercase();
+            }
+        }
+    }
+    if chunked {
+        return Ok(Err(HeadError::Chunked));
+    }
+    Ok(Ok(Head { start_line, content_length: content_length.unwrap_or(0), connection }))
+}
+
 /// One header (or request) line, read with a hard byte budget.
 enum HeaderLine {
     /// A complete line, terminator trimmed.
@@ -543,11 +647,15 @@ enum HeaderLine {
 
 /// Reads one `\n`-terminated line without ever buffering more than
 /// `budget` bytes, decrementing the budget by what was consumed.
+/// `UnexpectedEof` when the peer has closed.
 fn read_line_capped(reader: &mut impl BufRead, budget: &mut usize) -> io::Result<HeaderLine> {
     let mut line = String::new();
     // `take` bounds how much read_line can pull: one byte beyond the
     // budget distinguishes "exactly fits" from "still no terminator".
     let n = reader.by_ref().take(*budget as u64 + 1).read_line(&mut line)?;
+    if n == 0 {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed inside a message head"));
+    }
     if n > *budget {
         return Ok(HeaderLine::TooLong);
     }
@@ -658,85 +766,32 @@ fn serve_request(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
 ) -> io::Result<bool> {
-    let mut header_budget = MAX_HEADER_BYTES;
-    let request_line = match read_line_capped(reader, &mut header_budget)? {
-        HeaderLine::Line(line) => line,
-        HeaderLine::TooLong => {
-            reject(stream, reader, 431, &header_overflow_body())?;
+    let head = match read_head(reader)? {
+        Ok(head) => head,
+        Err(refused) => {
+            // A head whose framing cannot be trusted would let its bytes
+            // pass as the next request: answer, then close.
+            let status = refused.http_status();
+            let err = ServeError::BadRequest { reason: refused.reason() };
+            reject(stream, reader, status, &json(status, &err).1)?;
             return Ok(false);
         }
     };
-    let mut parts = request_line.split_whitespace();
+    let mut parts = head.start_line.split_whitespace();
     let method = parts.next().unwrap_or("").to_ascii_uppercase();
     // Strip any query string: routing is path-only.
     let path = parts.next().unwrap_or("").split('?').next().unwrap_or("").to_string();
     let http11 = parts.next().unwrap_or("HTTP/1.1").eq_ignore_ascii_case("HTTP/1.1");
 
-    let mut content_length: Option<u64> = None;
-    let mut chunked = false;
-    let mut connection = String::new();
-    let mut lines = 0usize;
-    loop {
-        let line = match read_line_capped(reader, &mut header_budget)? {
-            HeaderLine::Line(line) => line,
-            HeaderLine::TooLong => {
-                reject(stream, reader, 431, &header_overflow_body())?;
-                return Ok(false);
-            }
-        };
-        if line.is_empty() {
-            break;
-        }
-        lines += 1;
-        if lines > MAX_HEADER_LINES {
-            reject(stream, reader, 431, &header_overflow_body())?;
-            return Ok(false);
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                // A length that does not parse, or a second one that
-                // disagrees, leaves the body's end unknown: reading it as
-                // anything would let its bytes pass as the next request.
-                match value.trim().parse::<u64>() {
-                    Ok(n) if content_length.is_none_or(|prev| prev == n) => {
-                        content_length = Some(n);
-                    }
-                    _ => {
-                        let err = ServeError::BadRequest {
-                            reason: "malformed or conflicting Content-Length".into(),
-                        };
-                        reject(stream, reader, 400, &json(400, &err).1)?;
-                        return Ok(false);
-                    }
-                }
-            } else if name.eq_ignore_ascii_case("transfer-encoding")
-                && value.to_ascii_lowercase().contains("chunked")
-            {
-                chunked = true;
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = value.trim().to_ascii_lowercase();
-            }
-        }
-    }
     // HTTP/1.1 defaults to keep-alive; 1.0 must opt in; an explicit
     // `close` always wins.
-    let keep_alive = if connection.contains("close") {
+    let keep_alive = if head.connection.contains("close") {
         false
     } else {
-        http11 || connection.contains("keep-alive")
+        http11 || head.connection.contains("keep-alive")
     };
 
-    if chunked {
-        // Pretending a chunked body is empty would silently mis-serve the
-        // request; saying so costs one status code.
-        let err = ServeError::BadRequest {
-            reason: "chunked transfer encoding is not supported; send Content-Length".into(),
-        };
-        reject(stream, reader, 501, &json(501, &err).1)?;
-        return Ok(false);
-    }
-    let content_length = content_length.unwrap_or(0);
+    let content_length = head.content_length;
     if content_length > MAX_BODY_BYTES {
         let err = ServeError::BadRequest { reason: format!("body exceeds {MAX_BODY_BYTES} bytes") };
         reject(stream, reader, err.http_status(), &json(err.http_status(), &err).1)?;
@@ -785,15 +840,6 @@ fn reject(
         }
     }
     Ok(())
-}
-
-fn header_overflow_body() -> String {
-    let err = ServeError::BadRequest {
-        reason: format!(
-            "request headers exceed {MAX_HEADER_BYTES} bytes or {MAX_HEADER_LINES} lines"
-        ),
-    };
-    json(431, &err).1
 }
 
 /// Maps one request to a `(status, JSON body)` pair.
