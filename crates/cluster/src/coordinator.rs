@@ -70,23 +70,25 @@
 //! declaring the unreachable dead — before accepting traffic. See the
 //! [`wal`](crate::wal) module docs for the format and the recovery
 //! rules. Only ephemeral state lives beside `CoordState`: liveness and
-//! probe counters, and the id reservation counter.
+//! probe counters, the id reservation counter, the `/stats` fallback
+//! snapshots and the heartbeat's stop flag.
 //!
-//! # Lock discipline
+//! # One lock
 //!
-//! One registry mutex (`inner`: the `CoordState` and the ephemeral
-//! state) paired with a condvar notified on every committed record, one
-//! mutex per node client, one for the WAL (taken only while committing,
-//! strictly after `inner`, so the log's record order is the apply
-//! order), and a heartbeat parking mutex. The registry lock is never
-//! held across an RPC, and no client lock is acquired while holding it —
-//! RPC stalls never serialise the control plane.
+//! The coordinator's state — the `CoordState`, the WAL, liveness and
+//! probe counters, the `/stats` fallback snapshots and the heartbeat's
+//! stop flag — is behind one mutex (`inner`), so the log's record order
+//! is the apply order. The heartbeat thread parks on one condvar paired
+//! with it, and [`ClusterHandle::wait`] on another, notified on every
+//! committed record. Each node client has a mutex of its own, held for
+//! one RPC, and no RPC runs under `inner`, so an RPC stall never
+//! serialises the control plane.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -171,6 +173,14 @@ struct Inner {
     /// Last id `submit` reserved. A reserved id enters `state` only once
     /// its forward succeeds.
     next_id: u64,
+    /// The write-ahead log, when started durable; only [`commit`] writes
+    /// it.
+    wal: Option<WalStore>,
+    /// Last successful per-node `/stats` snapshot — what the fold falls
+    /// back to when a node is dead or a fetch races its death.
+    last_stats: Vec<Option<ServerStats>>,
+    /// Tells the heartbeat thread to exit.
+    stop: bool,
 }
 
 impl Inner {
@@ -193,19 +203,11 @@ struct CoordShared {
     addrs: Vec<String>,
     clients: Vec<Mutex<NodeClient>>,
     inner: Mutex<Inner>,
-    /// The write-ahead log, when started durable. Lock order: `inner`
-    /// first, then this — only [`commit`] takes it.
-    wal: Option<Mutex<WalStore>>,
-    /// Last successful per-node `/stats` snapshot — what the fold falls
-    /// back to when a node is dead or a fetch races its death.
-    last_stats: Mutex<Vec<Option<ServerStats>>>,
     /// Notified on every committed record; pairs with `inner`.
     state_cv: Condvar,
-    /// The heartbeat thread parks here between beats.
-    beat_mx: Mutex<()>,
+    /// The heartbeat thread parks here between beats; pairs with `inner`.
     beat_cv: Condvar,
     draining: AtomicBool,
-    stop: AtomicBool,
     started: Instant,
 }
 
@@ -301,29 +303,24 @@ impl Coordinator {
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
                 revive_hits: vec![0; nodes],
+                wal,
+                last_stats: vec![None; nodes],
+                stop: false,
             }),
-            wal: wal.map(Mutex::new),
-            last_stats: Mutex::new(vec![None; nodes]),
             state_cv: Condvar::new(),
-            beat_mx: Mutex::new(()),
             beat_cv: Condvar::new(),
             draining: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
             started,
         });
         // A test-clock advance must wake the heartbeat thread and every
-        // wait() deadline so they re-read virtual time. Lock-notify-drop,
-        // one mutex at a time, so a checker that has not parked yet
-        // cannot miss its wakeup.
+        // wait() deadline so they re-read virtual time. Notified under the
+        // lock, so a checker that has not parked yet cannot miss it.
         let weak = Arc::downgrade(&shared);
         shared.clock.register_waker(Arc::new(move || {
             if let Some(shared) = weak.upgrade() {
-                let beat = shared.beat_mx.lock().expect(POISONED);
+                let _inner = shared.inner.lock().expect(POISONED);
                 shared.beat_cv.notify_all();
-                drop(beat);
-                let inner = shared.inner.lock().expect(POISONED);
                 shared.state_cv.notify_all();
-                drop(inner);
             }
         }));
         // Re-adopt the fleet before the heartbeat thread exists and
@@ -356,10 +353,12 @@ impl Coordinator {
     }
 
     fn halt(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        let guard = self.shared.beat_mx.lock().expect(POISONED);
+        // Reached from `Drop`, so a poisoned lock is recovered instead of
+        // panicking: raising the stop flag is sound in any state.
+        let mut inner = self.shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.stop = true;
         self.shared.beat_cv.notify_all();
-        drop(guard);
+        drop(inner);
         if let Some(beat) = self.beat.take() {
             let _ = beat.join();
         }
@@ -656,52 +655,44 @@ impl ClusterHandle {
     /// vanish from the fold — plus the coordinator's own routing
     /// counters.
     pub fn stats(&self) -> ClusterStats {
-        let (alive, misses) = {
-            let inner = self.shared.inner.lock().expect(POISONED);
-            (inner.alive.clone(), inner.misses.clone())
-        };
-        let mut nodes = Vec::with_capacity(self.shared.addrs.len());
-        let mut last = self.shared.last_stats.lock().expect(POISONED);
-        for (node, addr) in self.shared.addrs.iter().enumerate() {
-            let injected = matches!(
-                fault::hit(FAIL_STATS),
-                Some(FaultAction::Fail { .. }) | Some(FaultAction::Drop)
-            );
-            let fetched = if alive[node] && !injected {
+        let alive = self.shared.inner.lock().expect(POISONED).alive.clone();
+        let fetched: Vec<Option<ServerStats>> = (0..self.shared.addrs.len())
+            .map(|node| {
+                let injected = matches!(
+                    fault::hit(FAIL_STATS),
+                    Some(FaultAction::Fail { .. }) | Some(FaultAction::Drop)
+                );
+                if !alive[node] || injected {
+                    return None;
+                }
                 let mut client = self.shared.clients[node].lock().expect(POISONED);
                 client
                     .get("/stats")
                     .ok()
                     .filter(|resp| resp.status == 200)
                     .and_then(|resp| resp.json::<ServerStats>().ok())
-            } else {
-                None
-            };
-            let (stats, stale) = match fetched {
-                Some(stats) => {
-                    last[node] = Some(stats.clone());
-                    (Some(stats), false)
-                }
-                None => (last[node].clone(), true),
-            };
+            })
+            .collect();
+        let mut inner = self.shared.inner.lock().expect(POISONED);
+        let mut nodes = Vec::with_capacity(fetched.len());
+        for (node, fetched) in fetched.into_iter().enumerate() {
+            let stale = fetched.is_none();
+            if fetched.is_some() {
+                inner.last_stats[node] = fetched;
+            }
             nodes.push(NodeReport {
-                addr: addr.clone(),
+                addr: self.shared.addrs[node].clone(),
                 alive: alive[node],
-                missed_heartbeats: misses[node],
+                missed_heartbeats: inner.misses[node],
                 stale,
-                stats,
+                stats: inner.last_stats[node].clone(),
             });
         }
-        drop(last);
+        let jobs_inflight =
+            inner.state.jobs.iter().filter(|job| !job.state.is_terminal()).count() as u64;
+        let counters = inner.state.counters;
+        drop(inner);
         let fold = fold_stats(nodes.iter().filter_map(|node| node.stats.as_ref()));
-        let (jobs_inflight, counters) = {
-            let inner = self.shared.inner.lock().expect(POISONED);
-            let jobs = &inner.state.jobs;
-            (
-                jobs.iter().filter(|job| !job.state.is_terminal()).count() as u64,
-                inner.state.counters,
-            )
-        };
         ClusterStats {
             nodes_total: self.shared.addrs.len(),
             nodes_alive: alive.iter().filter(|&&a| a).count(),
@@ -878,12 +869,11 @@ impl JobApi for ClusterHandle {
 /// Callers hold the `inner` lock, so the log's record order is the order
 /// the records were applied.
 fn commit(shared: &CoordShared, inner: &mut Inner, record: WalRecord) {
-    let mut wal = shared.wal.as_ref().map(|wal| wal.lock().expect(POISONED));
-    if let Some(wal) = &mut wal {
+    if let Some(wal) = &mut inner.wal {
         wal.append(&record);
     }
     inner.state.apply(record);
-    if let Some(wal) = wal.as_mut().filter(|wal| wal.wants_compaction()) {
+    if let Some(wal) = inner.wal.as_mut().filter(|wal| wal.wants_compaction()) {
         if let Err(e) = wal.compact(&inner.state) {
             eprintln!("breaksym-cluster: WAL compaction failed: {e}");
         }
@@ -1149,20 +1139,22 @@ fn heartbeat_loop(shared: &CoordShared) {
     let interval = shared.cfg.heartbeat_interval;
     let mut next = shared.clock.now() + interval;
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
+        let inner = shared.inner.lock().expect(POISONED);
+        if inner.stop {
             return;
         }
-        if shared.clock.now() >= next {
-            beat(shared);
-            next = shared.clock.now() + interval;
+        let now = shared.clock.now();
+        if now < next {
+            // Park until roughly the next beat. On a real clock the timeout
+            // fires it; on a frozen test clock the timeout just re-checks
+            // (a no-op) and the clock's waker delivers the actual wakeups.
+            let remaining = (next - now).max(Duration::from_millis(1));
+            let _ = shared.beat_cv.wait_timeout(inner, remaining).expect(POISONED);
+            continue;
         }
-        // Park until roughly the next beat. On a real clock the timeout
-        // fires it; on a frozen test clock the timeout just re-checks (a
-        // no-op) and the clock's waker delivers the actual wakeups.
-        let remaining =
-            next.saturating_duration_since(shared.clock.now()).max(Duration::from_millis(1));
-        let guard = shared.beat_mx.lock().expect(POISONED);
-        let _ = shared.beat_cv.wait_timeout(guard, remaining).expect(POISONED);
+        drop(inner);
+        beat(shared);
+        next = shared.clock.now() + interval;
     }
 }
 

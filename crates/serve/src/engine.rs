@@ -29,19 +29,19 @@
 //! [`ServeError::UnknownJob`] (404) for an id this server never
 //! assigned.
 //!
-//! # Lock discipline
+//! # One lock
 //!
-//! Three mutexes exist: the queue, the job registry, and the
-//! retired-stats accumulator, acquired in that fixed order — queue
-//! before registry before retired stats; no code path acquires an
-//! earlier lock while holding a later one. The registry mutex pairs with
-//! a condvar notified on every job state/status transition, which is
-//! what [`ServeHandle::wait`] blocks on. All statistics are atomics
-//! outside the locks.
+//! Everything the engine's threads share — the queue, the job table, the
+//! drain flag, the id counter, the retired accumulator and the `/stats`
+//! counters — is one registry behind one mutex. A job transition and the
+//! counter it moves change in one critical section, and every flag a
+//! thread parks on is set under that mutex, so no wake-up is lost between
+//! a check and the wait. Workers park on one condvar for a queued job or
+//! a drain; [`ServeHandle::wait`] parks on another, notified at every job
+//! transition and eviction. No slice runs under the lock.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,9 +63,9 @@ pub const FAIL_SLICE: &str = "serve::slice";
 
 /// What a poisoned lock means here: a worker panicked mid-update, and the
 /// registry can no longer be trusted. Slice execution itself is guarded by
-/// `catch_unwind`, so an optimizer panic cannot poison these locks — only
-/// a panic inside the engine's own bookkeeping can.
-const POISONED: &str = "serve: a worker panicked while holding an engine lock";
+/// `catch_unwind` and runs outside the lock, so an optimizer panic cannot
+/// poison it — only a panic inside the engine's own bookkeeping can.
+const POISONED: &str = "serve: a worker panicked while holding the engine lock";
 
 /// Sizing and defaults of a serving engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +120,9 @@ struct JobRecord {
     warnings: Vec<String>,
     report: Option<Box<RunReport>>,
     checkpoint: Option<Box<RunCheckpoint>>,
-    cancel: Arc<AtomicBool>,
+    /// Set by a cancel while the job runs; its worker reads it at the next
+    /// slice boundary.
+    cancel: bool,
     cache: EvalCache,
     counter: SimCounter,
     /// When the job reached a terminal state — the retention clock.
@@ -141,20 +143,56 @@ impl JobRecord {
             warnings,
             report: None,
             checkpoint,
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancel: false,
             cache: EvalCache::default(),
             counter: SimCounter::new(),
             terminal_at: None,
         }
     }
+
+    fn response(&self, id: JobId) -> StatusResponse {
+        StatusResponse {
+            id,
+            state: self.state.clone(),
+            status: self.status,
+            warnings: self.warnings.clone(),
+        }
+    }
 }
 
-/// Accounting carried forward from evicted jobs, so `/stats` totals stay
-/// exact however many records the retention policy has dropped.
-#[derive(Debug, Default)]
-struct RetiredStats {
-    cache: StatsSnapshot,
-    jobs: u64,
+/// All the engine's shared state, behind its one mutex (see the module
+/// docs).
+#[derive(Debug)]
+struct Registry {
+    jobs: HashMap<u64, JobRecord>,
+    /// FIFO of exactly the [`JobState::Queued`] jobs; a job a drain
+    /// requeues goes back at the front.
+    queue: VecDeque<u64>,
+    draining: bool,
+    /// The last id assigned; ids are dense from 1.
+    next_id: u64,
+    /// The `/stats` counters in their wire shape. `cache` is the retired
+    /// accumulator: the statistics of evicted jobs, so totals stay exact
+    /// however many records the retention policy drops. `queue_depth` and
+    /// `uptime_ms` are filled in when [`ServeHandle::stats`] reads it.
+    stats: ServerStats,
+}
+
+impl Registry {
+    /// The job `id`, or the error for an id absent from the table.
+    fn job(&self, id: JobId) -> Result<&JobRecord, ServeError> {
+        self.jobs.get(&id.0).ok_or_else(|| self.missing(id))
+    }
+
+    /// The error for an id absent from the table: ids this server
+    /// assigned were evicted; anything else was never known.
+    fn missing(&self, id: JobId) -> ServeError {
+        if (1..=self.next_id).contains(&id.0) {
+            ServeError::JobEvicted { id }
+        } else {
+            ServeError::UnknownJob { id }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -163,46 +201,31 @@ struct Shared {
     /// Time source for timeouts, TTLs, uptime, and wait deadlines. The
     /// real clock in production; a `TestClock` in deterministic tests.
     clock: SharedClock,
-    /// Job registry; see the module docs for the lock order.
-    jobs: Mutex<HashMap<u64, JobRecord>>,
-    /// Notified on every job state/status transition; pairs with `jobs`.
-    /// [`ServeHandle::wait`] blocks here instead of busy-polling.
-    state_cv: Condvar,
-    /// Statistics of evicted jobs; see the module docs for the lock order.
-    retired: Mutex<RetiredStats>,
-    /// FIFO of queued job ids (drained jobs are requeued at the front).
-    queue: Mutex<VecDeque<u64>>,
-    queue_cv: Condvar,
-    draining: AtomicBool,
-    next_id: AtomicU64,
     started: Instant,
-    busy_workers: AtomicUsize,
-    worker_jobs: Vec<AtomicU64>,
-    worker_busy_ms: Vec<AtomicU64>,
-    jobs_submitted: AtomicU64,
-    jobs_done: AtomicU64,
-    jobs_failed: AtomicU64,
-    jobs_timed_out: AtomicU64,
-    jobs_cancelled: AtomicU64,
-    jobs_panicked: AtomicU64,
+    registry: Mutex<Registry>,
+    /// Workers park here for a queued job or a drain.
+    work: Condvar,
+    /// Notified on every job transition and eviction;
+    /// [`ServeHandle::wait`] parks here instead of busy-polling.
+    settled: Condvar,
 }
 
 impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().expect(POISONED)
+    }
+
     /// Evicts terminal jobs the retention policy no longer keeps: every
     /// one past its TTL, plus the oldest beyond the max-retained cap.
     /// Each evicted job's statistics are folded into the retired
-    /// accumulator first, so server-wide totals never regress. Called
-    /// with the registry lock held; takes the retired lock inside it
-    /// (queue → jobs → retired, the fixed order).
-    fn evict_terminal(&self, jobs: &mut HashMap<u64, JobRecord>) {
+    /// accumulator first, so server-wide totals never regress.
+    fn evict_terminal(&self, reg: &mut Registry) {
         let now = self.clock.now();
-        let mut terminal: Vec<(u64, Instant)> = jobs
+        let mut terminal: Vec<(u64, Instant)> = reg
+            .jobs
             .iter()
             .filter_map(|(&id, job)| job.terminal_at.map(|at| (id, at)))
             .collect();
-        if terminal.is_empty() {
-            return;
-        }
         terminal.sort_by_key(|&(_, at)| at);
         let over_cap = terminal.len().saturating_sub(self.cfg.retain_max);
         let expired =
@@ -216,69 +239,62 @@ impl Shared {
         if doomed.is_empty() {
             return;
         }
-        let mut retired = self.retired.lock().expect(POISONED);
         for id in doomed {
-            if let Some(job) = jobs.remove(&id) {
-                retired.cache = retired.cache.merged(job.cache.snapshot(&job.counter));
-                retired.jobs += 1;
+            if let Some(job) = reg.jobs.remove(&id) {
+                reg.stats.cache = reg.stats.cache.merged(job.cache.snapshot(&job.counter));
+                reg.stats.jobs_retired += 1;
             }
         }
-        drop(retired);
         // Waiters on an evicted id must wake to observe JobEvicted.
-        self.state_cv.notify_all();
+        self.settled.notify_all();
     }
 
-    /// The one writer of terminal job state: installs `state` (and, for
-    /// completions, the report plus a final status refresh), stamps the
-    /// retention clock, counts the outcome in the matching `/stats`
-    /// counter, and wakes waiters. `jobs` is the held registry guard, so
-    /// the count lands before the wake-up and a waiter that sees the
-    /// terminal state also sees it counted. Nothing is evicted here: the
-    /// next submission or `stats()` beat applies the retention policy,
-    /// so the waiters read the state first. The latest checkpoint is
-    /// deliberately retained for cancelled, timed-out and failed jobs —
+    /// The one writer of job state: the claim (→ `Running`), a drain's
+    /// requeue (→ `Queued`, at the queue front) and every terminal state.
+    /// It keeps the queue holding exactly the queued jobs, counts a
+    /// terminal outcome in its `/stats` counter, stamps the retention
+    /// clock, and wakes waiters, all in the caller's critical section, so
+    /// a waiter that sees a state also sees it counted. Nothing is evicted
+    /// here: the next submission or `stats()` beat applies the retention
+    /// policy, so the waiters read the state first. The latest checkpoint
+    /// is deliberately retained for cancelled, timed-out and failed jobs —
     /// that is what makes them resumable. A done job's is dropped: its
     /// report supersedes it, and nothing resumes a finished run.
-    fn set_terminal(
+    fn transition(
         &self,
-        jobs: &mut HashMap<u64, JobRecord>,
+        reg: &mut Registry,
         id: u64,
         state: JobState,
         completion: Option<(Box<RunReport>, RunStatus)>,
     ) {
-        let outcomes = match state {
-            JobState::Done => &self.jobs_done,
-            JobState::Failed { .. } => &self.jobs_failed,
-            JobState::TimedOut { .. } => &self.jobs_timed_out,
-            JobState::Cancelled { .. } => &self.jobs_cancelled,
-            JobState::Queued | JobState::Running => {
-                unreachable!("only terminal states are installed")
-            }
+        let Some(job) = reg.jobs.get_mut(&id) else {
+            return;
         };
-        outcomes.fetch_add(1, Ordering::Relaxed);
-        if let Some(job) = jobs.get_mut(&id) {
-            if state == JobState::Done {
+        if job.state == JobState::Queued {
+            if let Some(at) = reg.queue.iter().position(|&queued| queued == id) {
+                reg.queue.remove(at);
+            }
+        }
+        match state {
+            JobState::Queued => reg.queue.push_front(id),
+            JobState::Running => {}
+            JobState::Done => {
+                reg.stats.jobs_done += 1;
                 job.checkpoint = None;
             }
-            job.state = state;
+            JobState::Failed { .. } => reg.stats.jobs_failed += 1,
+            JobState::TimedOut { .. } => reg.stats.jobs_timed_out += 1,
+            JobState::Cancelled { .. } => reg.stats.jobs_cancelled += 1,
+        }
+        if state.is_terminal() {
             job.terminal_at = Some(self.clock.now());
-            if let Some((report, status)) = completion {
-                job.report = Some(report);
-                job.status = Some(status);
-            }
         }
-        self.state_cv.notify_all();
-    }
-
-    /// The error for an id absent from the registry: ids this server
-    /// assigned (they are dense, starting at 1) were evicted; anything
-    /// else was never known.
-    fn missing(&self, id: JobId) -> ServeError {
-        if (1..=self.next_id.load(Ordering::SeqCst)).contains(&id.0) {
-            ServeError::JobEvicted { id }
-        } else {
-            ServeError::UnknownJob { id }
+        if let Some((report, status)) = completion {
+            job.report = Some(report);
+            job.status = Some(status);
         }
+        job.state = state;
+        self.settled.notify_all();
     }
 }
 
@@ -301,51 +317,45 @@ impl ServeEngine {
     /// As [`ServeEngine::start`], with an explicit time source. Tests pass
     /// a [`breaksym_testkit::TestClock`] here so job timeouts, retention
     /// TTLs, and [`ServeHandle::wait`] deadlines become deterministic:
-    /// advancing the test clock wakes the engine's condvars (via the
-    /// clock's waker hook) so blocked waiters re-evaluate their deadlines
+    /// advancing the test clock wakes the engine's waiters (via the
+    /// clock's waker hook) so they re-evaluate their deadlines
     /// immediately.
     pub fn start_with_clock(cfg: ServeConfig, clock: SharedClock) -> Self {
-        let worker_count = cfg.workers.max(1);
-        let started = clock.now();
+        let workers = cfg.workers.max(1);
+        let stats = ServerStats {
+            queue_cap: cfg.queue_cap,
+            workers,
+            worker_jobs: vec![0; workers],
+            worker_busy_ms: vec![0; workers],
+            ..ServerStats::default()
+        };
         let shared = Arc::new(Shared {
-            cfg: ServeConfig { workers: worker_count, ..cfg },
+            cfg: ServeConfig { workers, ..cfg },
+            started: clock.now(),
             clock,
-            jobs: Mutex::new(HashMap::new()),
-            state_cv: Condvar::new(),
-            retired: Mutex::new(RetiredStats::default()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            draining: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
-            started,
-            busy_workers: AtomicUsize::new(0),
-            worker_jobs: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
-            worker_busy_ms: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
-            jobs_submitted: AtomicU64::new(0),
-            jobs_done: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_timed_out: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
-            jobs_panicked: AtomicU64::new(0),
+            registry: Mutex::new(Registry {
+                jobs: HashMap::new(),
+                queue: VecDeque::new(),
+                draining: false,
+                next_id: 0,
+                stats,
+            }),
+            work: Condvar::new(),
+            settled: Condvar::new(),
         });
         // Advancing a test clock must wake every deadline-blocked waiter so
-        // it re-reads virtual time. The weak reference keeps a forgotten
-        // clock from leaking a dead engine.
+        // it re-reads virtual time. Notified under the lock, so a waiter
+        // that checked its deadline but has not parked yet cannot miss it.
+        // The weak reference keeps a forgotten clock from leaking a dead
+        // engine.
         let weak = Arc::downgrade(&shared);
         shared.clock.register_waker(Arc::new(move || {
             if let Some(shared) = weak.upgrade() {
-                // Lock, notify, drop — one mutex at a time, in the fixed
-                // queue-before-jobs order — so a waiter that checked its
-                // deadline but has not parked yet cannot miss the wakeup.
-                let queue = shared.queue.lock().expect(POISONED);
-                shared.queue_cv.notify_all();
-                drop(queue);
-                let jobs = shared.jobs.lock().expect(POISONED);
-                shared.state_cv.notify_all();
-                drop(jobs);
+                let _reg = shared.lock();
+                shared.settled.notify_all();
             }
         }));
-        let workers = (0..worker_count)
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -369,12 +379,12 @@ impl ServeEngine {
     /// checkpoint, ready for a future server to pick up. Returns the
     /// handle for post-mortem queries.
     pub fn shutdown(self) -> ServeHandle {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        let handle = self.handle();
+        handle.request_drain();
         for worker in self.workers {
             let _ = worker.join();
         }
-        ServeHandle { shared: self.shared }
+        handle
     }
 }
 
@@ -396,25 +406,23 @@ impl ServeHandle {
     /// resolve — validated here so bad requests fail at submission, not
     /// inside a worker.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        if self.shared.draining.load(Ordering::SeqCst) {
+        let (_, warnings) = spec.task.resolve_with_warnings()?;
+        let mut reg = self.shared.lock();
+        if reg.draining {
             return Err(ServeError::ShuttingDown);
         }
-        let (_, warnings) = spec.task.resolve_with_warnings()?;
-        let mut queue = self.shared.queue.lock().expect(POISONED);
-        if queue.len() >= self.shared.cfg.queue_cap {
+        if reg.queue.len() >= self.shared.cfg.queue_cap {
             return Err(ServeError::QueueFull { capacity: self.shared.cfg.queue_cap });
         }
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut jobs = self.shared.jobs.lock().expect(POISONED);
-            jobs.insert(id, JobRecord::new(spec, warnings));
-            // Submission is the natural beat of a busy server — enforce
-            // retention here so the registry never outgrows the policy.
-            self.shared.evict_terminal(&mut jobs);
-        }
-        queue.push_back(id);
-        self.shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.queue_cv.notify_one();
+        reg.next_id += 1;
+        let id = reg.next_id;
+        reg.jobs.insert(id, JobRecord::new(spec, warnings));
+        // Submission is the natural beat of a busy server — enforce
+        // retention here so the registry never outgrows the policy.
+        self.shared.evict_terminal(&mut reg);
+        reg.queue.push_back(id);
+        reg.stats.jobs_submitted += 1;
+        self.shared.work.notify_one();
         Ok(JobId(id))
     }
 
@@ -426,14 +434,7 @@ impl ServeHandle {
     /// [`ServeError::JobEvicted`] for a terminal job the retention policy
     /// already dropped.
     pub fn status(&self, id: JobId) -> Result<StatusResponse, ServeError> {
-        let jobs = self.shared.jobs.lock().expect(POISONED);
-        let job = jobs.get(&id.0).ok_or_else(|| self.shared.missing(id))?;
-        Ok(StatusResponse {
-            id,
-            state: job.state.clone(),
-            status: job.status,
-            warnings: job.warnings.clone(),
-        })
+        Ok(self.shared.lock().job(id)?.response(id))
     }
 
     /// The final report of a completed job.
@@ -445,8 +446,8 @@ impl ServeHandle {
     /// [`ServeError::UnknownJob`] / [`ServeError::JobEvicted`] for an
     /// unknown or evicted id.
     pub fn report(&self, id: JobId) -> Result<RunReport, ServeError> {
-        let jobs = self.shared.jobs.lock().expect(POISONED);
-        let job = jobs.get(&id.0).ok_or_else(|| self.shared.missing(id))?;
+        let reg = self.shared.lock();
+        let job = reg.job(id)?;
         match (&job.state, &job.report) {
             (JobState::Done, Some(report)) => Ok((**report).clone()),
             (JobState::Failed { error }, _) => {
@@ -475,9 +476,7 @@ impl ServeHandle {
     /// [`ServeError::UnknownJob`] / [`ServeError::JobEvicted`] for an
     /// unknown or evicted id.
     pub fn checkpoint(&self, id: JobId) -> Result<Option<RunCheckpoint>, ServeError> {
-        let jobs = self.shared.jobs.lock().expect(POISONED);
-        let job = jobs.get(&id.0).ok_or_else(|| self.shared.missing(id))?;
-        Ok(job.checkpoint.as_deref().cloned())
+        Ok(self.shared.lock().job(id)?.checkpoint.as_deref().cloned())
     }
 
     /// Cancels a job. A queued job is dequeued immediately; a running job
@@ -490,22 +489,16 @@ impl ServeHandle {
     /// [`ServeError::UnknownJob`] / [`ServeError::JobEvicted`] for an
     /// unknown or evicted id.
     pub fn cancel(&self, id: JobId) -> Result<StatusResponse, ServeError> {
-        let mut queue = self.shared.queue.lock().expect(POISONED);
-        let mut jobs = self.shared.jobs.lock().expect(POISONED);
-        let job = jobs.get_mut(&id.0).ok_or_else(|| self.shared.missing(id))?;
-        let mut response = StatusResponse {
-            id,
-            state: job.state.clone(),
-            status: job.status,
-            warnings: job.warnings.clone(),
-        };
+        let mut reg = self.shared.lock();
+        let missing = reg.missing(id);
+        let job = reg.jobs.get_mut(&id.0).ok_or(missing)?;
+        let mut response = job.response(id);
         match job.state {
             JobState::Queued => {
-                queue.retain(|&queued| queued != id.0);
                 response.state = JobState::Cancelled { resumable: job.checkpoint.is_some() };
-                self.shared.set_terminal(&mut jobs, id.0, response.state.clone(), None);
+                self.shared.transition(&mut reg, id.0, response.state.clone(), None);
             }
-            JobState::Running => job.cancel.store(true, Ordering::SeqCst),
+            JobState::Running => job.cancel = true,
             _ => {}
         }
         Ok(response)
@@ -515,40 +508,18 @@ impl ServeHandle {
     /// per-worker utilization, and the summed per-job cache/simulation
     /// accounting.
     pub fn stats(&self) -> ServerStats {
-        let queue_depth = self.shared.queue.lock().expect(POISONED).len();
-        let (cache, jobs_retired) = {
-            // Lock order: jobs before retired (module docs).
-            let mut jobs = self.shared.jobs.lock().expect(POISONED);
-            // A stats poll is also a retention beat, so an idle server's
-            // TTL takes effect without waiting for the next submission.
-            self.shared.evict_terminal(&mut jobs);
-            let live = jobs.values().fold(StatsSnapshot::default(), |acc, job| {
-                acc.merged(job.cache.snapshot(&job.counter))
-            });
-            let retired = self.shared.retired.lock().expect(POISONED);
-            (retired.cache.merged(live), retired.jobs)
-        };
-        let shared = &self.shared;
+        let mut reg = self.shared.lock();
+        // A stats poll is also a retention beat, so an idle server's TTL
+        // takes effect without waiting for the next submission.
+        self.shared.evict_terminal(&mut reg);
+        let live = reg.jobs.values().fold(StatsSnapshot::default(), |acc, job| {
+            acc.merged(job.cache.snapshot(&job.counter))
+        });
         ServerStats {
-            queue_depth,
-            queue_cap: shared.cfg.queue_cap,
-            workers: shared.cfg.workers,
-            busy_workers: shared.busy_workers.load(Ordering::Relaxed),
-            worker_jobs: shared.worker_jobs.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
-            worker_busy_ms: shared
-                .worker_busy_ms
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-            uptime_ms: shared.clock.now().duration_since(shared.started).as_millis() as u64,
-            jobs_submitted: shared.jobs_submitted.load(Ordering::Relaxed),
-            jobs_done: shared.jobs_done.load(Ordering::Relaxed),
-            jobs_failed: shared.jobs_failed.load(Ordering::Relaxed),
-            jobs_panicked: shared.jobs_panicked.load(Ordering::Relaxed),
-            jobs_timed_out: shared.jobs_timed_out.load(Ordering::Relaxed),
-            jobs_cancelled: shared.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_retired,
-            cache,
+            queue_depth: reg.queue.len(),
+            uptime_ms: self.uptime_ms(),
+            cache: reg.stats.cache.merged(live),
+            ..reg.stats.clone()
         }
     }
 
@@ -556,17 +527,19 @@ impl ServeHandle {
     /// queue depth, worker busyness, and uptime. This is what a load
     /// balancer or a cluster coordinator polls every heartbeat.
     pub fn healthz(&self) -> Healthz {
-        let queue_depth = self.shared.queue.lock().expect(POISONED).len();
-        let draining = self.shared.draining.load(Ordering::SeqCst);
-        let shared = &self.shared;
+        let reg = self.shared.lock();
         Healthz {
-            ok: !draining,
-            draining,
-            uptime_ms: shared.clock.now().duration_since(shared.started).as_millis() as u64,
-            queue_depth,
-            workers: shared.cfg.workers,
-            busy_workers: shared.busy_workers.load(Ordering::Relaxed),
+            ok: !reg.draining,
+            draining: reg.draining,
+            uptime_ms: self.uptime_ms(),
+            queue_depth: reg.queue.len(),
+            workers: self.shared.cfg.workers,
+            busy_workers: reg.stats.busy_workers,
         }
+    }
+
+    fn uptime_ms(&self) -> u64 {
+        self.shared.clock.now().duration_since(self.shared.started).as_millis() as u64
     }
 
     /// Exports every live job's replicable state — id, lifecycle state,
@@ -576,8 +549,9 @@ impl ServeHandle {
     /// elsewhere if it dies. No job's eval cache is read: a resumed job
     /// starts with an empty one.
     pub fn export_jobs(&self) -> Vec<JobExport> {
-        let jobs = self.shared.jobs.lock().expect(POISONED);
-        let mut out: Vec<JobExport> = jobs
+        let reg = self.shared.lock();
+        let mut out: Vec<JobExport> = reg
+            .jobs
             .iter()
             .map(|(&id, job)| JobExport {
                 id: JobId(id),
@@ -595,19 +569,20 @@ impl ServeHandle {
     /// engine's owner must still call [`ServeEngine::shutdown`] to join
     /// them.
     pub fn request_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        let mut reg = self.shared.lock();
+        reg.draining = true;
+        self.shared.work.notify_all();
     }
 
     /// Whether a drain has been requested.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+        self.shared.lock().draining
     }
 
     /// Blocks until the job reaches a terminal state or `timeout` elapses
     /// — the in-process counterpart of an HTTP poll loop. Sleeps on the
-    /// engine's state condvar (woken at every job state/status
-    /// transition) rather than busy-polling.
+    /// engine's condvar woken at every job transition rather than
+    /// busy-polling.
     ///
     /// # Errors
     ///
@@ -615,16 +590,11 @@ impl ServeHandle {
     /// [`ServeError::JobEvicted`] for an unknown or evicted id.
     pub fn wait(&self, id: JobId, timeout: Duration) -> Result<StatusResponse, ServeError> {
         let deadline = self.shared.clock.now() + timeout;
-        let mut jobs = self.shared.jobs.lock().expect(POISONED);
+        let mut reg = self.shared.lock();
         loop {
-            let job = jobs.get(&id.0).ok_or_else(|| self.shared.missing(id))?;
+            let job = reg.job(id)?;
             if job.state.is_terminal() {
-                return Ok(StatusResponse {
-                    id,
-                    state: job.state.clone(),
-                    status: job.status,
-                    warnings: job.warnings.clone(),
-                });
+                return Ok(job.response(id));
             }
             let Some(remaining) = deadline.checked_duration_since(self.shared.clock.now()) else {
                 return Err(ServeError::NotReady {
@@ -633,8 +603,7 @@ impl ServeHandle {
             };
             // Spurious wakeups and unrelated transitions loop back to the
             // state check; the deadline re-arms the wait each time.
-            let (guard, _) = self.shared.state_cv.wait_timeout(jobs, remaining).expect(POISONED);
-            jobs = guard;
+            reg = self.shared.settled.wait_timeout(reg, remaining).expect(POISONED).0;
         }
     }
 }
@@ -642,60 +611,58 @@ impl ServeHandle {
 // --------------------------------------------------------- the worker side
 
 fn worker_loop(shared: &Shared, worker: usize) {
+    let mut reg = shared.lock();
     loop {
-        let id = {
-            let mut queue = shared.queue.lock().expect(POISONED);
-            loop {
-                // Checked before popping so a drain leaves queued jobs
-                // queued (with their checkpoints) instead of starting them.
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(id) = queue.pop_front() {
-                    break id;
-                }
-                queue = shared.queue_cv.wait(queue).expect(POISONED);
-            }
+        // Checked before claiming so a drain leaves queued jobs queued
+        // (with their checkpoints) instead of starting them.
+        if reg.draining {
+            return;
+        }
+        let Some(&id) = reg.queue.front() else {
+            reg = shared.work.wait(reg).expect(POISONED);
+            continue;
         };
-        shared.busy_workers.fetch_add(1, Ordering::Relaxed);
+        reg.stats.busy_workers += 1;
         let claimed_at = shared.clock.now();
-        run_job(shared, id);
+        reg = run_job(shared, reg, id);
+        // Counted in the critical section of the job's last transition.
         let busy = shared.clock.now().duration_since(claimed_at);
-        shared.worker_busy_ms[worker].fetch_add(busy.as_millis() as u64, Ordering::Relaxed);
-        shared.worker_jobs[worker].fetch_add(1, Ordering::Relaxed);
-        shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
+        reg.stats.busy_workers -= 1;
+        reg.stats.worker_jobs[worker] += 1;
+        reg.stats.worker_busy_ms[worker] += busy.as_millis() as u64;
     }
 }
 
-/// Claims the job, then advances it slice by slice until it finishes,
-/// fails, times out, is cancelled, or the server drains.
-fn run_job(shared: &Shared, id: u64) {
-    let (spec, cancel, cache, counter, mut checkpoint) = {
-        let mut jobs = shared.jobs.lock().expect(POISONED);
-        let Some(job) = jobs.get_mut(&id) else { return };
-        if !matches!(job.state, JobState::Queued) {
-            // Cancelled between pop and claim.
-            return;
-        }
-        job.state = JobState::Running;
-        shared.state_cv.notify_all();
-        (
-            job.spec.clone(),
-            Arc::clone(&job.cancel),
-            job.cache.clone(),
-            job.counter.clone(),
-            job.checkpoint.clone(),
-        )
+/// Claims the job at the queue front, then advances it slice by slice
+/// until it finishes, fails, times out, is cancelled, or the server
+/// drains. Takes the worker's registry guard and hands it back holding
+/// the job's last transition. The lock is released only while the job
+/// resolves and while a slice runs, so each slice-boundary decision is
+/// made and carried out in one critical section.
+fn run_job<'a>(
+    shared: &'a Shared,
+    mut reg: MutexGuard<'a, Registry>,
+    id: u64,
+) -> MutexGuard<'a, Registry> {
+    shared.transition(&mut reg, id, JobState::Running, None);
+    let job = &reg.jobs[&id];
+    let (spec, cache, counter, mut checkpoint) =
+        (job.spec.clone(), job.cache.clone(), job.counter.clone(), job.checkpoint.clone());
+    drop(reg);
+    let end = |mut reg: MutexGuard<'a, Registry>, state, completion| {
+        shared.transition(&mut reg, id, state, completion);
+        reg
     };
+    let failed = |error: String| JobState::Failed { error };
 
     let task = match spec.task.resolve() {
         Ok(task) => task,
-        Err(e) => return fail(shared, id, format!("task does not resolve: {e}")),
+        Err(e) => return end(shared.lock(), failed(format!("task does not resolve: {e}")), None),
     };
     let (method, budget) = spec.resolved_method();
     let mut opt = match method.build(&task) {
         Ok(opt) => opt,
-        Err(e) => return fail(shared, id, format!("method does not build: {e}")),
+        Err(e) => return end(shared.lock(), failed(format!("method does not build: {e}")), None),
     };
     // A resumed run takes its budget from the checkpoint's tracker, so
     // the override must reach it there too.
@@ -717,17 +684,16 @@ fn run_job(shared: &Shared, id: u64) {
     let base_elapsed_ms = checkpoint.as_ref().map_or(0, |c| c.elapsed_ms);
     let claimed = shared.clock.now();
 
+    let mut reg = shared.lock();
     loop {
         // All preemption is observed here, at a quiescent point between
         // slices; the driver itself is never interrupted mid-evaluation.
-        if cancel.load(Ordering::SeqCst) {
-            let resumable = checkpoint.is_some();
-            finish(shared, id, JobState::Cancelled { resumable }, None);
-            return;
+        let resumable = checkpoint.is_some();
+        if reg.jobs[&id].cancel {
+            return end(reg, JobState::Cancelled { resumable }, None);
         }
-        if shared.draining.load(Ordering::SeqCst) {
-            requeue(shared, id);
-            return;
+        if reg.draining {
+            return end(reg, JobState::Queued, None);
         }
         if let Some(limit) = spec.timeout_ms {
             let running = shared.clock.now().duration_since(claimed);
@@ -735,16 +701,16 @@ fn run_job(shared: &Shared, id: u64) {
             if spent >= limit {
                 // A timeout is not a failure: the latest slice-boundary
                 // checkpoint stays behind, resumable like a cancellation.
-                let resumable = checkpoint.is_some();
-                finish(shared, id, JobState::TimedOut { resumable }, None);
-                return;
+                return end(reg, JobState::TimedOut { resumable }, None);
             }
         }
+        drop(reg);
         // The slice is the only code here that runs user-configurable
         // optimizer logic, so it is the panic boundary: a panicking slice
         // must fail *its* job, not take down the worker thread (a dead
-        // worker strands every queued job behind it). No engine lock is
-        // held across the slice, so nothing can be poisoned by the unwind.
+        // worker strands every queued job behind it). The engine lock is
+        // not held across the slice, so nothing can be poisoned by the
+        // unwind.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(FaultAction::Fail { what }) = breaksym_testkit::fault::hit(FAIL_SLICE) {
                 return Err(PlaceError::BadConfig {
@@ -756,46 +722,35 @@ fn run_job(shared: &Shared, id: u64) {
                 Some(ckpt) => driver.resume_slice(&task, opt.as_mut(), ckpt, slice),
             }
         }));
-        let outcome = match outcome {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                // Terminal Failed, checkpoint retained (set_terminal never
-                // clears it): the client sees the failure and can still
-                // fetch the last good checkpoint.
-                shared.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-                return fail(
-                    shared,
-                    id,
-                    format!("optimizer panicked mid-slice: {}", panic_message(&*payload)),
-                );
-            }
-        };
+        reg = shared.lock();
         match outcome {
-            Err(e) => return fail(shared, id, e.to_string()),
-            Ok(SliceOutcome::Finished(report)) => {
+            Err(payload) => {
+                // Terminal Failed, checkpoint retained (only Done clears
+                // it): the client sees the failure and can still fetch the
+                // last good checkpoint.
+                reg.stats.jobs_panicked += 1;
+                let error = format!("optimizer panicked mid-slice: {}", panic_message(&*payload));
+                return end(reg, failed(error), None);
+            }
+            Ok(Err(e)) => return end(reg, failed(e.to_string()), None),
+            Ok(Ok(SliceOutcome::Finished(report))) => {
                 let status = RunStatus {
                     evals: report.evaluations,
                     best_cost: report.best_cost,
                     elapsed_ms: report.elapsed_ms,
                     cache: cache.snapshot(&counter),
                 };
-                finish(shared, id, JobState::Done, Some((report, status)));
-                return;
+                return end(reg, JobState::Done, Some((report, status)));
             }
-            Ok(SliceOutcome::Paused(ckpt)) => {
-                let status = RunStatus {
-                    evals: ckpt.evals,
-                    best_cost: ckpt.tracker.best_cost,
-                    elapsed_ms: ckpt.elapsed_ms,
-                    cache: cache.snapshot(&counter),
-                };
-                {
-                    let mut jobs = shared.jobs.lock().expect(POISONED);
-                    if let Some(job) = jobs.get_mut(&id) {
-                        job.status = Some(status);
-                        job.checkpoint = Some(ckpt.clone());
-                    }
-                    shared.state_cv.notify_all();
+            Ok(Ok(SliceOutcome::Paused(ckpt))) => {
+                if let Some(job) = reg.jobs.get_mut(&id) {
+                    job.status = Some(RunStatus {
+                        evals: ckpt.evals,
+                        best_cost: ckpt.tracker.best_cost,
+                        elapsed_ms: ckpt.elapsed_ms,
+                        cache: cache.snapshot(&counter),
+                    });
+                    job.checkpoint = Some(ckpt.clone());
                 }
                 checkpoint = Some(ckpt);
             }
@@ -813,32 +768,4 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Ends a running job in the given terminal state (worker side).
-fn finish(
-    shared: &Shared,
-    id: u64,
-    state: JobState,
-    completion: Option<(Box<RunReport>, RunStatus)>,
-) {
-    shared.set_terminal(&mut shared.jobs.lock().expect(POISONED), id, state, completion);
-}
-
-fn fail(shared: &Shared, id: u64, error: String) {
-    finish(shared, id, JobState::Failed { error }, None);
-}
-
-/// Drain path: the job goes back to the queue *front* (it already made
-/// progress) in [`JobState::Queued`], its checkpoint already persisted at
-/// the last slice boundary.
-fn requeue(shared: &Shared, id: u64) {
-    {
-        let mut jobs = shared.jobs.lock().expect(POISONED);
-        if let Some(job) = jobs.get_mut(&id) {
-            job.state = JobState::Queued;
-        }
-        shared.state_cv.notify_all();
-    }
-    shared.queue.lock().expect(POISONED).push_front(id);
 }

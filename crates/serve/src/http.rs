@@ -16,6 +16,11 @@
 //! All of it stays inside the standard library, which the offline build
 //! environment requires.
 //!
+//! The hand-off queue, the table of connections being served and the
+//! stop flag share one mutex, so a handler between its stop check and its
+//! wait cannot miss the stop, and [`HttpServer::stop`] never joins a
+//! handler that slept through it.
+//!
 //! # Keep-alive
 //!
 //! Connections are persistent per HTTP/1.1 semantics: a handler serves
@@ -66,8 +71,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -229,24 +233,32 @@ struct ActiveConn {
     idle_deadline: Option<Instant>,
 }
 
+/// What the accept thread and the handler pool share, behind the
+/// [`ConnQueue`]'s one mutex.
+#[derive(Debug, Default)]
+struct Conns {
+    /// Accepted sockets waiting for a handler.
+    pending: VecDeque<TcpStream>,
+    /// Connections currently being served, keyed by a per-server token.
+    active: HashMap<u64, ActiveConn>,
+    next_token: u64,
+    stop: bool,
+}
+
 /// The accept thread's hand-off point to the handler pool: a bounded
-/// queue of accepted sockets, the shutdown latch, and a registry of the
-/// connections currently being served. The registry is how blocked idle
-/// reads are woken without polling: [`ConnQueue::shut_down`] and the
-/// clock's waker hooks shut the registered sockets down, which unblocks
-/// the handler's `read(2)` immediately.
+/// queue of accepted sockets, the stop flag, and a table of the
+/// connections currently being served, all behind one mutex. The table is
+/// how blocked reads are woken without polling: [`ConnQueue::shut_down`]
+/// and the clock's waker hooks shut the tracked sockets down, which
+/// unblocks the handler's `read(2)` immediately. A handler tracks its
+/// connection before it first checks the stop flag, so a stop is either
+/// seen by that check or finds the connection in the table.
 #[derive(Debug)]
 struct ConnQueue {
-    pending: Mutex<VecDeque<TcpStream>>,
+    conns: Mutex<Conns>,
+    /// Notified when a socket is queued or the server stops.
     available: Condvar,
     cap: usize,
-    stop: AtomicBool,
-    /// Handlers currently inside a connection — observability for tests
-    /// that need "a handler is occupied" without guessing with sleeps.
-    busy: AtomicUsize,
-    /// Connections currently being served, keyed by a per-server token.
-    active: Mutex<HashMap<u64, ActiveConn>>,
-    next_conn: AtomicU64,
     /// The clock idle deadlines are measured on; [`ConnQueue::close_expired`]
     /// runs from its waker hooks when virtual time steps.
     clock: SharedClock,
@@ -254,26 +266,21 @@ struct ConnQueue {
 
 impl ConnQueue {
     fn new(cap: usize, clock: SharedClock) -> Self {
-        ConnQueue {
-            pending: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            cap,
-            stop: AtomicBool::new(false),
-            busy: AtomicUsize::new(0),
-            active: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            clock,
-        }
+        ConnQueue { conns: Mutex::new(Conns::default()), available: Condvar::new(), cap, clock }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Conns> {
+        self.conns.lock().expect("http connection table poisoned")
     }
 
     /// Hands an accepted socket to the pool; a full queue returns the
     /// socket so the caller can shed the connection.
     fn push(&self, stream: TcpStream) -> Option<TcpStream> {
-        let mut pending = self.pending.lock().expect("http conn queue poisoned");
-        if pending.len() >= self.cap {
+        let mut conns = self.lock();
+        if conns.pending.len() >= self.cap {
             return Some(stream);
         }
-        pending.push_back(stream);
+        conns.pending.push_back(stream);
         self.available.notify_one();
         None
     }
@@ -281,48 +288,43 @@ impl ConnQueue {
     /// Blocks until a socket is available or the server stops; `None`
     /// means shut down.
     fn pop(&self) -> Option<TcpStream> {
-        let mut pending = self.pending.lock().expect("http conn queue poisoned");
+        let mut conns = self.lock();
         loop {
-            if self.stop.load(Ordering::SeqCst) {
+            if conns.stop {
                 return None;
             }
-            if let Some(stream) = pending.pop_front() {
+            if let Some(stream) = conns.pending.pop_front() {
                 return Some(stream);
             }
-            pending = self.available.wait(pending).expect("http conn queue poisoned");
+            conns = self.available.wait(conns).expect("http connection table poisoned");
         }
     }
 
-    /// Registers a connection so shutdown and the clock waker can wake
-    /// its blocked reads; `None` (clone failure) degrades to an
-    /// untracked connection that still times out on the real clock.
+    fn stopped(&self) -> bool {
+        self.lock().stop
+    }
+
+    /// Tracks a connection so shutdown and the clock waker can wake its
+    /// blocked reads; `None` when its socket cannot be cloned, and the
+    /// connection is then closed unserved.
     fn track(&self, stream: &TcpStream) -> Option<u64> {
         let clone = stream.try_clone().ok()?;
-        if self.stop.load(Ordering::SeqCst) {
-            // Raced a shut_down that already swept the registry: close
-            // now rather than serve into a stopping server.
-            let _ = clone.shutdown(Shutdown::Both);
-        }
-        let token = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        let mut active = self.active.lock().expect("http conn registry poisoned");
-        active.insert(token, ActiveConn { stream: clone, idle_deadline: None });
+        let mut conns = self.lock();
+        conns.next_token += 1;
+        let token = conns.next_token;
+        conns.active.insert(token, ActiveConn { stream: clone, idle_deadline: None });
         Some(token)
     }
 
-    fn untrack(&self, token: Option<u64>) {
-        if let Some(token) = token {
-            self.active.lock().expect("http conn registry poisoned").remove(&token);
-        }
+    fn untrack(&self, token: u64) {
+        self.lock().active.remove(&token);
     }
 
     /// Marks a tracked connection as parked between requests (deadline on
     /// the injected clock) or back in flight (`None`).
-    fn set_idle(&self, token: Option<u64>, deadline: Option<Instant>) {
-        if let Some(token) = token {
-            let mut active = self.active.lock().expect("http conn registry poisoned");
-            if let Some(conn) = active.get_mut(&token) {
-                conn.idle_deadline = deadline;
-            }
+    fn set_idle(&self, token: u64, deadline: Option<Instant>) {
+        if let Some(conn) = self.lock().active.get_mut(&token) {
+            conn.idle_deadline = deadline;
         }
     }
 
@@ -332,8 +334,7 @@ impl ConnQueue {
     /// instead of leaving them blocked until a real-time timeout.
     fn close_expired(&self) {
         let now = self.clock.now();
-        let active = self.active.lock().expect("http conn registry poisoned");
-        for conn in active.values() {
+        for conn in self.lock().active.values() {
             if conn.idle_deadline.is_some_and(|deadline| now >= deadline) {
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
@@ -341,12 +342,15 @@ impl ConnQueue {
     }
 
     fn shut_down(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        // Reached from `Drop`, so a poisoned table is recovered instead of
+        // panicking: raising the flag and shutting sockets down is sound
+        // whatever state a panicking thread left behind.
+        let mut conns = self.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        conns.stop = true;
         self.available.notify_all();
         // Wake every handler blocked in an idle or mid-request read —
         // stopping must not wait out socket timeouts.
-        let active = self.active.lock().expect("http conn registry poisoned");
-        for conn in active.values() {
+        for conn in conns.active.values() {
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
@@ -412,7 +416,7 @@ impl HttpServer {
         let queue = Arc::new(ConnQueue::new(conn_workers * PENDING_PER_WORKER, clock.clone()));
         // Virtual-time steps must expire idle keep-alive connections
         // without any real-time polling: the clock's waker sweeps the
-        // registry and shuts down parked sockets past their deadline.
+        // connection table and shuts down parked sockets past their deadline.
         // (The real clock drops the waker; there, the idle read timeout
         // itself is sized to the remaining budget.)
         {
@@ -440,11 +444,9 @@ impl HttpServer {
                     .name(format!("breaksym-serve-conn-{i}"))
                     .spawn(move || {
                         while let Some(stream) = queue.pop() {
-                            queue.busy.fetch_add(1, Ordering::SeqCst);
                             // A broken connection is the client's problem,
                             // not the server's: log-free best effort.
                             let _ = handle_connection(&*service, &queue, &clock, stream);
-                            queue.busy.fetch_sub(1, Ordering::SeqCst);
                         }
                     })
                     .expect("http handler threads spawn"),
@@ -458,11 +460,11 @@ impl HttpServer {
         self.addr
     }
 
-    /// How many connection handlers are inside a request right now.
+    /// How many connection handlers are serving a connection right now.
     /// Observability for tests: "the stalled client occupies exactly one
-    /// slot" becomes a poll on this counter instead of a guessed sleep.
+    /// slot" becomes a poll on this gauge instead of a guessed sleep.
     pub fn busy_handlers(&self) -> usize {
-        self.queue.busy.load(Ordering::SeqCst)
+        self.queue.lock().active.len()
     }
 
     /// Stops the accept thread and the handler pool and waits for them to
@@ -507,7 +509,7 @@ impl Drop for HttpServer {
 fn accept_loop(listener: &TcpListener, queue: &ConnQueue) {
     loop {
         let accepted = listener.accept();
-        if queue.stop.load(Ordering::SeqCst) {
+        if queue.stopped() {
             return;
         }
         match accepted {
@@ -679,7 +681,7 @@ enum Waited {
 /// budget, measured on the injected clock — frozen virtual time never
 /// expires a connection on its own. The wait *blocks*; there is no poll
 /// tick. Three things can wake it: request bytes, the stop path or clock
-/// waker shutting the socket down (via the [`ConnQueue`] registry), or —
+/// waker shutting the socket down (via the [`ConnQueue`] table), or —
 /// on the real clock — the read timeout, which is sized to the remaining
 /// idle budget so expiry costs exactly one wait.
 fn await_request(
@@ -687,13 +689,13 @@ fn await_request(
     reader: &mut BufReader<TcpStream>,
     queue: &ConnQueue,
     clock: &SharedClock,
-    token: Option<u64>,
+    token: u64,
 ) -> io::Result<Waited> {
     let idle_from = clock.now();
     let deadline = idle_from + KEEP_ALIVE_IDLE;
     queue.set_idle(token, Some(deadline));
     let waited = loop {
-        if queue.stop.load(Ordering::SeqCst) {
+        if queue.stopped() {
             break Ok(Waited::Close);
         }
         let now = clock.now();
@@ -714,8 +716,8 @@ fn await_request(
             Err(e) => {
                 // A shutdown injected by shut_down or close_expired can
                 // surface as a reset instead of an EOF; both mean close.
-                let woken = queue.stop.load(Ordering::SeqCst)
-                    || clock.now().duration_since(idle_from) >= KEEP_ALIVE_IDLE;
+                let woken =
+                    queue.stopped() || clock.now().duration_since(idle_from) >= KEEP_ALIVE_IDLE;
                 break if woken { Ok(Waited::Close) } else { Err(e) };
             }
         }
@@ -740,9 +742,11 @@ fn handle_connection(
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
     let mut stream = stream;
     let mut reader = BufReader::new(stream.try_clone()?);
-    // Register with the queue so the stop path and the clock waker can
-    // wake this handler's blocked reads by shutting the socket down.
-    let token = queue.track(&stream);
+    // Tracked so the stop path and the clock waker can wake this
+    // handler's blocked reads by shutting the socket down.
+    let Some(token) = queue.track(&stream) else {
+        return Ok(());
+    };
     let result = (|| {
         for _ in 0..MAX_REQUESTS_PER_CONN {
             match await_request(&stream, &mut reader, queue, clock, token)? {

@@ -311,7 +311,7 @@ pub struct SubmitResponse {
 }
 
 /// A `/stats` snapshot of the whole server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Jobs waiting in the queue right now.
     pub queue_depth: usize,

@@ -1,8 +1,8 @@
 //! End-to-end tests of the placement service: bit-identity of served runs
 //! against direct driver runs, queue backpressure, mid-run cancellation
 //! with resumable checkpoints, graceful drain, terminal-job retention,
-//! wall-clock timeouts, and the HTTP front-end (including its resistance
-//! to stalled and hostile clients).
+//! wall-clock timeouts, the HTTP front-end (including its resistance to
+//! stalled and hostile clients), and stop paths that never hang.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -198,12 +198,79 @@ fn graceful_drain_requeues_running_jobs_with_checkpoints() {
     assert!(matches!(status.state, JobState::Queued), "{:?}", status.state);
     let ckpt = handle.checkpoint(id).unwrap().expect("drained job keeps its checkpoint");
     assert!(ckpt.evals >= 15);
-    assert_eq!(handle.stats().queue_depth, 1);
+    // The requeue is not an outcome: the worker's one job is counted, and
+    // no terminal counter moves.
+    let stats = handle.stats();
+    assert_eq!(stats.queue_depth, 1);
+    assert_eq!(stats.busy_workers, 0);
+    assert_eq!(stats.worker_jobs, vec![1]);
+    assert_eq!(stats.jobs_submitted, 1);
+    let outcomes = [
+        stats.jobs_done,
+        stats.jobs_failed,
+        stats.jobs_panicked,
+        stats.jobs_timed_out,
+        stats.jobs_cancelled,
+    ];
+    assert_eq!(outcomes, [0; 5]);
+    let health = handle.healthz();
+    assert!(health.draining);
+    assert_eq!(health.queue_depth, 1);
 
     match handle.submit(long_spec(6)) {
         Err(ServeError::ShuttingDown) => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
     }
+
+    // The requeued job leaves the queue when it is cancelled.
+    handle.cancel(id).unwrap();
+    let stats = handle.stats();
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.jobs_cancelled, 1);
+    assert_eq!(stats.jobs_submitted, 1);
+}
+
+/// Runs `cycle` `cycles` times on a thread of its own, and fails when one
+/// cycle takes longer than 5 s: a stop path that loses its wake-up leaves
+/// a join waiting forever.
+fn assert_cycles_finish(what: &str, cycles: usize, cycle: impl Fn() + Send + 'static) {
+    let (tick, ticks) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        for i in 0..cycles {
+            cycle();
+            if tick.send(i).is_err() {
+                return;
+            }
+        }
+    });
+    for i in 0..cycles {
+        assert!(
+            ticks.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "{what} hung in cycle {i} of {cycles}"
+        );
+    }
+    runner.join().unwrap();
+}
+
+/// A worker that has checked the drain flag but not yet parked must still
+/// see the drain, or `shutdown` joins it forever.
+#[test]
+fn engine_shutdown_never_loses_the_drain_wake_up() {
+    assert_cycles_finish("ServeEngine start -> shutdown", 20_000, || {
+        ServeEngine::start(ServeConfig { workers: 2, ..ServeConfig::default() }).shutdown();
+    });
+}
+
+/// A connection handler that has checked the stop flag but not yet
+/// parked must still see the stop, or `HttpServer::stop` joins it forever.
+#[test]
+fn http_stop_never_loses_the_stop_wake_up() {
+    let engine = ServeEngine::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let handle = engine.handle();
+    assert_cycles_finish("HttpServer bind -> stop", 5_000, move || {
+        HttpServer::bind_with(handle.clone(), "127.0.0.1:0", 2).unwrap().stop();
+    });
+    engine.shutdown();
 }
 
 /// A one-shot HTTP/1.1 request over a plain TCP socket, returning

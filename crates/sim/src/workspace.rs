@@ -11,14 +11,15 @@
 //!
 //! # Bit-identity
 //!
-//! The workspace is an *arena*, not an algorithm change: every `*_ws`
-//! solver entry point performs exactly the same floating-point operations
-//! in exactly the same order as its allocating twin, so results are
-//! bit-identical whether or not a workspace is reused. In particular a
-//! factorisation never replays an earlier pivot order: partial pivoting
-//! compares runtime magnitudes, so reusing a recorded permutation to skip
-//! the pivot search would change which row divides which and break
-//! bit-identity.
+//! The workspace is an *arena*, not a cache: every `*_ws` solver entry
+//! point overwrites each buffer before reading it, so a solve performs
+//! the same floating-point operations in the same order whether its
+//! workspace is fresh or was used for another placement, and the results
+//! are bit-identical (pinned by the fresh-versus-reused tests in `ac` and
+//! `testbench`). In particular a factorisation never replays an earlier
+//! pivot order: partial pivoting compares runtime magnitudes, so reusing
+//! a recorded permutation to skip the pivot search would change which
+//! row divides which and break bit-identity.
 
 use crate::Complex;
 
