@@ -21,67 +21,66 @@
 //! A heartbeat thread probes each node's `/healthz` every
 //! [`ClusterConfig::heartbeat_interval`] (measured on the injected
 //! [`Clock`](breaksym_testkit::Clock), so tests drive it virtually) and,
-//! on each healthy beat, pulls the node's bulk `/checkpoints` export
-//! into the coordinator's replicated checkpoint store; a job the export
-//! shows done has its final report copied too, once, so a report
-//! outlives the node it finished on. A node that
-//! misses [`ClusterConfig::failure_threshold`] consecutive probes is
-//! declared dead — exactly once — and every non-terminal job mapped to
-//! it is resubmitted to the ring's next surviving node with its
-//! replicated checkpoint attached; the receiving node resumes from it
-//! through the same code path a drain-requeue uses. Forward failures
-//! deliberately do *not* count toward node death: only the heartbeat
-//! kills, which keeps death decisions on one thread and the whole
-//! coordinator's behaviour a deterministic function of its inputs.
+//! on each healthy beat, pulls the node's bulk `/checkpoints` export into
+//! the coordinator's in-memory replicas; a job the export shows done has
+//! its final report copied too, once, so a report outlives the node it
+//! finished on. A job resumes from its replica, else from the checkpoint
+//! it was submitted with, else from scratch. A node that misses
+//! [`ClusterConfig::failure_threshold`] consecutive probes is declared
+//! dead — exactly once — and every non-terminal job mapped to it is
+//! resubmitted to the ring's next surviving node with that resume point
+//! attached; the receiving node resumes from it through the same code
+//! path a drain-requeue uses. Forward failures deliberately do *not*
+//! count toward node death: only the heartbeat kills, which keeps death
+//! decisions on one thread and the whole coordinator's behaviour a
+//! deterministic function of its inputs.
 //!
 //! Dead nodes keep being probed. One that answers
 //! [`ClusterConfig::failure_threshold`] consecutive probes (hysteresis —
 //! a flapping node must re-earn its place) is revived. Before it is
-//! marked alive, every unfinished copy it still runs that no job maps
-//! to any more is cancelled: a node declared dead may have kept running
-//! the jobs that moved off it. Then every unfinished job whose *home*
-//! ring position is the revived node moves back exactly as a
-//! death-resume moves a job: it is resumed on the home
-//! node from its replicated checkpoint, and once that move is committed
-//! the copy left on the survivor gets one fire-and-forget cancel. A move
-//! home is offered to the home node only; if it does not take the job,
-//! the job stays where it is. The home node repeats what the survivor
-//! ran since the last replicated checkpoint (about one heartbeat of
-//! progress); resume is bit-identical, so the report is the same. Every
-//! move counts as one resume and `1 + detours` reroutes, so the
-//! `reroutes == detours + resumes` accounting identity survives rejoin.
+//! marked alive, every unfinished copy it still runs that no job maps to
+//! any more is cancelled: a node declared dead may have kept running the
+//! jobs that moved off it. Then every unfinished job whose *home* ring
+//! position is the revived node moves back exactly as a death-resume
+//! moves a job, and once that move is committed the copy left on the
+//! survivor gets one fire-and-forget cancel. A move home is offered to
+//! the home node only; if it does not take the job, the job stays where
+//! it is. The home node repeats what the survivor ran since the last
+//! replicated checkpoint (about one heartbeat of progress); resume is
+//! bit-identical, so the report is the same. Every move counts as one
+//! resume and `1 + detours` reroutes, so the `reroutes == detours +
+//! resumes` accounting identity survives rejoin.
 //!
 //! # Durability
 //!
 //! Durable state — the job table, the cluster id counter, the dead-node
 //! set and the routing counters — is one [`CoordState`], and it changes
-//! in exactly one way: a transition (submit, observation, checkpoint
-//! or report adoption, move, cancel request, node death or revival)
-//! builds one [`WalRecord`], appends it to the write-ahead log when the
-//! coordinator was started durable ([`Coordinator::start_durable`]), and
-//! then applies it with [`CoordState::apply`] — the function recovery
-//! replays the log through. A live coordinator and one recovered from its log therefore
+//! in exactly one way: a transition (submit, observation, report
+//! adoption, move, cancel request, node death or revival) builds one
+//! [`WalRecord`], appends it to the write-ahead log when the coordinator
+//! was started durable ([`Coordinator::start_durable`]), and then applies
+//! it with [`CoordState::apply`] — the function recovery replays the log
+//! through. A live coordinator and one recovered from its log therefore
 //! agree by construction. Progress alone is committed from the
 //! heartbeat's replication, at most once per job per beat; a client's
-//! status poll answers the node's live progress and commits only a state
-//! change, so reads do not grow the log. A restart over the same state directory
-//! replays the log, presumes every node alive, and re-adopts the fleet —
-//! probing every node once, adopting live exports, resuming orphans,
-//! declaring the unreachable dead — before accepting traffic. See the
-//! [`wal`](crate::wal) module docs for the format and the recovery
-//! rules. Only ephemeral state lives beside `CoordState`: liveness and
+//! status poll commits only a state change, so reads do not grow the
+//! log. A restart over the same state directory replays the log,
+//! presumes every node alive, and re-adopts the fleet — probing every
+//! node once, adopting live exports (which refills the replicas),
+//! resuming orphans, declaring the unreachable dead — before accepting
+//! traffic. See the [`wal`](crate::wal) module docs for the format. Only
+//! ephemeral state lives beside `CoordState`: the replicas, liveness and
 //! probe counters, the id reservation counter, the `/stats` fallback
 //! snapshots and the heartbeat's stop flag.
 //!
 //! # One lock
 //!
-//! The coordinator's state — the `CoordState`, the WAL, liveness and
-//! probe counters, the `/stats` fallback snapshots and the heartbeat's
-//! stop flag — is behind one mutex (`inner`), so the log's record order
-//! is the apply order. The heartbeat thread parks on one condvar paired
-//! with it, and [`ClusterHandle::wait`] on another, notified on every
-//! committed record. Each node client has a mutex of its own, held for
-//! one RPC, and no RPC runs under `inner`, so an RPC stall never
+//! All of the coordinator's state — the `CoordState`, the WAL and the
+//! ephemeral state — is behind one mutex (`inner`), so the log's record
+//! order is the apply order. The heartbeat thread parks on one condvar
+//! paired with it, and [`ClusterHandle::wait`] on another, notified on
+//! every committed record. Each node client has a mutex of its own, held
+//! for one RPC, and no RPC runs under `inner`, so an RPC stall never
 //! serialises the control plane.
 
 use std::collections::{HashMap, HashSet};
@@ -164,6 +163,8 @@ struct Inner {
     /// Jobs are in ascending id order, so every iteration — replication
     /// matching, death-resume order, exports — is deterministic.
     state: CoordState,
+    /// The freshest checkpoint replicated per unreported job.
+    replicas: HashMap<u64, Box<RunCheckpoint>>,
     alive: Vec<bool>,
     /// Consecutive missed heartbeats per node.
     misses: Vec<u32>,
@@ -192,6 +193,12 @@ impl Inner {
 
     fn job(&self, id: JobId) -> Result<&PersistedJob, ServeError> {
         self.state.job(id.0).ok_or(ServeError::UnknownJob { id })
+    }
+
+    /// Where the job resumes: its replica, else its submitted checkpoint.
+    fn resume_point(&self, id: u64) -> Option<&RunCheckpoint> {
+        let submitted = || self.state.job(id)?.spec.checkpoint.as_deref();
+        self.replicas.get(&id).map(Box::as_ref).or_else(submitted)
     }
 }
 
@@ -239,7 +246,7 @@ impl Coordinator {
     /// coordinator ran here — cleanly shut down or SIGKILLed), the fleet
     /// is re-adopted before this call returns: the job table is
     /// recovered, every node is probed once, live exports are adopted,
-    /// orphaned jobs are resumed from their replicated checkpoints, and
+    /// orphaned jobs are resumed from their resume points, and
     /// unreachable nodes are declared dead with their jobs moved to
     /// survivors.
     ///
@@ -300,6 +307,7 @@ impl Coordinator {
             inner: Mutex::new(Inner {
                 next_id: state.next_id,
                 state,
+                replicas: HashMap::new(),
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
                 revive_hits: vec![0; nodes],
@@ -391,7 +399,7 @@ impl ClusterHandle {
     /// [`ServeError::ShuttingDown`] when draining, when that node is
     /// draining, or when no node is reachable;
     /// [`ServeError::BadRequest`] when the task does not resolve.
-    pub fn submit(&self, mut spec: JobSpec) -> Result<JobId, ServeError> {
+    pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
@@ -402,11 +410,8 @@ impl ClusterHandle {
             inner.next_id
         };
         let placed = forward(&self.shared, id, None, &spec, true)?;
-        // The checkpoint is held once, as the replica: a move attaches the
-        // replica to the spec it forwards.
         let job = PersistedJob {
             id,
-            checkpoint: spec.checkpoint.take(),
             spec,
             node: placed.node,
             node_job_id: placed.node_job_id,
@@ -416,6 +421,7 @@ impl ClusterHandle {
             detours: placed.detours,
             resumes: 0,
             report: None,
+            legacy_checkpoint: None,
         };
         let mut inner = self.shared.inner.lock().expect(POISONED);
         commit(&self.shared, &mut inner, WalRecord::Routed { job: Box::new(job) });
@@ -528,22 +534,18 @@ impl ClusterHandle {
     }
 
     /// The job's latest checkpoint: live from its node when possible,
-    /// otherwise the coordinator's replica.
+    /// otherwise its resume point.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownJob`] for an id this coordinator never
     /// routed.
     pub fn checkpoint(&self, id: JobId) -> Result<Option<RunCheckpoint>, ServeError> {
-        let (node, node_job_id, alive, replicated) = {
+        let (node, node_job_id, alive, resume_point) = {
             let inner = self.shared.inner.lock().expect(POISONED);
             let job = inner.job(id)?;
-            (
-                job.node,
-                job.node_job_id,
-                inner.is_alive(job.node),
-                job.checkpoint.as_deref().cloned(),
-            )
+            let resume_point = inner.resume_point(id.0).cloned();
+            (job.node, job.node_job_id, inner.is_alive(job.node), resume_point)
         };
         if alive {
             let fetched = {
@@ -558,7 +560,7 @@ impl ClusterHandle {
                 }
             }
         }
-        Ok(replicated)
+        Ok(resume_point)
     }
 
     /// Cancels a job wherever it lives. On a live node the node decides
@@ -729,8 +731,8 @@ impl ClusterHandle {
         }
     }
 
-    /// The replicated store, in the same `JobExport` shape a node's
-    /// `/checkpoints` uses — ids are cluster ids. A coordinator fronting
+    /// Every job with its resume point, in the same `JobExport` shape a
+    /// node's `/checkpoints` uses — ids are cluster ids. A coordinator fronting
     /// a coordinator would replicate through this, and it makes the
     /// replica auditable over plain HTTP.
     pub fn export_jobs(&self) -> Vec<JobExport> {
@@ -743,7 +745,7 @@ impl ClusterHandle {
                 id: JobId(job.id),
                 state: job.state.clone(),
                 status: job.status,
-                checkpoint: job.checkpoint.clone(),
+                checkpoint: inner.resume_point(job.id).cloned().map(Box::new),
             })
             .collect()
     }
@@ -760,7 +762,7 @@ impl ClusterHandle {
                 node: job.node,
                 node_job_id: job.node_job_id,
                 state: job.state.label().to_string(),
-                has_checkpoint: job.checkpoint.is_some(),
+                has_checkpoint: inner.resume_point(job.id).is_some(),
                 has_report: job.report.is_some(),
                 detours: job.detours,
                 resumes: job.resumes,
@@ -883,16 +885,15 @@ fn commit(shared: &CoordShared, inner: &mut Inner, record: WalRecord) {
 
 /// Restart reconciliation, run synchronously before the heartbeat thread
 /// exists: probe every node once (ascending, deterministically), adopt
-/// live exports, resume jobs the live nodes no longer hold, and declare
-/// the unreachable dead — their jobs move to survivors through the usual
-/// death path. A node the recovered state lists as dead that answers
-/// again counts as a revival — its stale copies are cancelled first, as
-/// on a live rejoin — and after the whole fleet is adopted its
-/// home-keyed jobs are rebalanced back exactly as a live rejoin would.
-/// The probes and adoption consult no failpoints — reconciliation is
-/// startup, and keeping it off the fault registry keeps chaos hit
-/// cadences beat-aligned — though the rebalance moves still consume
-/// their usual [`FAIL_REBALANCE`] hits.
+/// live exports (which refills the replicas), resume jobs the live nodes
+/// no longer hold, and declare the unreachable dead — their jobs move to
+/// survivors through the usual death path. A node the recovered state
+/// lists as dead that answers again counts as a revival — its stale
+/// copies are cancelled first, as on a live rejoin — and after the whole
+/// fleet is adopted its home-keyed jobs are rebalanced back exactly as a
+/// live rejoin would. The probes and adoption consult no failpoints, so
+/// chaos hit cadences stay beat-aligned; the rebalance moves still
+/// consume their usual [`FAIL_REBALANCE`] hits.
 fn reconcile(shared: &CoordShared) {
     let mut revived = Vec::new();
     for node in 0..shared.addrs.len() {
@@ -925,7 +926,7 @@ fn reconcile(shared: &CoordShared) {
     let nodes = shared.addrs.len();
     resume_orphans(shared, unfinished_jobs(shared, |job| job.node >= nodes));
     // Rebalance after the whole fleet is adopted, so moves see final
-    // liveness and the freshest replicated checkpoints.
+    // liveness and the freshest replicas.
     for node in revived {
         rebalance(shared, node);
     }
@@ -938,8 +939,8 @@ fn unfinished_jobs(shared: &CoordShared, filter: impl Fn(&PersistedJob) -> bool)
     unfinished.filter(|job| filter(job)).map(|job| job.id).collect()
 }
 
-/// Resumes jobs that no node holds any more from their replicated
-/// checkpoints, like any other move; one that no node accepts fails. A
+/// Resumes jobs that no node holds any more from their resume points,
+/// like any other move; one that no node accepts fails. A
 /// cancel-requested orphan is cancelled in place instead.
 fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>) {
     for id in orphans {
@@ -962,9 +963,9 @@ fn resume_orphans(shared: &CoordShared, orphans: Vec<u64>) {
 }
 
 /// Cancels a job the coordinator cannot reach on any node, keeping its
-/// replicated checkpoint resumable.
+/// resume point resumable.
 fn cancel_in_place(shared: &CoordShared, inner: &mut Inner, id: u64) {
-    let resumable = inner.state.job(id).is_some_and(|job| job.checkpoint.is_some());
+    let resumable = inner.resume_point(id).is_some();
     observe(shared, inner, id, JobState::Cancelled { resumable }, None);
 }
 
@@ -1102,18 +1103,14 @@ fn forward(
 // ------------------------------------------------------------ observation
 
 /// Records an observation of a job under the `inner` lock. Terminal is
-/// sticky: nothing a node says later can resurrect a job the coordinator
-/// has settled. Callers pass only what the job's current placement said
-/// (the heartbeat matches exports by the job's node, and client polls go
-/// through `ClusterHandle::settle_poll`), so a copy a move left behind
-/// never settles the job. A new state or new progress is committed as
-/// one `Observed` record, whose apply bumps the matching terminal
-/// counter on the first transition to terminal — exactly once per job,
-/// whatever mixture of polls, heartbeats, and cancels observed it. An
-/// observation that changes nothing records nothing. Client polls call
-/// this only for a state change (see
-/// `ClusterHandle::settle_poll`); progress-only records come from the
-/// heartbeat's replication, at most one per job per beat.
+/// sticky: nothing a node says later can resurrect a settled job. Callers
+/// pass only what the job's current placement said (the heartbeat matches
+/// exports by the job's node, and client polls go through
+/// `ClusterHandle::settle_poll`), so a copy a move left behind never
+/// settles the job. A new state or new progress is committed as one
+/// `Observed` record, whose apply bumps the matching terminal counter on
+/// the first transition to terminal — exactly once per job. An
+/// observation that changes nothing records nothing.
 fn observe(
     shared: &CoordShared,
     inner: &mut Inner,
@@ -1225,8 +1222,8 @@ fn pull_exports(shared: &CoordShared, node: usize) -> Option<Vec<JobExport>> {
         .and_then(|resp| resp.json::<Vec<JobExport>>().ok())
 }
 
-/// Adopts one node's export into the replicated store: fresher
-/// checkpoints (by evaluation count) replace the replica, and
+/// Adopts one node's export: a checkpoint fresher (by evaluation count)
+/// than the job's resume point becomes its replica, and
 /// states/progress flow through the usual observation. A job the export
 /// shows done gets its final report fetched and replicated, once, so the
 /// report outlives the node.
@@ -1247,12 +1244,9 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
         if let Some(checkpoint) = export.checkpoint {
             // A replicated report supersedes any checkpoint (a node from
             // before done jobs dropped theirs still exports one).
-            let fresher = inner.state.job(id).is_some_and(|job| {
-                job.report.is_none()
-                    && job.checkpoint.as_ref().is_none_or(|old| checkpoint.evals > old.evals)
-            });
-            if fresher {
-                commit(shared, &mut inner, WalRecord::Checkpoint { id, checkpoint });
+            let unreported = inner.state.job(id).is_some_and(|job| job.report.is_none());
+            if unreported && inner.resume_point(id).is_none_or(|old| checkpoint.evals > old.evals) {
+                inner.replicas.insert(id, checkpoint);
             }
         }
         let done = matches!(export.state, JobState::Done);
@@ -1277,12 +1271,13 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
         };
         if let Some(report) = fetched {
             let mut inner = shared.inner.lock().expect(POISONED);
+            inner.replicas.remove(&id);
             commit(shared, &mut inner, WalRecord::Reported { id, report: Box::new(report) });
         }
     }
 }
 
-/// Pulls one node's `/checkpoints` export into the replicated store.
+/// Pulls one node's `/checkpoints` export into the replicas.
 fn replicate(shared: &CoordShared, node: usize) {
     if matches!(
         fault::hit(FAIL_REPLICATE),
@@ -1297,18 +1292,16 @@ fn replicate(shared: &CoordShared, node: usize) {
 }
 
 /// Moves one non-terminal job — death-resume, rejoin rebalance, or
-/// restart reconciliation: forwards its spec with the replicated
-/// checkpoint attached (to `only` that node when given, else down the
-/// ring's fallback order), then commits the move (`+1` resume, `1 + detours`
-/// reroutes). Returns the `(node, node_job_id)`
-/// the job left when the move committed, and the forward's error when no
-/// node took the job.
-///
+/// restart reconciliation: forwards its spec with its resume point
+/// attached (to `only` that node when given, else down the ring's
+/// fallback order), then commits the move (`+1` resume, `1 + detours`
+/// reroutes). Returns the `(node, node_job_id)` the job left when the
+/// move committed, and the forward's error when no node took the job.
 /// The forward runs without the `inner` lock, so the job may settle
 /// meanwhile — a client cancel on a dead node does exactly that. Then no
-/// move is committed: the terminal state stands, and the copy just
-/// placed is cancelled. A cancel requested before the move
-/// commits is sent on to the new placement.
+/// move is committed: the terminal state stands, and the copy just placed
+/// is cancelled. A cancel requested before the move commits is sent on to
+/// the new placement.
 fn resume_job(
     shared: &CoordShared,
     id: u64,
@@ -1320,7 +1313,7 @@ fn resume_job(
             return Ok(None);
         };
         let mut spec = job.spec.clone();
-        spec.checkpoint = job.checkpoint.clone();
+        spec.checkpoint = inner.resume_point(id).cloned().map(Box::new);
         spec
     };
     let placed = forward(shared, id, only, &spec, false)?;
@@ -1349,7 +1342,7 @@ fn resume_job(
 /// Declares a node dead — exactly once — and moves its unfinished jobs:
 /// cancel-requested ones are cancelled in place; the rest are
 /// resubmitted, in ascending cluster-id order, to the ring's surviving
-/// fallback with their replicated checkpoints attached.
+/// fallback with their resume points attached.
 fn declare_dead(shared: &CoordShared, node: usize) {
     {
         let mut inner = shared.inner.lock().expect(POISONED);
@@ -1385,15 +1378,12 @@ fn revive(shared: &CoordShared, node: usize) {
 
 /// Moves every unfinished job whose *home* ring position (the route with
 /// the whole fleet up) is the revived node back onto it, in ascending
-/// cluster-id order. Each move is a [`resume_job`] from the replicated
-/// checkpoint, like a death-resume; once it commits, the copy left on
-/// the survivor is cancelled. The move goes to the home node only: were
-/// it to walk the fallback order after the home node failed the forward,
-/// it would land back on a survivor and restart the job there from its
-/// replica. Each candidate consumes one [`FAIL_REBALANCE`] hit; an
-/// injected fault, or a forward the home node does not take, skips that
-/// job's move — it simply finishes on its survivor, which is always
-/// correct.
+/// cluster-id order, each by a [`resume_job`] to the home node only (a
+/// walk down the fallback order would land it back on a survivor,
+/// restarted from its resume point); once a move commits, the copy left
+/// on the survivor is cancelled. Each candidate consumes one
+/// [`FAIL_REBALANCE`] hit; an injected fault, or a forward the home node
+/// does not take, skips that job's move — it finishes on its survivor.
 fn rebalance(shared: &CoordShared, home: usize) {
     let candidates = unfinished_jobs(shared, |job| {
         !job.cancel_requested && job.node != home && shared.ring.preferred(job.id) == Some(home)

@@ -12,8 +12,8 @@
 //!   FNV-1a virtual-node ring, stable across processes and restarts,
 //!   with a deterministic per-key fallback order when nodes are down;
 //! - **checkpoint replication** ([`coordinator`]): every heartbeat pulls
-//!   each node's bulk `/checkpoints` export, so the coordinator holds a
-//!   recent resumable checkpoint for every running job and the final
+//!   each node's bulk `/checkpoints` export, so the coordinator holds (in
+//!   memory) a recent resumable checkpoint for every running job and the final
 //!   report of every job seen done (which replaces its checkpoint);
 //! - **death detection and resume**: a node missing
 //!   [`ClusterConfig::failure_threshold`] consecutive `/healthz` probes
@@ -30,10 +30,10 @@
 //!   keeping the `reroutes == detours + resumes` accounting identity;
 //! - **coordinator durability** ([`wal`]): started with a state
 //!   directory ([`Coordinator::start_durable`]), every change to the
-//!   job table and counters is one write-ahead-logged record, and a
-//!   restarted coordinator re-adopts the fleet — replaying the log,
-//!   probing every node, adopting live exports, resuming orphans from
-//!   replicated checkpoints — before accepting traffic, so a SIGKILLed
+//!   job table and counters is one write-ahead-logged record (lifecycle
+//!   only, no replicas), and a restarted coordinator re-adopts the fleet —
+//!   replaying the log, probing every node, adopting live exports, resuming
+//!   orphans from their resume points — before accepting traffic, so a SIGKILLed
 //!   coordinator loses zero jobs;
 //! - **aggregated observability**: cluster `/stats` folds every node's
 //!   counters ([`fold_stats`]) — last-known snapshots standing in for

@@ -108,7 +108,7 @@ pub struct JobInspect {
     pub node_job_id: u64,
     /// Last observed lifecycle state label.
     pub state: String,
-    /// Whether a replicated checkpoint is held for the job.
+    /// Whether the job has a resume point: a replica or a submitted checkpoint.
     pub has_checkpoint: bool,
     /// Whether the job's final report is replicated.
     #[serde(default)]

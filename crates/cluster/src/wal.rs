@@ -12,6 +12,11 @@
 //! - `wal.jsonl` — one [`WalRecord`] per line, appended (and flushed)
 //!   on every state transition since the snapshot.
 //!
+//! Both hold job lifecycle only: the checkpoints a heartbeat replicates
+//! stay in coordinator memory (a lost replica costs rework, never a
+//! different report). An older coordinator's `checkpoint` records replay
+//! as no-ops, and a job's old `checkpoint` field moves into its spec.
+//!
 //! Recovery reads the snapshot (if any) and replays the log over it
 //! ([`WalStore::load`]). A torn trailing line — the crash interrupted
 //! the write — ends the replay; everything before it was flushed whole.
@@ -55,15 +60,15 @@ const LOG: &str = "wal.jsonl";
 /// Appends between automatic compactions ([`WalStore::wants_compaction`]).
 const COMPACT_EVERY: u64 = 256;
 
-/// One routed job: the coordinator's durable record of it. What is
-/// rebuilt at recovery (liveness) lives outside it.
+/// One routed job: the coordinator's durable record of it. Liveness and
+/// replicated checkpoints live outside it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PersistedJob {
     /// The cluster-wide job id.
     pub id: u64,
-    /// The spec as submitted, minus its checkpoint: a submitted
-    /// checkpoint becomes the replica below, and every move attaches the
-    /// replica (older logs that still carry one here load the same).
+    /// The spec exactly as submitted. A submitted checkpoint is client
+    /// input no rework can rebuild, so it stays here, and a move with no
+    /// fresher replica resumes from it; a replicated report clears it.
     pub spec: JobSpec,
     /// Node responsible at write time.
     pub node: usize,
@@ -74,10 +79,6 @@ pub struct PersistedJob {
     /// Last observed progress.
     #[serde(default)]
     pub status: Option<RunStatus>,
-    /// Replicated checkpoint; `None` once the report is replicated (older
-    /// logs that hold both load the same).
-    #[serde(default)]
-    pub checkpoint: Option<Box<RunCheckpoint>>,
     /// Whether a cancel was requested through the coordinator.
     #[serde(default)]
     pub cancel_requested: bool,
@@ -91,6 +92,10 @@ pub struct PersistedJob {
     /// so it outlives that node.
     #[serde(default)]
     pub report: Option<Box<RunReport>>,
+    /// An older coordinator's `checkpoint` field (the submitted checkpoint
+    /// or a replica), moved into the spec on load; never written.
+    #[serde(rename = "checkpoint", skip_serializing_if = "Option::is_none")]
+    pub(crate) legacy_checkpoint: Option<Box<RunCheckpoint>>,
 }
 
 /// The coordinator's routing counters, as persisted and as re-derived by
@@ -150,12 +155,11 @@ pub enum WalRecord {
         #[serde(default)]
         status: Option<RunStatus>,
     },
-    /// A fresher checkpoint was replicated.
+    /// A replicated checkpoint, as older coordinators logged it. Still
+    /// parsed so their logs replay past it; applying it changes nothing.
     Checkpoint {
         /// Cluster job id.
         id: u64,
-        /// The replicated checkpoint.
-        checkpoint: Box<RunCheckpoint>,
     },
     /// The job moved to another node (death-resume, rebalance, or
     /// restart reconciliation).
@@ -170,8 +174,8 @@ pub enum WalRecord {
         #[serde(default)]
         detours_added: u32,
     },
-    /// A done job's final report was replicated. It supersedes the job's
-    /// replicated checkpoint, which applying the record frees.
+    /// A done job's final report was replicated. It supersedes the spec's
+    /// checkpoint, which applying the record frees.
     Reported {
         /// Cluster job id.
         id: u64,
@@ -211,7 +215,7 @@ impl CoordState {
     /// changes, live or replayed. Terminal states are sticky (a move of a
     /// terminal job changes nothing), terminal counters bump exactly once
     /// per job, every move counts one resume and `1 + detours`
-    /// reroutes, and a replicated report frees the job's checkpoint.
+    /// reroutes, and a replicated report frees the spec's checkpoint.
     pub fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::Routed { job } => {
@@ -248,15 +252,11 @@ impl CoordState {
                     *bump(&mut self.counters) += 1;
                 }
             }
-            WalRecord::Checkpoint { id, checkpoint } => {
-                if let Some(job) = self.job_mut(id) {
-                    job.checkpoint = Some(checkpoint);
-                }
-            }
+            WalRecord::Checkpoint { .. } => {}
             WalRecord::Reported { id, report } => {
                 if let Some(job) = self.job_mut(id) {
                     job.report = Some(report);
-                    job.checkpoint = None;
+                    job.spec.checkpoint = None;
                 }
             }
             WalRecord::Moved { id, node, node_job_id, detours_added } => {
@@ -351,6 +351,12 @@ impl WalStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
+        // An unreported job's old checkpoint moves into its spec.
+        for job in state.iter_mut().flat_map(|state| &mut state.jobs) {
+            if let Some(old) = job.legacy_checkpoint.take().filter(|_| job.report.is_none()) {
+                job.spec.checkpoint.get_or_insert(old);
+            }
+        }
         Ok(state)
     }
 
@@ -442,12 +448,27 @@ mod tests {
             node_job_id: id + 10,
             state: JobState::Queued,
             status: None,
-            checkpoint: None,
             cancel_requested: false,
             detours: 0,
             resumes: 0,
             report: None,
+            legacy_checkpoint: None,
         }
+    }
+
+    /// A paused checkpoint of `sample_job(1)` and the report resuming it
+    /// gives.
+    fn paused_checkpoint() -> (Box<RunCheckpoint>, RunReport) {
+        let spec = sample_job(1).spec;
+        let task = spec.task.resolve().unwrap();
+        let (method, budget) = spec.resolved_method();
+        let driver = Driver::new(budget);
+        let mut opt = method.build(&task).unwrap();
+        let Ok(SliceOutcome::Paused(checkpoint)) = driver.run_slice(&task, opt.as_mut(), 4) else {
+            panic!("a 4-eval slice of an 8-eval job pauses");
+        };
+        let report = driver.resume(&task, opt.as_mut(), &checkpoint).unwrap();
+        (checkpoint, report)
     }
 
     #[test]
@@ -510,32 +531,85 @@ mod tests {
     fn a_replicated_report_frees_the_checkpoint() {
         let dir = tempdir("report-frees");
         let mut wal = WalStore::open(&dir).unwrap();
-        let spec = sample_job(1).spec;
-        let task = spec.task.resolve().unwrap();
-        let (method, budget) = spec.resolved_method();
-        let driver = Driver::new(budget);
-        let mut opt = method.build(&task).unwrap();
-        let Ok(SliceOutcome::Paused(checkpoint)) = driver.run_slice(&task, opt.as_mut(), 4) else {
-            panic!("a 4-eval slice of an 8-eval job pauses");
-        };
-        let report = driver.resume(&task, opt.as_mut(), &checkpoint).unwrap();
-        wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
-        wal.append(&WalRecord::Checkpoint { id: 1, checkpoint: checkpoint.clone() });
+        let (checkpoint, report) = paused_checkpoint();
+        let mut job = sample_job(1);
+        job.spec.checkpoint = Some(checkpoint.clone());
+        wal.append(&WalRecord::Routed { job: Box::new(job) });
         let state = wal.load().unwrap().expect("recovered");
-        assert_eq!(state.jobs[0].checkpoint.as_ref(), Some(&checkpoint));
+        assert_eq!(state.jobs[0].spec.checkpoint.as_ref(), Some(&checkpoint));
 
         wal.append(&WalRecord::Observed { id: 1, state: JobState::Done, status: None });
         wal.append(&WalRecord::Reported { id: 1, report: Box::new(report.clone()) });
         let state = wal.load().unwrap().expect("recovered");
-        assert_eq!(state.jobs[0].checkpoint, None, "the report supersedes the checkpoint");
+        assert_eq!(state.jobs[0].spec.checkpoint, None, "the report supersedes the checkpoint");
         assert_eq!(state.jobs[0].report.as_deref(), Some(&report));
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        // A snapshot written before reports freed checkpoints holds both,
-        // and still loads.
-        let mut old = state.clone();
-        old.jobs[0].checkpoint = Some(checkpoint);
-        wal.compact(&old).unwrap();
-        assert_eq!(wal.load().unwrap(), Some(old));
+    /// State from a coordinator that logged its replicas: a snapshot and a
+    /// `routed` record whose job carries `checkpoint`, then `checkpoint`
+    /// records. It loads, every record after a `checkpoint` record
+    /// applies, and each job's old checkpoint lands in its spec.
+    #[test]
+    fn state_that_logged_replicas_loads() {
+        let dir = tempdir("legacy");
+        let (checkpoint, _) = paused_checkpoint();
+        // Sets `key` in a JSON object, as the older coordinator wrote it.
+        let with = |mut value: serde_json::Value, key: &str, field: serde_json::Value| {
+            value.as_object_mut().unwrap().insert(key.into(), field);
+            value
+        };
+        let ckpt = serde_json::to_value(&checkpoint).unwrap();
+        let old_job =
+            |id| with(serde_json::to_value(sample_job(id)).unwrap(), "checkpoint", ckpt.clone());
+        let snapshot = CoordState {
+            next_id: 1,
+            counters: PersistedCounters { jobs_routed: 1, ..PersistedCounters::default() },
+            ..CoordState::default()
+        };
+        let snapshot = with(
+            serde_json::to_value(snapshot).unwrap(),
+            "jobs",
+            serde_json::Value::Array(vec![old_job(1)]),
+        );
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(SNAPSHOT), serde_json::to_vec(&snapshot).unwrap()).unwrap();
+
+        let record = |record: WalRecord| serde_json::to_value(record).unwrap();
+        let routed =
+            with(record(WalRecord::Routed { job: Box::new(sample_job(2)) }), "job", old_job(2));
+        let replica = |id| with(record(WalRecord::Checkpoint { id }), "checkpoint", ckpt.clone());
+        let lines = [
+            routed,
+            replica(1),
+            replica(2),
+            record(WalRecord::Observed { id: 1, state: JobState::Running, status: None }),
+            record(WalRecord::Moved { id: 2, node: 1, node_job_id: 99, detours_added: 0 }),
+        ];
+        let log: String =
+            lines.iter().map(|line| serde_json::to_string(line).unwrap() + "\n").collect();
+        fs::write(dir.join(LOG), log).unwrap();
+
+        let mut wal = WalStore::open(&dir).unwrap();
+        let state = wal.load().unwrap().expect("old state loads");
+        assert_eq!(
+            (state.next_id, state.counters.jobs_routed, state.counters.jobs_resumed),
+            (2, 2, 1)
+        );
+        let (job1, job2) = (&state.jobs[0], &state.jobs[1]);
+        assert_eq!(job1.state, JobState::Running);
+        assert_eq!((job2.node, job2.node_job_id, job2.resumes), (1, 99, 1));
+        for job in &state.jobs {
+            assert_eq!(job.spec.checkpoint.as_ref(), Some(&checkpoint), "job {}", job.id);
+            assert_eq!(job.legacy_checkpoint, None);
+        }
+
+        // Written back, the checkpoint is in the spec only.
+        wal.compact(&state).unwrap();
+        let written: serde_json::Value =
+            serde_json::from_slice(&fs::read(dir.join(SNAPSHOT)).unwrap()).unwrap();
+        assert!(written["jobs"][0].get("checkpoint").is_none());
+        assert_eq!(wal.load().unwrap(), Some(state));
         let _ = fs::remove_dir_all(&dir);
     }
 

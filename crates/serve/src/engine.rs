@@ -226,7 +226,9 @@ impl Shared {
             .iter()
             .filter_map(|(&id, job)| job.terminal_at.map(|at| (id, at)))
             .collect();
-        terminal.sort_by_key(|&(_, at)| at);
+        // Ties (jobs ending at one instant of a frozen test clock) go by id,
+        // so the map's hash order never picks the evicted job.
+        terminal.sort_by_key(|&(id, at)| (at, id));
         let over_cap = terminal.len().saturating_sub(self.cfg.retain_max);
         let expired =
             |at: Instant| self.cfg.retain_ttl.is_some_and(|ttl| now.duration_since(at) >= ttl);

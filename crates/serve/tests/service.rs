@@ -429,6 +429,35 @@ fn terminal_ttl_evicts_on_the_stats_beat() {
     engine.shutdown();
 }
 
+/// Jobs that end at one instant of a frozen clock are evicted oldest id
+/// first, whatever order the job table hashes them in: sixteen engines,
+/// so sixteen hash seeds, all evict the first job.
+#[test]
+fn retention_breaks_terminal_ties_by_id() {
+    let cfg =
+        MlmaConfig { episodes: 1, steps_per_episode: 8, max_evals: 8, ..MlmaConfig::default() };
+    let spec = JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(cfg));
+    for round in 0..16 {
+        let engine = ServeEngine::start_with_clock(
+            ServeConfig { workers: 1, retain_max: 1, ..ServeConfig::default() },
+            TestClock::new().to_shared(),
+        );
+        let handle = engine.handle();
+        let ids = [spec.clone(), spec.clone()].map(|spec| handle.submit(spec).unwrap());
+        for id in ids {
+            let done = handle.wait(id, Duration::from_secs(120)).unwrap();
+            assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
+        }
+        assert_eq!(handle.stats().jobs_retired, 1);
+        match handle.status(ids[0]) {
+            Err(ServeError::JobEvicted { .. }) => {}
+            other => panic!("round {round}: expected job {} evicted, got {other:?}", ids[0]),
+        }
+        assert!(handle.status(ids[1]).is_ok(), "round {round}: the later job is kept");
+        engine.shutdown();
+    }
+}
+
 // The first-slice-timeout regression lives in `tests/chaos.rs`: it needs
 // the fault registry to step a virtual clock mid-slice, and fault tests
 // get their own test binary so the armed plan can't leak into this one.
