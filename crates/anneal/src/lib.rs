@@ -69,12 +69,6 @@ use breaksym_geometry::Direction;
 use breaksym_layout::{AppliedMove, GroupMove, LayoutEnv, PlacementMove, SwapMove, UnitMove};
 use breaksym_netlist::{GroupId, UnitId};
 
-// The RNG serde adapters physically live in `breaksym-core` (the
-// checkpoint layer's home) and are compiled into this crate by path, so
-// historic `breaksym_anneal::rng_serde` users keep working without a
-// circular dependency — core depends on this crate, so a plain re-export
-// is impossible in that direction.
-#[path = "../../core/src/rng_serde.rs"]
 pub mod rng_serde;
 
 /// Probe moves spent calibrating the initial temperature when

@@ -9,12 +9,8 @@
 //! `SearchRun` in `breaksym-anneal`, and every serve-side checkpoint type
 //! snapshot their RNGs through this module.
 //!
-//! This file is the single source of truth: it lives in `breaksym-core`
-//! (the checkpoint layer's home) and is also compiled into
-//! `breaksym-anneal` as `breaksym_anneal::rng_serde` via a `#[path]`
-//! include, so historic anneal-side users keep working without a circular
-//! dependency (core depends on anneal). The serialised format is identical
-//! from both paths.
+//! It lives here, in the lowest crate that snapshots an RNG; `breaksym-core`
+//! re-exports it as `breaksym_core::rng_serde`.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

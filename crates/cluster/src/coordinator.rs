@@ -53,25 +53,27 @@
 //!
 //! # Durability
 //!
-//! Durable state — the job table, the cluster id counter, the dead-node
-//! set and the routing counters — is one [`CoordState`], and it changes
-//! in exactly one way: a transition (submit, observation, report
+//! Durable state is the coordinator's decisions — the job table, the
+//! dead-node set and the node-event counters — in one [`CoordState`];
+//! the job counters and the next id are folded from the table. It
+//! changes in exactly one way: a decision (submit, state change, report
 //! adoption, move, cancel request, node death or revival) builds one
 //! [`WalRecord`], appends it to the write-ahead log when the coordinator
 //! was started durable ([`Coordinator::start_durable`]), and then applies
 //! it with [`CoordState::apply`] — the function recovery replays the log
 //! through. A live coordinator and one recovered from its log therefore
-//! agree by construction. Progress alone is committed from the
-//! heartbeat's replication, at most once per job per beat; a client's
-//! status poll commits only a state change, so reads do not grow the
-//! log. A restart over the same state directory replays the log,
-//! presumes every node alive, and re-adopts the fleet — probing every
-//! node once, adopting live exports (which refills the replicas),
+//! agree by construction. Observations a live fleet repeats are not
+//! logged: a job's progress under an unchanged state, from a heartbeat
+//! or a client poll alike, stays in memory beside its replica until the
+//! next state change commits it, so the log grows by state changes only.
+//! A restart over the same state directory replays the log, presumes
+//! every node alive, and re-adopts the fleet — probing every node once,
+//! adopting live exports (which refills the replicas and the progress),
 //! resuming orphans, declaring the unreachable dead — before accepting
 //! traffic. See the [`wal`](crate::wal) module docs for the format. Only
-//! ephemeral state lives beside `CoordState`: the replicas, liveness and
-//! probe counters, the id reservation counter, the `/stats` fallback
-//! snapshots and the heartbeat's stop flag.
+//! ephemeral state lives beside `CoordState`: the replicas and progress,
+//! liveness and probe counters, the id reservation counter, the `/stats`
+//! fallback snapshots and the heartbeat's stop flag.
 //!
 //! # One lock
 //!
@@ -98,6 +100,7 @@ use breaksym_serve::protocol::{
 };
 use breaksym_serve::JobApi;
 use breaksym_testkit::{fault, real_clock, FaultAction, SharedClock};
+use serde::de::DeserializeOwned;
 
 use crate::client::NodeClient;
 use crate::protocol::{fold_stats, ClusterHealthz, ClusterStats, JobInspect, NodeReport};
@@ -165,6 +168,9 @@ struct Inner {
     state: CoordState,
     /// The freshest checkpoint replicated per unreported job.
     replicas: HashMap<u64, Box<RunCheckpoint>>,
+    /// Progress observed since the job's last state change, per unsettled
+    /// job; the next state change commits it.
+    progress: HashMap<u64, RunStatus>,
     alive: Vec<bool>,
     /// Consecutive missed heartbeats per node.
     misses: Vec<u32>,
@@ -193,6 +199,19 @@ impl Inner {
 
     fn job(&self, id: JobId) -> Result<&PersistedJob, ServeError> {
         self.state.job(id.0).ok_or(ServeError::UnknownJob { id })
+    }
+
+    /// The job's freshest progress: observed since its last state change,
+    /// else as of that change.
+    fn progress(&self, job: &PersistedJob) -> Option<RunStatus> {
+        self.progress.get(&job.id).copied().or(job.status)
+    }
+
+    /// The coordinator's settled view of a job.
+    fn response(&self, id: JobId) -> Result<StatusResponse, ServeError> {
+        let job = self.job(id)?;
+        let (state, status) = (job.state.clone(), self.progress(job));
+        Ok(StatusResponse { id, state, status, warnings: Vec::new() })
     }
 
     /// Where the job resumes: its replica, else its submitted checkpoint.
@@ -305,9 +324,10 @@ impl Coordinator {
             cfg,
             clock,
             inner: Mutex::new(Inner {
-                next_id: state.next_id,
+                next_id: state.last_id(),
                 state,
                 replicas: HashMap::new(),
+                progress: HashMap::new(),
                 alive: vec![true; nodes],
                 misses: vec![0; nodes],
                 revive_hits: vec![0; nodes],
@@ -430,48 +450,27 @@ impl ClusterHandle {
 
     /// The job's state: live from its node when reachable, otherwise the
     /// coordinator's replicated view (which is also what a dead node's
-    /// jobs show while their move is pending). The state is always the
+    /// jobs show while their move is pending). The answer is always the
     /// coordinator's *settled* view — a live poll is folded through the
-    /// same sticky-terminal observation every other path uses — and the
-    /// progress is the poll's own.
+    /// same sticky-terminal observation every other path uses first.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownJob`] for an id this coordinator never
     /// routed.
     pub fn status(&self, id: JobId) -> Result<StatusResponse, ServeError> {
-        let (node, node_job_id, poll_live, cached) = {
+        let ((node, node_job_id), poll_live) = {
             let inner = self.shared.inner.lock().expect(POISONED);
             let job = inner.job(id)?;
-            let poll_live = !job.state.is_terminal() && inner.is_alive(job.node);
             (
-                job.node,
-                job.node_job_id,
-                poll_live,
-                StatusResponse {
-                    id,
-                    state: job.state.clone(),
-                    status: job.status,
-                    warnings: Vec::new(),
-                },
+                (job.node, job.node_job_id),
+                !job.state.is_terminal() && inner.is_alive(job.node),
             )
         };
-        if !poll_live {
-            return Ok(cached);
-        }
-        let fetched = {
-            let mut client = self.shared.clients[node].lock().expect(POISONED);
-            client.get(&format!("/jobs/{node_job_id}"))
-        };
-        match fetched {
-            Ok(resp) if resp.status == 200 => match resp.json::<StatusResponse>() {
-                Ok(live) => self.settle_poll(id, (node, node_job_id), live),
-                Err(_) => Ok(cached),
-            },
-            // Unreachable node or node-side eviction: the replicated view
-            // is the answer until the heartbeat sorts the node out.
-            _ => Ok(cached),
-        }
+        // An unreachable node or a node-side eviction answers nothing: the
+        // replicated view is the answer until the heartbeat sorts the node out.
+        let live = poll_live.then(|| fetch(&self.shared, node, &format!("/jobs/{node_job_id}")));
+        self.settle_poll(id, (node, node_job_id), live.flatten())
     }
 
     /// The final report of a completed job: the replica once a heartbeat
@@ -547,20 +546,9 @@ impl ClusterHandle {
             let resume_point = inner.resume_point(id.0).cloned();
             (job.node, job.node_job_id, inner.is_alive(job.node), resume_point)
         };
-        if alive {
-            let fetched = {
-                let mut client = self.shared.clients[node].lock().expect(POISONED);
-                client.get(&format!("/jobs/{node_job_id}/checkpoint"))
-            };
-            if let Ok(resp) = fetched {
-                if resp.status == 200 {
-                    if let Ok(ckpt) = resp.json::<RunCheckpoint>() {
-                        return Ok(Some(ckpt));
-                    }
-                }
-            }
-        }
-        Ok(resume_point)
+        let live =
+            alive.then(|| fetch(&self.shared, node, &format!("/jobs/{node_job_id}/checkpoint")));
+        Ok(live.flatten().or(resume_point))
     }
 
     /// Cancels a job wherever it lives. On a live node the node decides
@@ -598,56 +586,35 @@ impl ClusterHandle {
             let mut client = self.shared.clients[node].lock().expect(POISONED);
             client.request("POST", &format!("/jobs/{node_job_id}/cancel"), None)
         };
-        match fetched {
-            Ok(resp) if resp.status == 200 => match resp.json::<StatusResponse>() {
-                Ok(live) => self.settle_poll(id, (node, node_job_id), live),
-                Err(_) => self.cached_status(id),
-            },
-            // The cancel flag is recorded: if the node later dies, the
-            // job is cancelled instead of resumed.
-            _ => self.cached_status(id),
-        }
+        // Without an answer the recorded cancel flag still holds: if the
+        // node later dies, the job is cancelled instead of resumed.
+        let live = fetched.ok().filter(|resp| resp.status == 200).and_then(|resp| resp.json().ok());
+        self.settle_poll(id, (node, node_job_id), live)
     }
 
-    /// Folds a node's answer to a client poll into the settled view.
-    /// The answer is bound to `placement`, the `(node, node_job_id)` the
-    /// poll went to: if the job has moved since, the answer describes a
-    /// copy the coordinator no longer owns (typically one it cancelled),
-    /// so the settled view answers and nothing is committed. Otherwise
-    /// only a state change is committed (with the progress it carries);
-    /// the poll's progress is answered live but left to the heartbeat,
-    /// which commits it once per beat — so reads, however often a client
-    /// polls, append to the WAL only when a job changes state.
+    /// Folds a node's answer to a client poll, if any, into the settled
+    /// view and answers that. The answer is bound to `placement`, the
+    /// `(node, node_job_id)` the poll went to: if the job has moved
+    /// since, the answer describes a copy the coordinator no longer owns
+    /// (typically one it cancelled), so nothing is observed. Otherwise it
+    /// is observed like a heartbeat's export, so reads, however often a
+    /// client polls, append to the WAL only when a job changes state.
     fn settle_poll(
         &self,
         id: JobId,
         placement: (usize, u64),
-        live: StatusResponse,
+        live: Option<StatusResponse>,
     ) -> Result<StatusResponse, ServeError> {
         let mut inner = self.shared.inner.lock().expect(POISONED);
         let job = inner.job(id)?;
-        let current = (job.node, job.node_job_id) == placement;
-        if current && job.state != live.state {
+        if let Some(live) = live.filter(|_| (job.node, job.node_job_id) == placement) {
             observe(&self.shared, &mut inner, id.0, live.state, live.status);
         }
-        let job = inner.job(id)?;
-        Ok(StatusResponse {
-            id,
-            state: job.state.clone(),
-            status: live.status.filter(|_| current).or(job.status),
-            warnings: Vec::new(),
-        })
+        inner.response(id)
     }
 
     fn cached_status(&self, id: JobId) -> Result<StatusResponse, ServeError> {
-        let inner = self.shared.inner.lock().expect(POISONED);
-        let job = inner.job(id)?;
-        Ok(StatusResponse {
-            id,
-            state: job.state.clone(),
-            status: job.status,
-            warnings: Vec::new(),
-        })
+        self.shared.inner.lock().expect(POISONED).response(id)
     }
 
     /// Cluster-wide statistics: per-node `/stats` polled live where
@@ -655,7 +622,7 @@ impl ClusterHandle {
     /// snapshot (marked [`NodeReport::stale`]) — a node dying between
     /// its jobs finishing and this poll must not make finished work
     /// vanish from the fold — plus the coordinator's own routing
-    /// counters.
+    /// counters, folded from its job table.
     pub fn stats(&self) -> ClusterStats {
         let alive = self.shared.inner.lock().expect(POISONED).alive.clone();
         let fetched: Vec<Option<ServerStats>> = (0..self.shared.addrs.len())
@@ -667,12 +634,7 @@ impl ClusterHandle {
                 if !alive[node] || injected {
                     return None;
                 }
-                let mut client = self.shared.clients[node].lock().expect(POISONED);
-                client
-                    .get("/stats")
-                    .ok()
-                    .filter(|resp| resp.status == 200)
-                    .and_then(|resp| resp.json::<ServerStats>().ok())
+                fetch(&self.shared, node, "/stats")
             })
             .collect();
         let mut inner = self.shared.inner.lock().expect(POISONED);
@@ -690,26 +652,14 @@ impl ClusterHandle {
                 stats: inner.last_stats[node].clone(),
             });
         }
-        let jobs_inflight =
-            inner.state.jobs.iter().filter(|job| !job.state.is_terminal()).count() as u64;
-        let counters = inner.state.counters;
+        let routing = inner.state.routing_stats();
         drop(inner);
-        let fold = fold_stats(nodes.iter().filter_map(|node| node.stats.as_ref()));
         ClusterStats {
             nodes_total: self.shared.addrs.len(),
             nodes_alive: alive.iter().filter(|&&a| a).count(),
-            jobs_routed: counters.jobs_routed,
-            jobs_inflight,
-            jobs_done: counters.jobs_done,
-            jobs_failed: counters.jobs_failed,
-            jobs_timed_out: counters.jobs_timed_out,
-            jobs_cancelled: counters.jobs_cancelled,
-            reroutes: counters.reroutes,
-            node_deaths: counters.node_deaths,
-            node_revivals: counters.node_revivals,
-            jobs_resumed: counters.jobs_resumed,
-            fold,
+            fold: fold_stats(nodes.iter().filter_map(|node| node.stats.as_ref())),
             nodes,
+            ..routing
         }
     }
 
@@ -744,7 +694,7 @@ impl ClusterHandle {
             .map(|job| JobExport {
                 id: JobId(job.id),
                 state: job.state.clone(),
-                status: job.status,
+                status: inner.progress(job),
                 checkpoint: inner.resume_point(job.id).cloned().map(Box::new),
             })
             .collect()
@@ -789,9 +739,9 @@ impl ClusterHandle {
     }
 
     /// Blocks until the job reaches a terminal state or `timeout`
-    /// elapses on the injected clock. Wakes on every coordinator-side
-    /// observation (heartbeat replication included) and re-polls the
-    /// node in between.
+    /// elapses on the injected clock. Wakes on every committed record
+    /// (a state change the heartbeat saw included) and re-polls the node
+    /// in between.
     ///
     /// # Errors
     ///
@@ -905,7 +855,7 @@ fn reconcile(shared: &CoordShared) {
             declare_dead(shared, node);
             continue;
         }
-        let exports = pull_exports(shared, node).unwrap_or_default();
+        let exports: Vec<JobExport> = fetch(shared, node, "/checkpoints").unwrap_or_default();
         if shared.inner.lock().expect(POISONED).state.dead_nodes.contains(&node) {
             cancel_stale_copies(shared, node, &exports);
             let mut inner = shared.inner.lock().expect(POISONED);
@@ -1103,14 +1053,13 @@ fn forward(
 // ------------------------------------------------------------ observation
 
 /// Records an observation of a job under the `inner` lock. Terminal is
-/// sticky: nothing a node says later can resurrect a settled job. Callers
-/// pass only what the job's current placement said (the heartbeat matches
-/// exports by the job's node, and client polls go through
-/// `ClusterHandle::settle_poll`), so a copy a move left behind never
-/// settles the job. A new state or new progress is committed as one
-/// `Observed` record, whose apply bumps the matching terminal counter on
-/// the first transition to terminal — exactly once per job. An
-/// observation that changes nothing records nothing.
+/// sticky: nothing a node says later can resurrect a settled job or move
+/// its progress. Callers pass only what the job's current placement said
+/// (the heartbeat matches exports by the job's node, and client polls go
+/// through `ClusterHandle::settle_poll`), so a copy a move left behind
+/// never settles the job. A state change is committed as one `Observed`
+/// record carrying the freshest progress known; progress under an
+/// unchanged state is kept in memory until then.
 fn observe(
     shared: &CoordShared,
     inner: &mut Inner,
@@ -1118,16 +1067,17 @@ fn observe(
     state: JobState,
     status: Option<RunStatus>,
 ) {
-    let Some(job) = inner.state.job(id) else {
+    let Some(job) = inner.state.job(id).filter(|job| !job.state.is_terminal()) else {
         return;
     };
-    let held = job.state.is_terminal();
-    let state = if held { job.state.clone() } else { state };
-    let status = status.filter(|&status| job.status != Some(status));
-    if state == job.state && status.is_none() {
+    if state == job.state {
+        if let Some(status) = status {
+            inner.progress.insert(id, status);
+        }
         return;
     }
-    commit(shared, inner, WalRecord::Observed { id, state, status });
+    let fresher = inner.progress.remove(&id);
+    commit(shared, inner, WalRecord::Observed { id, state, status: status.or(fresher) });
 }
 
 // ------------------------------------------------------------ heartbeat
@@ -1212,19 +1162,16 @@ fn beat(shared: &CoordShared) {
     }
 }
 
-/// Fetches one node's `/checkpoints` export.
-fn pull_exports(shared: &CoordShared, node: usize) -> Option<Vec<JobExport>> {
-    let mut client = shared.clients[node].lock().expect(POISONED);
-    client
-        .get("/checkpoints")
-        .ok()
-        .filter(|resp| resp.status == 200)
-        .and_then(|resp| resp.json::<Vec<JobExport>>().ok())
+/// `GET path` on `node`, parsed: `None` on a transport error, an answer
+/// other than 200, or a body that is not a `T`.
+fn fetch<T: DeserializeOwned>(shared: &CoordShared, node: usize, path: &str) -> Option<T> {
+    let resp = shared.clients[node].lock().expect(POISONED).get(path).ok()?;
+    (resp.status == 200).then(|| resp.json().ok()).flatten()
 }
 
 /// Adopts one node's export: a checkpoint fresher (by evaluation count)
-/// than the job's resume point becomes its replica, and
-/// states/progress flow through the usual observation. A job the export
+/// than the job's resume point becomes its replica, and states and
+/// progress flow through the usual observation. A job the export
 /// shows done gets its final report fetched and replicated, once, so the
 /// report outlives the node.
 fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
@@ -1261,15 +1208,7 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
     }
     drop(inner);
     for (id, node_job_id) in unreported {
-        let fetched = {
-            let mut client = shared.clients[node].lock().expect(POISONED);
-            client
-                .get(&format!("/jobs/{node_job_id}/report"))
-                .ok()
-                .filter(|resp| resp.status == 200)
-                .and_then(|resp| resp.json::<RunReport>().ok())
-        };
-        if let Some(report) = fetched {
+        if let Some(report) = fetch(shared, node, &format!("/jobs/{node_job_id}/report")) {
             let mut inner = shared.inner.lock().expect(POISONED);
             inner.replicas.remove(&id);
             commit(shared, &mut inner, WalRecord::Reported { id, report: Box::new(report) });
@@ -1285,7 +1224,7 @@ fn replicate(shared: &CoordShared, node: usize) {
     ) {
         return;
     }
-    let Some(exports) = pull_exports(shared, node) else {
+    let Some(exports) = fetch(shared, node, "/checkpoints") else {
         return;
     };
     adopt_exports(shared, node, exports);
@@ -1361,7 +1300,7 @@ fn declare_dead(shared: &CoordShared, node: usize) {
 /// Revives a dead node — cancelling the copies it still runs of jobs
 /// that moved away — and moves its home-keyed jobs back.
 fn revive(shared: &CoordShared, node: usize) {
-    let exports = pull_exports(shared, node).unwrap_or_default();
+    let exports: Vec<JobExport> = fetch(shared, node, "/checkpoints").unwrap_or_default();
     cancel_stale_copies(shared, node, &exports);
     {
         let mut inner = shared.inner.lock().expect(POISONED);

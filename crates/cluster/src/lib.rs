@@ -29,9 +29,10 @@
 //!   job the home node does not take stays on its survivor —
 //!   keeping the `reroutes == detours + resumes` accounting identity;
 //! - **coordinator durability** ([`wal`]): started with a state
-//!   directory ([`Coordinator::start_durable`]), every change to the
-//!   job table and counters is one write-ahead-logged record (lifecycle
-//!   only, no replicas), and a restarted coordinator re-adopts the fleet —
+//!   directory ([`Coordinator::start_durable`]), every decision — a
+//!   job's routing, state change, move or report, a node's death or
+//!   revival — is one write-ahead-logged record (no replicas, no
+//!   progress), and a restarted coordinator re-adopts the fleet —
 //!   replaying the log, probing every node, adopting live exports, resuming
 //!   orphans from their resume points — before accepting traffic, so a SIGKILLed
 //!   coordinator loses zero jobs;

@@ -36,7 +36,7 @@ pub struct NodeReport {
 
 /// The coordinator's `/stats` payload: per-node detail, a cluster-wide
 /// fold, and the coordinator's own routing counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClusterStats {
     /// Nodes configured.
     pub nodes_total: usize,

@@ -6,26 +6,34 @@
 //!
 //! A state directory holds two files:
 //!
-//! - `snapshot.json` — one [`CoordState`]: the full job table, the id
-//!   counter, and the routing counters, written atomically
-//!   (`snapshot.tmp` + rename) at every compaction;
+//! - `snapshot.json` — one [`CoordState`]: the job table, the dead-node
+//!   set and the node-event counters, written atomically (a temporary
+//!   file, then a rename) at every compaction;
 //! - `wal.jsonl` — one [`WalRecord`] per line, appended (and flushed)
-//!   on every state transition since the snapshot.
+//!   on every decision since the snapshot.
 //!
-//! Both hold job lifecycle only: the checkpoints a heartbeat replicates
-//! stay in coordinator memory (a lost replica costs rework, never a
-//! different report). An older coordinator's `checkpoint` records replay
-//! as no-ops, and a job's old `checkpoint` field moves into its spec.
+//! Both hold decisions only, never observations a live fleet repeats:
+//! the checkpoints and progress a heartbeat pulls stay in coordinator
+//! memory (a lost replica costs rework, never a different report, and a
+//! restart re-reads both from the nodes' exports). Nothing derivable
+//! from the job table is stored either: the job counters and the next id
+//! are folded from it ([`CoordState::routing_stats`]). Older state still
+//! loads: its extra keys (`next_id`, the job counters) are ignored, its
+//! progress-only `observed` and its `checkpoint` records replay
+//! harmlessly, and a job's old `checkpoint` field moves into its spec.
 //!
 //! Recovery reads the snapshot (if any) and replays the log over it
 //! ([`WalStore::load`]). A torn trailing line — the crash interrupted
 //! the write — ends the replay; everything before it was flushed whole.
-//! The live coordinator changes its durable state only by appending a
-//! record and then applying it with [`CoordState::apply`], and replay
-//! applies the same records with the same function. So the recovered
-//! job table and counters equal the live ones as of the last flushed
-//! record, and restart accounting is indistinguishable from an
-//! uninterrupted run.
+//! Every line carries a sequence number (`seq`) and the snapshot the
+//! last one it covers, so a crash between a compaction's snapshot rename
+//! and its log truncation replays none of the old log twice (lines from
+//! before sequence numbers replay as they always did). The live
+//! coordinator changes its durable state only by appending a record and
+//! then applying it with [`CoordState::apply`], and replay applies the
+//! same records with the same function. So the recovered job table and
+//! counters equal the live ones as of the last flushed record, and
+//! restart accounting is indistinguishable from an uninterrupted run.
 //!
 //! Durability is process-crash durability: every append is written and
 //! flushed to the OS before the state transition is visible to clients,
@@ -45,7 +53,10 @@ use std::path::PathBuf;
 use breaksym_core::{RunCheckpoint, RunReport};
 use breaksym_serve::protocol::{JobSpec, JobState, RunStatus};
 use breaksym_testkit::{fault, FaultAction};
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+
+use crate::protocol::ClusterStats;
 
 /// Failpoint hit once per WAL append. `Fail` and `Drop` actions discard
 /// the record — the in-memory transition proceeds, but a restart will
@@ -76,7 +87,8 @@ pub struct PersistedJob {
     pub node_job_id: u64,
     /// Last observed lifecycle state.
     pub state: JobState,
-    /// Last observed progress.
+    /// Progress as of the last state change. Fresher progress lives in
+    /// coordinator memory only.
     #[serde(default)]
     pub status: Option<RunStatus>,
     /// Whether a cancel was requested through the coordinator.
@@ -98,19 +110,12 @@ pub struct PersistedJob {
     pub(crate) legacy_checkpoint: Option<Box<RunCheckpoint>>,
 }
 
-/// The coordinator's routing counters, as persisted and as re-derived by
-/// replay.
+/// The node-event counters: the two routing counters the job table
+/// cannot rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[allow(missing_docs)]
 pub struct PersistedCounters {
-    pub jobs_routed: u64,
-    pub reroutes: u64,
     pub node_deaths: u64,
-    pub jobs_resumed: u64,
-    pub jobs_done: u64,
-    pub jobs_failed: u64,
-    pub jobs_timed_out: u64,
-    pub jobs_cancelled: u64,
     #[serde(default)]
     pub node_revivals: u64,
 }
@@ -119,11 +124,9 @@ pub struct PersistedCounters {
 /// what [`WalStore::load`] returns.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CoordState {
-    /// The cluster-wide id counter (ids survive restarts).
-    pub next_id: u64,
     /// Every routed job, ascending id.
     pub jobs: Vec<PersistedJob>,
-    /// Routing counters at write time.
+    /// Node deaths and revivals so far.
     #[serde(default)]
     pub counters: PersistedCounters,
     /// Nodes that were declared dead and have not been revived — what a
@@ -144,14 +147,15 @@ pub enum WalRecord {
         /// The job as routed (boxed: it dwarfs every other record).
         job: Box<PersistedJob>,
     },
-    /// A job changed state (polls, heartbeats, cancels), or a heartbeat
-    /// replicated new progress.
+    /// A job changed state (polls, heartbeats, cancels). Older
+    /// coordinators also logged progress alone under the same state;
+    /// such records still replay, updating only the progress.
     Observed {
         /// Cluster job id.
         id: u64,
         /// The job's state after the observation.
         state: JobState,
-        /// Progress observed alongside, if any.
+        /// The freshest progress known at the change, if any.
         #[serde(default)]
         status: Option<RunStatus>,
     },
@@ -211,45 +215,57 @@ impl CoordState {
         Some(&mut self.jobs[at])
     }
 
+    /// The newest routed job's id (0 before the first): ids only grow,
+    /// so the next one is above it.
+    pub fn last_id(&self) -> u64 {
+        self.jobs.last().map_or(0, |job| job.id)
+    }
+
+    /// The coordinator's routing counters, as a [`ClusterStats`] with no
+    /// node detail: the job counts folded from the table, the node events
+    /// as counted. Every move adds one resume, plus its own detours, to
+    /// its job, so `reroutes` — Σ detours + Σ resumes — keeps the
+    /// accounting identity by construction.
+    pub fn routing_stats(&self) -> ClusterStats {
+        let PersistedCounters { node_deaths, node_revivals } = self.counters;
+        let mut stats = ClusterStats { node_deaths, node_revivals, ..ClusterStats::default() };
+        for job in &self.jobs {
+            stats.jobs_routed += 1;
+            stats.jobs_resumed += u64::from(job.resumes);
+            stats.reroutes += u64::from(job.resumes + job.detours);
+            *match job.state {
+                JobState::Queued | JobState::Running => &mut stats.jobs_inflight,
+                JobState::Done => &mut stats.jobs_done,
+                JobState::Failed { .. } => &mut stats.jobs_failed,
+                JobState::TimedOut { .. } => &mut stats.jobs_timed_out,
+                JobState::Cancelled { .. } => &mut stats.jobs_cancelled,
+            } += 1;
+        }
+        stats
+    }
+
     /// Applies one record — the only way a coordinator's durable state
     /// changes, live or replayed. Terminal states are sticky (a move of a
-    /// terminal job changes nothing), terminal counters bump exactly once
-    /// per job, every move counts one resume and `1 + detours`
-    /// reroutes, and a replicated report frees the spec's checkpoint.
+    /// terminal job changes nothing), every move counts one resume, and a
+    /// replicated report frees the spec's checkpoint.
     pub fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::Routed { job } => {
-                self.next_id = self.next_id.max(job.id);
-                // A replayed duplicate — the crash fell between the
-                // snapshot rename and the log truncation, so the snapshot
-                // already accounts for this job.
-                let Err(at) = self.jobs.binary_search_by_key(&job.id, |existing| existing.id)
-                else {
-                    return;
-                };
-                self.counters.jobs_routed += 1;
-                self.counters.reroutes += u64::from(job.detours);
-                self.jobs.insert(at, *job);
+                // A duplicate id can only come from a log written before
+                // lines carried sequence numbers, replayed over the
+                // snapshot that compacted it.
+                if let Err(at) = self.jobs.binary_search_by_key(&job.id, |existing| existing.id) {
+                    self.jobs.insert(at, *job);
+                }
             }
             WalRecord::Observed { id, state, status } => {
-                let mut bump: Option<fn(&mut PersistedCounters) -> &mut u64> = None;
                 if let Some(job) = self.job_mut(id) {
                     if let Some(status) = status {
                         job.status = Some(status);
                     }
                     if !job.state.is_terminal() {
                         job.state = state;
-                        bump = match job.state {
-                            JobState::Done => Some(|c| &mut c.jobs_done),
-                            JobState::Failed { .. } => Some(|c| &mut c.jobs_failed),
-                            JobState::TimedOut { .. } => Some(|c| &mut c.jobs_timed_out),
-                            JobState::Cancelled { .. } => Some(|c| &mut c.jobs_cancelled),
-                            _ => None,
-                        };
                     }
-                }
-                if let Some(bump) = bump {
-                    *bump(&mut self.counters) += 1;
                 }
             }
             WalRecord::Checkpoint { .. } => {}
@@ -268,8 +284,6 @@ impl CoordState {
                 job.state = JobState::Queued;
                 job.detours += detours_added;
                 job.resumes += 1;
-                self.counters.jobs_resumed += 1;
-                self.counters.reroutes += 1 + u64::from(detours_added);
             }
             WalRecord::CancelRequested { id } => {
                 if let Some(job) = self.job_mut(id) {
@@ -297,6 +311,9 @@ pub struct WalStore {
     dir: PathBuf,
     log: Option<File>,
     appended: u64,
+    /// The last sequence number written or loaded: the next line gets
+    /// the one after it, and a snapshot covers every line up to it.
+    seq: u64,
 }
 
 impl WalStore {
@@ -309,7 +326,7 @@ impl WalStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(WalStore { dir, log: None, appended: 0 })
+        Ok(WalStore { dir, log: None, appended: 0, seq: 0 })
     }
 
     /// The state directory this store writes to.
@@ -317,9 +334,11 @@ impl WalStore {
         &self.dir
     }
 
-    /// Recovers the persisted state: snapshot first, then the log
-    /// replayed over it. `None` when the directory holds neither — a
-    /// first start.
+    /// Recovers the persisted state: snapshot first, then the log lines
+    /// it does not cover replayed over it. `None` when the directory
+    /// holds neither — a first start. Also picks up the sequence numbers
+    /// where the directory left them, so on a directory that already
+    /// holds state, call it before the first append.
     ///
     /// # Errors
     ///
@@ -327,14 +346,18 @@ impl WalStore {
     /// snapshot is written atomically, so corruption is a real problem);
     /// a torn trailing log line is expected crash debris and ends the
     /// replay silently.
-    pub fn load(&self) -> io::Result<Option<CoordState>> {
-        let mut state: Option<CoordState> = match fs::read(self.dir.join(SNAPSHOT)) {
-            Ok(bytes) => Some(serde_json::from_slice(&bytes).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("corrupt snapshot: {e}"))
-            })?),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+    pub fn load(&mut self) -> io::Result<Option<CoordState>> {
+        let (mut state, covered) = match fs::read(self.dir.join(SNAPSHOT)) {
+            Ok(bytes) => {
+                let (state, seq) = unstamp::<CoordState>(&bytes).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt snapshot: {e}"))
+                })?;
+                (Some(state), seq)
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (None, 0),
             Err(e) => return Err(e),
         };
+        self.seq = covered;
         match File::open(self.dir.join(LOG)) {
             Ok(file) => {
                 for line in BufReader::new(file).lines() {
@@ -342,9 +365,15 @@ impl WalStore {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let Ok(record) = serde_json::from_str::<WalRecord>(&line) else {
+                    let Ok((record, seq)) = unstamp::<WalRecord>(line.as_bytes()) else {
                         break;
                     };
+                    // Already in the snapshot: the crash fell between a
+                    // compaction's snapshot rename and its log truncation.
+                    if seq > 0 && seq <= covered {
+                        continue;
+                    }
+                    self.seq = self.seq.max(seq);
                     state.get_or_insert_with(CoordState::default).apply(record);
                 }
             }
@@ -379,8 +408,8 @@ impl WalStore {
         if self.log.is_none() {
             self.log = Some(OpenOptions::new().create(true).append(true).open(self.dir.join(LOG))?);
         }
-        let mut line = serde_json::to_vec(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.seq += 1;
+        let mut line = stamped(record, self.seq)?;
         line.push(b'\n');
         let log = self.log.as_mut().expect("log just opened");
         log.write_all(&line)?;
@@ -396,7 +425,8 @@ impl WalStore {
     }
 
     /// Replaces the snapshot with `state` (atomically, via a temp file
-    /// and rename) and truncates the log.
+    /// and rename), stamped with the last sequence number it covers, and
+    /// truncates the log.
     ///
     /// # Errors
     ///
@@ -404,20 +434,34 @@ impl WalStore {
     /// log are still intact and recovery still works.
     pub fn compact(&mut self, state: &CoordState) -> io::Result<()> {
         let tmp = self.dir.join(SNAPSHOT_TMP);
-        let bytes = serde_json::to_vec(state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        fs::write(&tmp, &bytes)?;
+        fs::write(&tmp, stamped(state, self.seq)?)?;
         fs::rename(&tmp, self.dir.join(SNAPSHOT))?;
-        // Truncate only after the snapshot rename landed: a crash between
-        // the two replays the old log over the new snapshot. Routed
-        // duplicates are rejected by id; the residual risk (a re-counted
-        // Moved/Observed in that one-syscall window) costs counter drift,
-        // never job state, and the next compaction heals it.
+        // Truncate only after the snapshot rename landed. A crash between
+        // the two leaves the old log behind, and its stamps tell `load`
+        // to skip it.
         self.log = None;
         fs::write(self.dir.join(LOG), b"")?;
         self.appended = 0;
         Ok(())
     }
+}
+
+/// `value` as one JSON object with its sequence number under `seq`.
+fn stamped(value: &impl Serialize, seq: u64) -> io::Result<Vec<u8>> {
+    let invalid = |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+    let mut json = serde_json::to_value(value).map_err(invalid)?;
+    if let Some(object) = json.as_object_mut() {
+        object.insert("seq".into(), seq.into());
+    }
+    serde_json::to_vec(&json).map_err(invalid)
+}
+
+/// A JSON object [`stamped`] wrote, and its sequence number: 0 for one
+/// written before objects carried it (stamps start at 1).
+fn unstamp<T: DeserializeOwned>(bytes: &[u8]) -> serde_json::Result<(T, u64)> {
+    let json: serde_json::Value = serde_json::from_slice(bytes)?;
+    let seq = json.get("seq").and_then(serde_json::Value::as_u64).unwrap_or(0);
+    Ok((serde_json::from_value(json)?, seq))
 }
 
 #[cfg(test)]
@@ -487,7 +531,7 @@ mod tests {
         wal.append(&WalRecord::Moved { id: 1, node: 0, node_job_id: 78, detours_added: 0 });
 
         let state = wal.load().unwrap().expect("state recovered");
-        assert_eq!(state.next_id, 2);
+        assert_eq!(state.last_id(), 2);
         assert_eq!(state.jobs.len(), 2);
         let job1 = &state.jobs[0];
         assert_eq!(job1.id, 1);
@@ -496,11 +540,12 @@ mod tests {
         assert!(matches!(job1.state, JobState::Done));
         assert_eq!(job1.resumes, 1);
         assert_eq!(job1.detours, 1);
-        assert_eq!(state.counters.jobs_routed, 2);
-        assert_eq!(state.counters.jobs_done, 1);
-        assert_eq!(state.counters.node_deaths, 1);
-        assert_eq!(state.counters.jobs_resumed, 1);
-        assert_eq!(state.counters.reroutes, 2, "1 move + 1 detour");
+        let stats = state.routing_stats();
+        assert_eq!(stats.jobs_routed, 2);
+        assert_eq!(stats.jobs_done, 1);
+        assert_eq!(stats.node_deaths, 1);
+        assert_eq!(stats.jobs_resumed, 1);
+        assert_eq!(stats.reroutes, 2, "1 move + 1 detour");
         assert_eq!(state.dead_nodes, vec![0], "node 0 died and never rejoined");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -562,16 +607,12 @@ mod tests {
         let ckpt = serde_json::to_value(&checkpoint).unwrap();
         let old_job =
             |id| with(serde_json::to_value(sample_job(id)).unwrap(), "checkpoint", ckpt.clone());
-        let snapshot = CoordState {
-            next_id: 1,
-            counters: PersistedCounters { jobs_routed: 1, ..PersistedCounters::default() },
-            ..CoordState::default()
-        };
         let snapshot = with(
-            serde_json::to_value(snapshot).unwrap(),
+            serde_json::to_value(CoordState::default()).unwrap(),
             "jobs",
             serde_json::Value::Array(vec![old_job(1)]),
         );
+        let snapshot = with(snapshot, "next_id", 1.into());
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(SNAPSHOT), serde_json::to_vec(&snapshot).unwrap()).unwrap();
 
@@ -592,10 +633,8 @@ mod tests {
 
         let mut wal = WalStore::open(&dir).unwrap();
         let state = wal.load().unwrap().expect("old state loads");
-        assert_eq!(
-            (state.next_id, state.counters.jobs_routed, state.counters.jobs_resumed),
-            (2, 2, 1)
-        );
+        let stats = state.routing_stats();
+        assert_eq!((state.last_id(), stats.jobs_routed, stats.jobs_resumed), (2, 2, 1));
         let (job1, job2) = (&state.jobs[0], &state.jobs[1]);
         assert_eq!(job1.state, JobState::Running);
         assert_eq!((job2.node, job2.node_job_id, job2.resumes), (1, 99, 1));
@@ -626,9 +665,97 @@ mod tests {
         // the snapshot.
         wal.append(&WalRecord::Observed { id: 5, state: JobState::Done, status: None });
         let recovered = wal.load().unwrap().expect("recovered");
-        assert_eq!(recovered.counters.jobs_routed, 1);
-        assert_eq!(recovered.counters.jobs_done, 1);
+        assert_eq!(recovered.routing_stats().jobs_routed, 1);
+        assert_eq!(recovered.routing_stats().jobs_done, 1);
         assert!(matches!(recovered.jobs[0].state, JobState::Done));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between a compaction's snapshot rename and its log
+    /// truncation leaves the old log beside the new snapshot. Loading
+    /// skips every line the snapshot covers, so nothing applies twice.
+    #[test]
+    fn a_log_the_snapshot_covers_replays_nothing() {
+        let dir = tempdir("compact-window");
+        let mut wal = WalStore::open(&dir).unwrap();
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
+        wal.append(&WalRecord::NodeDead { node: 1 });
+        wal.append(&WalRecord::Moved { id: 1, node: 0, node_job_id: 50, detours_added: 1 });
+        wal.append(&WalRecord::Observed { id: 1, state: JobState::Running, status: None });
+        let live = wal.load().unwrap().expect("state");
+        let old_log = fs::read(dir.join(LOG)).unwrap();
+        wal.compact(&live).unwrap();
+        fs::write(dir.join(LOG), &old_log).unwrap();
+
+        let recovered = wal.load().unwrap().expect("recovered");
+        assert_eq!(recovered, live);
+        let stats = recovered.routing_stats();
+        assert_eq!((stats.node_deaths, stats.jobs_resumed, stats.reroutes), (1, 1, 2));
+        // Appends after that load continue past the covered lines.
+        wal.append(&WalRecord::Observed { id: 1, state: JobState::Done, status: None });
+        assert_eq!(wal.load().unwrap().expect("recovered").jobs[0].state, JobState::Done);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot that stored the id counter and all nine routing
+    /// counters, under a log of progress-only `observed` records: it
+    /// loads to the same job table and the same counters, folded.
+    #[test]
+    fn state_that_stored_counters_and_progress_loads() {
+        let dir = tempdir("stored-counters");
+        let (mut done, mut running) = (sample_job(1), sample_job(2));
+        done.state = JobState::Done;
+        (done.detours, running.resumes) = (1, 1);
+        let status = |evals| RunStatus {
+            evals,
+            best_cost: 1.0,
+            elapsed_ms: evals,
+            cache: Default::default(),
+        };
+        let snapshot = serde_json::json!({
+            "next_id": 2,
+            "jobs": [done, running],
+            "counters": {
+                "jobs_routed": 2, "reroutes": 2, "node_deaths": 1, "jobs_resumed": 1,
+                "jobs_done": 1, "jobs_failed": 0, "jobs_timed_out": 0, "jobs_cancelled": 0,
+                "node_revivals": 1
+            },
+            "dead_nodes": []
+        });
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(SNAPSHOT), serde_json::to_vec(&snapshot).unwrap()).unwrap();
+        let progress = |evals| WalRecord::Observed {
+            id: 2,
+            state: JobState::Running,
+            status: Some(status(evals)),
+        };
+        let log: String = [progress(8), progress(16)]
+            .iter()
+            .map(|record| serde_json::to_string(record).unwrap() + "\n")
+            .collect();
+        fs::write(dir.join(LOG), log).unwrap();
+
+        let state = WalStore::open(&dir).unwrap().load().unwrap().expect("old state loads");
+        running.state = JobState::Running;
+        running.status = Some(status(16));
+        assert_eq!(state.jobs, vec![done, running]);
+        assert_eq!(state.last_id(), 2);
+        let stats = state.routing_stats();
+        assert_eq!(
+            [
+                stats.jobs_routed,
+                stats.reroutes,
+                stats.node_deaths,
+                stats.jobs_resumed,
+                stats.jobs_done,
+                stats.jobs_failed,
+                stats.jobs_timed_out,
+                stats.jobs_cancelled,
+                stats.node_revivals,
+            ],
+            [2, 2, 1, 1, 1, 0, 0, 0, 1]
+        );
+        assert_eq!(stats.jobs_inflight, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -645,14 +772,14 @@ mod tests {
 
         let state = wal.load().unwrap().expect("recovered");
         assert_eq!(state.jobs.len(), 2, "the torn record is dropped, not fatal");
-        assert_eq!(state.counters.jobs_routed, 2);
+        assert_eq!(state.routing_stats().jobs_routed, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn empty_directory_recovers_to_none() {
         let dir = tempdir("fresh");
-        let wal = WalStore::open(&dir).unwrap();
+        let mut wal = WalStore::open(&dir).unwrap();
         assert!(wal.load().unwrap().is_none(), "a first start has no state");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,11 +12,11 @@ use std::time::{Duration, Instant};
 
 use breaksym_cluster::{
     run_cluster_chaos, ClusterChaosConfig, ClusterConfig, ClusterHandle, Coordinator, HashRing,
-    NodeClient, WalStore, FAIL_FORWARD, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
+    NodeClient, WalRecord, WalStore, FAIL_FORWARD, FAIL_HEARTBEAT, FAIL_REBALANCE, FAIL_STATS,
 };
 use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunCheckpoint, RunReport, SliceOutcome};
 use breaksym_serve::{
-    Healthz, HttpServer, JobId, JobSpec, JobState, ServeConfig, ServeEngine, ServeError,
+    Healthz, HttpServer, JobExport, JobId, JobSpec, JobState, ServeConfig, ServeEngine, ServeError,
     SubmitResponse, TaskSpec, FAIL_SLICE,
 };
 use breaksym_testkit::{fault, FaultAction, FaultPlan, FaultTrigger, TestClock};
@@ -46,17 +46,25 @@ fn job(seed: u64, max_evals: u64, slice: u64) -> JobSpec {
     spec
 }
 
-/// Adds to `plan` a [`FAIL_SLICE`] delay before every slice the fleet
-/// runs while the plan is installed. Jobs then crawl from one slice
-/// boundary to the next, so a scripted heartbeat history cannot race a
-/// job to its finish; dropping the plan's guard releases them.
-fn holding_slices(mut plan: FaultPlan) -> FaultPlan {
+/// A plan that pauses `ms` before every slice the fleet runs while it
+/// is installed.
+fn pausing_slices(ms: u64) -> FaultPlan {
+    let mut plan = FaultPlan::new();
     plan.triggers.push(FaultTrigger {
         site: FAIL_SLICE.to_string(),
         at: 1,
         count: 100_000,
-        action: FaultAction::DelayMs { ms: 100 },
+        action: FaultAction::DelayMs { ms },
     });
+    plan
+}
+
+/// Adds to `plan` a 100 ms pause before every slice. Jobs then crawl
+/// from one slice boundary to the next, so a scripted heartbeat history
+/// cannot race a job to its finish; dropping the plan's guard releases
+/// them.
+fn holding_slices(mut plan: FaultPlan) -> FaultPlan {
+    plan.triggers.extend(pausing_slices(100).triggers);
     plan
 }
 
@@ -910,20 +918,50 @@ fn a_double_fault_resumes_every_job_from_its_spec() {
 }
 
 /// Asserts that the coordinator's view equals the state its WAL
-/// recovers: every job's state, progress, node and accounting, and every
-/// routing counter. Replicated checkpoints are not durable, so they are
-/// not compared.
-fn assert_live_equals_recovered(handle: &ClusterHandle, dir: &Path) {
+/// recovers: every job's state, node and accounting, every settled job's
+/// progress, and every routing counter. Replicated checkpoints and an
+/// unsettled job's progress are not durable: a coordinator restarted
+/// over a copy of `dir` re-reads that progress from the job's node while
+/// it reconciles, so for a running job its answer must be at least as
+/// far along as the live one. (A job queued by a move still shows the
+/// progress its previous placement made.)
+fn assert_live_equals_recovered(handle: &ClusterHandle, dir: &Path, addrs: &[String]) {
     let recovered = WalStore::open(dir)
-        .and_then(|store| store.load())
+        .and_then(|mut store| store.load())
         .expect("state loads")
         .expect("the log holds state");
     let (inspect, exports) = (handle.inspect(), handle.export_jobs());
+    let copy = state_dir("restarted-copy");
+    std::fs::create_dir_all(&copy).expect("copy dir");
+    for file in ["snapshot.json", "wal.jsonl"] {
+        if dir.join(file).exists() {
+            std::fs::copy(dir.join(file), copy.join(file)).expect("copy state");
+        }
+    }
+    let cfg = ClusterConfig { rpc_timeout: Duration::from_secs(2), ..ClusterConfig::default() };
+    let frozen = TestClock::new().to_shared();
+    let restarted = Coordinator::start_durable_with_clock(addrs.to_vec(), cfg, &copy, frozen)
+        .expect("restart over the copy");
+    let reconciled = restarted.shutdown().export_jobs();
+    let _ = std::fs::remove_dir_all(&copy);
     assert_eq!(recovered.jobs.len(), inspect.len());
-    for ((job, live), export) in recovered.jobs.iter().zip(&inspect).zip(&exports) {
+    for (((job, live), export), again) in
+        recovered.jobs.iter().zip(&inspect).zip(&exports).zip(&reconciled)
+    {
         assert_eq!(job.id, live.id);
         assert_eq!(job.state, export.state, "job {} state", job.id);
-        assert_eq!(job.status, export.status, "job {} progress", job.id);
+        if job.state.is_terminal() {
+            assert_eq!(job.status, export.status, "job {} progress", job.id);
+        } else if job.state == JobState::Running {
+            let evals = |export: &JobExport| export.status.map_or(0, |status| status.evals);
+            assert!(
+                evals(again) >= evals(export),
+                "job {}: the restarted coordinator's progress {:?} trails the live {:?}",
+                job.id,
+                again.status,
+                export.status
+            );
+        }
         assert_eq!(
             (job.node, job.node_job_id, job.resumes, job.detours, job.cancel_requested),
             (live.node, live.node_job_id, live.resumes, live.detours, live.cancel_requested),
@@ -931,7 +969,7 @@ fn assert_live_equals_recovered(handle: &ClusterHandle, dir: &Path) {
             job.id
         );
     }
-    let (c, stats) = (recovered.counters, handle.stats());
+    let (c, stats) = (recovered.routing_stats(), handle.stats());
     assert_eq!(
         [
             c.jobs_routed,
@@ -1035,13 +1073,15 @@ fn live_state_equals_recovered_state() {
         "no progress replicated from the survivor"
     );
 
-    // Let the home node answer again: the revival migrates the job back.
+    // Let the home node answer again: the revival migrates the job back,
+    // and a beat sees it running there.
     drop(hold);
     let hold = fault::install(holding_slices(FaultPlan::new()));
     assert!(
         poll_until(Duration::from_secs(30), || {
             beat();
-            handle.inspect()[1].resumes == 2
+            let job = &handle.inspect()[1];
+            job.resumes == 2 && job.state == "running"
         }),
         "the second job did not migrate home: {:?}",
         handle.inspect()
@@ -1050,18 +1090,19 @@ fn live_state_equals_recovered_state() {
     let stats = handle.stats();
     assert_eq!((stats.node_deaths, stats.node_revivals, stats.jobs_resumed), (1, 1, 2));
     assert_eq!(handle.inspect()[1].node, home);
-    assert_live_equals_recovered(&handle, &dir);
+    assert_live_equals_recovered(&handle, &dir, &addrs);
 
     // Recover from the log, release the jobs and finish the second one
     // through status polls: the states agree at the end too.
-    let coordinator = Coordinator::start_durable_with_clock(addrs, cfg, &dir, clock.to_shared())
-        .expect("restart recovers");
+    let coordinator =
+        Coordinator::start_durable_with_clock(addrs.clone(), cfg, &dir, clock.to_shared())
+            .expect("restart recovers");
     drop(hold);
     let handle = coordinator.handle();
     let done = handle.wait(moved, Duration::from_secs(120)).expect("job settles");
     assert!(matches!(done.state, JobState::Done), "{:?}", done.state);
     let handle = coordinator.shutdown();
-    assert_live_equals_recovered(&handle, &dir);
+    assert_live_equals_recovered(&handle, &dir, &addrs);
 
     teardown(nodes);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1078,7 +1119,7 @@ fn status_polls_log_state_changes_only() {
     let dir = state_dir("polls-log-states");
     let clock = TestClock::new();
     let coordinator = Coordinator::start_durable_with_clock(
-        addrs,
+        addrs.clone(),
         ClusterConfig::default(),
         &dir,
         clock.to_shared(),
@@ -1086,14 +1127,7 @@ fn status_polls_log_state_changes_only() {
     .expect("durable start");
     let handle = coordinator.handle();
     // A short pause before every slice, so the polls see many of them.
-    let mut plan = FaultPlan::new();
-    plan.triggers.push(FaultTrigger {
-        site: FAIL_SLICE.to_string(),
-        at: 1,
-        count: 100_000,
-        action: FaultAction::DelayMs { ms: 10 },
-    });
-    let pause = fault::install(plan);
+    let pause = fault::install(pausing_slices(10));
     let id = handle.submit(job(53, 600, 8)).expect("submit");
     let (mut states, mut evals, mut progress_only) = (vec![JobState::Queued], None, 0);
     assert!(poll_until(Duration::from_secs(120), || {
@@ -1114,7 +1148,69 @@ fn status_polls_log_state_changes_only() {
     let handle = coordinator.shutdown();
     let log = std::fs::read_to_string(dir.join("wal.jsonl")).expect("the log exists");
     assert_eq!(log.lines().count(), states.len(), "records for states {states:?}");
-    assert_live_equals_recovered(&handle, &dir);
+    assert_live_equals_recovered(&handle, &dir, &addrs);
+
+    teardown(nodes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The heartbeat commits a job's state changes but not its progress.
+/// With no client polls, a job beaten to its finish on a virtual clock
+/// logs its `routed` record, one `observed` record per state change and
+/// its `reported` record, however many progress updates the beats
+/// replicated.
+#[test]
+fn heartbeats_log_state_changes_only() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(1);
+    let dir = state_dir("beats-log-states");
+    let clock = TestClock::new();
+    let cfg = ClusterConfig {
+        heartbeat_interval: Duration::from_millis(100),
+        rpc_timeout: Duration::from_secs(2),
+        ..ClusterConfig::default()
+    };
+    let coordinator =
+        Coordinator::start_durable_with_clock(addrs.clone(), cfg, &dir, clock.to_shared())
+            .expect("durable start");
+    let handle = coordinator.handle();
+    let pause = fault::install(pausing_slices(10));
+    handle.submit(job(54, 600, 8)).expect("submit");
+    // Only the coordinator's memory is read: no client poll reaches the
+    // node, so every observation is a heartbeat's.
+    let (mut states, mut progress, mut progress_only) = (vec![JobState::Queued], None, 0);
+    assert!(poll_until(Duration::from_secs(120), || {
+        clock.advance_ms(100);
+        thread::sleep(Duration::from_millis(5));
+        let export = handle.export_jobs().remove(0);
+        if states.last() != Some(&export.state) {
+            states.push(export.state.clone());
+        } else if export.status != progress {
+            progress_only += 1;
+        }
+        progress = export.status;
+        handle.inspect()[0].has_report
+    }));
+    drop(pause);
+    assert!(matches!(states.last(), Some(JobState::Done)), "{states:?}");
+    assert!(progress_only >= 2, "too few progress-only updates seen: {progress_only}");
+
+    let handle = coordinator.shutdown();
+    let log = std::fs::read_to_string(dir.join("wal.jsonl")).expect("the log exists");
+    let logged: Vec<String> = log
+        .lines()
+        .map(|line| match serde_json::from_str::<WalRecord>(line).expect("a record") {
+            WalRecord::Observed { state, .. } => state.label().to_string(),
+            WalRecord::Routed { .. } => "routed".into(),
+            WalRecord::Reported { .. } => "reported".into(),
+            other => panic!("unexpected record {other:?}"),
+        })
+        .collect();
+    let mut expected = vec!["routed".to_string()];
+    expected.extend(states[1..].iter().map(|state| state.label().to_string()));
+    expected.push("reported".into());
+    assert_eq!(logged, expected);
+    assert_live_equals_recovered(&handle, &dir, &addrs);
 
     teardown(nodes);
     let _ = std::fs::remove_dir_all(&dir);

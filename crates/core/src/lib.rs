@@ -55,10 +55,10 @@ mod optimizer;
 mod portfolio;
 mod qtable;
 mod report;
-pub mod rng_serde;
 pub mod runner;
 mod task;
 
+pub use breaksym_anneal::rng_serde;
 pub use config::{EpsilonSchedule, Exploration, MlmaConfig, QParams, SoftmaxSchedule};
 pub use error::PlaceError;
 pub use flat::FlatQPlacer;

@@ -45,7 +45,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use breaksym_core::{Driver, PlaceError, RunCheckpoint, RunReport, SliceOutcome};
+use breaksym_core::{Driver, PlaceError, PlacementTask, RunCheckpoint, RunReport, SliceOutcome};
 use breaksym_sim::{EvalCache, SimCounter, StatsSnapshot};
 use breaksym_testkit::{real_clock, FaultAction, SharedClock};
 
@@ -113,6 +113,9 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 struct JobRecord {
     spec: JobSpec,
+    /// The task, resolved once at submission, that the worker runs;
+    /// dropped when the job settles.
+    task: Option<Arc<PlacementTask>>,
     state: JobState,
     status: Option<RunStatus>,
     /// Netlist health warnings captured when the submission resolved,
@@ -130,7 +133,7 @@ struct JobRecord {
 }
 
 impl JobRecord {
-    fn new(mut spec: JobSpec, warnings: Vec<String>) -> Self {
+    fn new(mut spec: JobSpec, task: PlacementTask, warnings: Vec<String>) -> Self {
         // A spec that carries a checkpoint (a coordinator moving a dead
         // node's job here) starts from it: the worker's slice loop resumes
         // from `JobRecord::checkpoint` whenever one is present. Moved out
@@ -138,6 +141,7 @@ impl JobRecord {
         let checkpoint = spec.checkpoint.take();
         JobRecord {
             spec,
+            task: Some(Arc::new(task)),
             state: JobState::Queued,
             status: None,
             warnings,
@@ -255,7 +259,7 @@ impl Shared {
     /// requeue (→ `Queued`, at the queue front) and every terminal state.
     /// It keeps the queue holding exactly the queued jobs, counts a
     /// terminal outcome in its `/stats` counter, stamps the retention
-    /// clock, and wakes waiters, all in the caller's critical section, so
+    /// clock (dropping the resolved task), and wakes waiters, all in the caller's critical section, so
     /// a waiter that sees a state also sees it counted. Nothing is evicted
     /// here: the next submission or `stats()` beat applies the retention
     /// policy, so the waiters read the state first. The latest checkpoint
@@ -290,6 +294,7 @@ impl Shared {
         }
         if state.is_terminal() {
             job.terminal_at = Some(self.clock.now());
+            job.task = None;
         }
         if let Some((report, status)) = completion {
             job.report = Some(report);
@@ -408,7 +413,7 @@ impl ServeHandle {
     /// resolve — validated here so bad requests fail at submission, not
     /// inside a worker.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
-        let (_, warnings) = spec.task.resolve_with_warnings()?;
+        let (task, warnings) = spec.task.resolve_with_warnings()?;
         let mut reg = self.shared.lock();
         if reg.draining {
             return Err(ServeError::ShuttingDown);
@@ -418,7 +423,7 @@ impl ServeHandle {
         }
         reg.next_id += 1;
         let id = reg.next_id;
-        reg.jobs.insert(id, JobRecord::new(spec, warnings));
+        reg.jobs.insert(id, JobRecord::new(spec, task, warnings));
         // Submission is the natural beat of a busy server — enforce
         // retention here so the registry never outgrows the policy.
         self.shared.evict_terminal(&mut reg);
@@ -638,9 +643,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// Claims the job at the queue front, then advances it slice by slice
 /// until it finishes, fails, times out, is cancelled, or the server
 /// drains. Takes the worker's registry guard and hands it back holding
-/// the job's last transition. The lock is released only while the job
-/// resolves and while a slice runs, so each slice-boundary decision is
-/// made and carried out in one critical section.
+/// the job's last transition. The lock is released only while the
+/// optimiser builds and while a slice runs, so each slice-boundary
+/// decision is made and carried out in one critical section.
 fn run_job<'a>(
     shared: &'a Shared,
     mut reg: MutexGuard<'a, Registry>,
@@ -648,6 +653,7 @@ fn run_job<'a>(
 ) -> MutexGuard<'a, Registry> {
     shared.transition(&mut reg, id, JobState::Running, None);
     let job = &reg.jobs[&id];
+    let task = job.task.clone().expect("only an unsettled job is claimed");
     let (spec, cache, counter, mut checkpoint) =
         (job.spec.clone(), job.cache.clone(), job.counter.clone(), job.checkpoint.clone());
     drop(reg);
@@ -657,10 +663,6 @@ fn run_job<'a>(
     };
     let failed = |error: String| JobState::Failed { error };
 
-    let task = match spec.task.resolve() {
-        Ok(task) => task,
-        Err(e) => return end(shared.lock(), failed(format!("task does not resolve: {e}")), None),
-    };
     let (method, budget) = spec.resolved_method();
     let mut opt = match method.build(&task) {
         Ok(opt) => opt,
