@@ -418,12 +418,12 @@ impl ClusterHandle {
     /// answers 429 (end-to-end backpressure: that node's queue is full);
     /// [`ServeError::ShuttingDown`] when draining, when that node is
     /// draining, or when no node is reachable;
-    /// [`ServeError::BadRequest`] when the task does not resolve.
+    /// [`ServeError::BadRequest`] when that node refuses the spec (a task
+    /// that does not resolve, say).
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
         if self.shared.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        spec.task.resolve()?;
         let id = {
             let mut inner = self.shared.inner.lock().expect(POISONED);
             inner.next_id += 1;
@@ -441,7 +441,6 @@ impl ClusterHandle {
             detours: placed.detours,
             resumes: 0,
             report: None,
-            legacy_checkpoint: None,
         };
         let mut inner = self.shared.inner.lock().expect(POISONED);
         commit(&self.shared, &mut inner, WalRecord::Routed { job: Box::new(job) });
@@ -1192,7 +1191,8 @@ fn adopt_exports(shared: &CoordShared, node: usize, exports: Vec<JobExport>) {
             // A replicated report supersedes any checkpoint (a node from
             // before done jobs dropped theirs still exports one).
             let unreported = inner.state.job(id).is_some_and(|job| job.report.is_none());
-            if unreported && inner.resume_point(id).is_none_or(|old| checkpoint.evals > old.evals) {
+            let fresher = |old: &RunCheckpoint| checkpoint.tracker.evals > old.tracker.evals;
+            if unreported && inner.resume_point(id).is_none_or(fresher) {
                 inner.replicas.insert(id, checkpoint);
             }
         }

@@ -17,20 +17,18 @@
 //! memory (a lost replica costs rework, never a different report, and a
 //! restart re-reads both from the nodes' exports). Nothing derivable
 //! from the job table is stored either: the job counters and the next id
-//! are folded from it ([`CoordState::routing_stats`]). Older state still
-//! loads: its extra keys (`next_id`, the job counters) are ignored, its
-//! progress-only `observed` and its `checkpoint` records replay
-//! harmlessly, and a job's old `checkpoint` field moves into its spec.
+//! are folded from it ([`CoordState::routing_stats`]).
 //!
-//! Recovery reads the snapshot (if any) and replays the log over it
-//! ([`WalStore::load`]). A torn trailing line — the crash interrupted
-//! the write — ends the replay; everything before it was flushed whole.
-//! Every line carries a sequence number (`seq`) and the snapshot the
-//! last one it covers, so a crash between a compaction's snapshot rename
-//! and its log truncation replays none of the old log twice (lines from
-//! before sequence numbers replay as they always did). The live
-//! coordinator changes its durable state only by appending a record and
-//! then applying it with [`CoordState::apply`], and replay applies the
+//! The snapshot and every log line carry [`FORMAT`] under `format` and a
+//! sequence number under `seq`. [`WalStore::load`] refuses any other
+//! format, or none, with [`io::ErrorKind::InvalidData`]: nothing migrates
+//! older state. Recovery reads the snapshot (if any) and replays the log
+//! lines it does not cover, so a crash between a compaction's snapshot
+//! rename and its log truncation replays nothing twice. Only the last
+//! line may be torn (a crash interrupted its write): a failed append is
+//! cut back off the log, and a bad line anywhere else is refused. The
+//! live coordinator changes its durable state only by appending a record
+//! and then applying it with [`CoordState::apply`], and replay applies the
 //! same records with the same function. So the recovered job table and
 //! counters equal the live ones as of the last flushed record, and
 //! restart accounting is indistinguishable from an uninterrupted run.
@@ -47,10 +45,10 @@
 //! older state, which must still converge.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::PathBuf;
 
-use breaksym_core::{RunCheckpoint, RunReport};
+use breaksym_core::{RunReport, FORMAT};
 use breaksym_serve::protocol::{JobSpec, JobState, RunStatus};
 use breaksym_testkit::{fault, FaultAction};
 use serde::de::DeserializeOwned;
@@ -89,25 +87,16 @@ pub struct PersistedJob {
     pub state: JobState,
     /// Progress as of the last state change. Fresher progress lives in
     /// coordinator memory only.
-    #[serde(default)]
     pub status: Option<RunStatus>,
     /// Whether a cancel was requested through the coordinator.
-    #[serde(default)]
     pub cancel_requested: bool,
     /// Submit-time fallback detours.
-    #[serde(default)]
     pub detours: u32,
     /// Times the job was moved (death-resumes plus rebalances).
-    #[serde(default)]
     pub resumes: u32,
     /// The final report, replicated from the node once the job is done,
     /// so it outlives that node.
-    #[serde(default)]
     pub report: Option<Box<RunReport>>,
-    /// An older coordinator's `checkpoint` field (the submitted checkpoint
-    /// or a replica), moved into the spec on load; never written.
-    #[serde(rename = "checkpoint", skip_serializing_if = "Option::is_none")]
-    pub(crate) legacy_checkpoint: Option<Box<RunCheckpoint>>,
 }
 
 /// The node-event counters: the two routing counters the job table
@@ -116,7 +105,6 @@ pub struct PersistedJob {
 #[allow(missing_docs)]
 pub struct PersistedCounters {
     pub node_deaths: u64,
-    #[serde(default)]
     pub node_revivals: u64,
 }
 
@@ -127,12 +115,10 @@ pub struct CoordState {
     /// Every routed job, ascending id.
     pub jobs: Vec<PersistedJob>,
     /// Node deaths and revivals so far.
-    #[serde(default)]
     pub counters: PersistedCounters,
     /// Nodes that were declared dead and have not been revived — what a
     /// restarted coordinator's reconciliation turns into revivals (the
     /// node answers again) or fresh death handling (it does not).
-    #[serde(default)]
     pub dead_nodes: Vec<usize>,
 }
 
@@ -147,23 +133,14 @@ pub enum WalRecord {
         /// The job as routed (boxed: it dwarfs every other record).
         job: Box<PersistedJob>,
     },
-    /// A job changed state (polls, heartbeats, cancels). Older
-    /// coordinators also logged progress alone under the same state;
-    /// such records still replay, updating only the progress.
+    /// A job changed state (polls, heartbeats, cancels).
     Observed {
         /// Cluster job id.
         id: u64,
         /// The job's state after the observation.
         state: JobState,
         /// The freshest progress known at the change, if any.
-        #[serde(default)]
         status: Option<RunStatus>,
-    },
-    /// A replicated checkpoint, as older coordinators logged it. Still
-    /// parsed so their logs replay past it; applying it changes nothing.
-    Checkpoint {
-        /// Cluster job id.
-        id: u64,
     },
     /// The job moved to another node (death-resume, rebalance, or
     /// restart reconciliation).
@@ -175,7 +152,6 @@ pub enum WalRecord {
         /// The job's id on that node.
         node_job_id: u64,
         /// Fallback detours the move itself took.
-        #[serde(default)]
         detours_added: u32,
     },
     /// A done job's final report was replicated. It supersedes the spec's
@@ -251,24 +227,17 @@ impl CoordState {
     pub fn apply(&mut self, record: WalRecord) {
         match record {
             WalRecord::Routed { job } => {
-                // A duplicate id can only come from a log written before
-                // lines carried sequence numbers, replayed over the
-                // snapshot that compacted it.
-                if let Err(at) = self.jobs.binary_search_by_key(&job.id, |existing| existing.id) {
-                    self.jobs.insert(at, *job);
-                }
+                let at = self.jobs.partition_point(|existing| existing.id < job.id);
+                self.jobs.insert(at, *job);
             }
             WalRecord::Observed { id, state, status } => {
                 if let Some(job) = self.job_mut(id) {
-                    if let Some(status) = status {
-                        job.status = Some(status);
-                    }
+                    job.status = status.or(job.status);
                     if !job.state.is_terminal() {
                         job.state = state;
                     }
                 }
             }
-            WalRecord::Checkpoint { .. } => {}
             WalRecord::Reported { id, report } => {
                 if let Some(job) = self.job_mut(id) {
                     job.report = Some(report);
@@ -310,6 +279,8 @@ impl CoordState {
 pub struct WalStore {
     dir: PathBuf,
     log: Option<File>,
+    /// Bytes of whole lines in the log: where the next line starts.
+    whole: u64,
     appended: u64,
     /// The last sequence number written or loaded: the next line gets
     /// the one after it, and a snapshot covers every line up to it.
@@ -326,7 +297,8 @@ impl WalStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(WalStore { dir, log: None, appended: 0, seq: 0 })
+        let whole = fs::metadata(dir.join(LOG)).map_or(0, |meta| meta.len());
+        Ok(WalStore { dir, log: None, whole, appended: 0, seq: 0 })
     }
 
     /// The state directory this store writes to.
@@ -342,49 +314,41 @@ impl WalStore {
     ///
     /// # Errors
     ///
-    /// I/O failures reading either file, or a corrupt *snapshot* (a
-    /// snapshot is written atomically, so corruption is a real problem);
-    /// a torn trailing log line is expected crash debris and ends the
-    /// replay silently.
+    /// I/O failures reading either file, and [`io::ErrorKind::InvalidData`]
+    /// for a snapshot or a whole log line that does not parse or is not of
+    /// this build's [`FORMAT`]. A torn trailing log line — one with no
+    /// newline — is expected crash debris and ends the replay silently.
     pub fn load(&mut self) -> io::Result<Option<CoordState>> {
         let (mut state, covered) = match fs::read(self.dir.join(SNAPSHOT)) {
             Ok(bytes) => {
-                let (state, seq) = unstamp::<CoordState>(&bytes).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt snapshot: {e}"))
-                })?;
+                let (state, seq) = unstamp::<CoordState>(&bytes)
+                    .map_err(|e| invalid(format!("{SNAPSHOT}: {e}")))?;
                 (Some(state), seq)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => (None, 0),
             Err(e) => return Err(e),
         };
-        self.seq = covered;
-        match File::open(self.dir.join(LOG)) {
-            Ok(file) => {
-                for line in BufReader::new(file).lines() {
-                    let line = line?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let Ok((record, seq)) = unstamp::<WalRecord>(line.as_bytes()) else {
-                        break;
-                    };
-                    // Already in the snapshot: the crash fell between a
-                    // compaction's snapshot rename and its log truncation.
-                    if seq > 0 && seq <= covered {
-                        continue;
-                    }
-                    self.seq = self.seq.max(seq);
-                    state.get_or_insert_with(CoordState::default).apply(record);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        // The next append reopens the log and cuts any torn tail.
+        (self.seq, self.log, self.whole) = (covered, None, 0);
+        let log = match fs::read(self.dir.join(LOG)) {
+            Ok(log) => log,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
-        }
-        // An unreported job's old checkpoint moves into its spec.
-        for job in state.iter_mut().flat_map(|state| &mut state.jobs) {
-            if let Some(old) = job.legacy_checkpoint.take().filter(|_| job.report.is_none()) {
-                job.spec.checkpoint.get_or_insert(old);
+        };
+        for (n, line) in log.split_inclusive(|&b| b == b'\n').enumerate() {
+            let Some(line) = line.strip_suffix(b"\n") else {
+                break;
+            };
+            let (record, seq) = unstamp::<WalRecord>(line)
+                .map_err(|e| invalid(format!("{LOG} line {}: {e}", n + 1)))?;
+            self.whole += line.len() as u64 + 1;
+            // Already in the snapshot: the crash fell between a
+            // compaction's snapshot rename and its log truncation.
+            if seq <= covered {
+                continue;
             }
+            self.seq = self.seq.max(seq);
+            state.get_or_insert_with(CoordState::default).apply(record);
         }
         Ok(state)
     }
@@ -404,16 +368,25 @@ impl WalStore {
         }
     }
 
+    /// Writes one line, or on failure cuts the log back to its last whole
+    /// line, so only a crash can leave a partial line, and only last.
     fn try_append(&mut self, record: &WalRecord) -> io::Result<()> {
-        if self.log.is_none() {
-            self.log = Some(OpenOptions::new().create(true).append(true).open(self.dir.join(LOG))?);
-        }
-        self.seq += 1;
-        let mut line = stamped(record, self.seq)?;
+        let mut line = stamped(record, self.seq + 1)?;
         line.push(b'\n');
+        if self.log.is_none() {
+            let log = OpenOptions::new().create(true).append(true).open(self.dir.join(LOG))?;
+            // Drops a torn tail a crash left behind.
+            log.set_len(self.whole)?;
+            self.log = Some(log);
+        }
         let log = self.log.as_mut().expect("log just opened");
-        log.write_all(&line)?;
-        log.flush()?;
+        let written = log.write_all(&line).and_then(|()| log.flush());
+        if written.is_err() && log.set_len(self.whole).is_err() {
+            self.log = None; // the next append reopens the log and cuts it
+        }
+        written?;
+        self.whole += line.len() as u64;
+        self.seq += 1;
         self.appended += 1;
         Ok(())
     }
@@ -439,35 +412,46 @@ impl WalStore {
         // Truncate only after the snapshot rename landed. A crash between
         // the two leaves the old log behind, and its stamps tell `load`
         // to skip it.
-        self.log = None;
-        fs::write(self.dir.join(LOG), b"")?;
-        self.appended = 0;
-        Ok(())
+        (self.log, self.whole, self.appended) = (None, 0, 0);
+        fs::write(self.dir.join(LOG), b"")
     }
 }
 
-/// `value` as one JSON object with its sequence number under `seq`.
+fn invalid(message: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.to_string())
+}
+
+/// `value` as one JSON object with [`FORMAT`] under `format` and its
+/// sequence number under `seq`.
 fn stamped(value: &impl Serialize, seq: u64) -> io::Result<Vec<u8>> {
-    let invalid = |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     let mut json = serde_json::to_value(value).map_err(invalid)?;
-    if let Some(object) = json.as_object_mut() {
-        object.insert("seq".into(), seq.into());
-    }
+    let object = json.as_object_mut().expect("persisted state is a JSON object");
+    object.insert("format".into(), FORMAT.into());
+    object.insert("seq".into(), seq.into());
     serde_json::to_vec(&json).map_err(invalid)
 }
 
-/// A JSON object [`stamped`] wrote, and its sequence number: 0 for one
-/// written before objects carried it (stamps start at 1).
-fn unstamp<T: DeserializeOwned>(bytes: &[u8]) -> serde_json::Result<(T, u64)> {
-    let json: serde_json::Value = serde_json::from_slice(bytes)?;
-    let seq = json.get("seq").and_then(serde_json::Value::as_u64).unwrap_or(0);
-    Ok((serde_json::from_value(json)?, seq))
+/// A JSON object [`stamped`] wrote, and its sequence number. Refuses one
+/// of another format, or with no format or sequence number.
+fn unstamp<T: DeserializeOwned>(bytes: &[u8]) -> io::Result<(T, u64)> {
+    let json: serde_json::Value = serde_json::from_slice(bytes).map_err(invalid)?;
+    let stamp = |key| json.get(key).and_then(serde_json::Value::as_u64);
+    let (format, seq) = (stamp("format"), stamp("seq"));
+    if format != Some(u64::from(FORMAT)) {
+        let found = format.map_or_else(|| "no format".into(), |f| format!("format {f}"));
+        return Err(invalid(format!(
+            "found {found}, this build reads format {FORMAT}: \
+             start from an empty state directory"
+        )));
+    }
+    let seq = seq.ok_or_else(|| invalid("no seq"))?;
+    Ok((serde_json::from_value(json).map_err(invalid)?, seq))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use breaksym_core::{Driver, MethodSpec, MlmaConfig, SliceOutcome};
+    use breaksym_core::{Driver, MethodSpec, MlmaConfig, RunCheckpoint, SliceOutcome};
     use breaksym_serve::protocol::TaskSpec;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -496,7 +480,6 @@ mod tests {
             detours: 0,
             resumes: 0,
             report: None,
-            legacy_checkpoint: None,
         }
     }
 
@@ -551,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_reports_replay_and_older_jobs_parse_without_one() {
+    fn replicated_reports_replay() {
         let dir = tempdir("report");
         let mut wal = WalStore::open(&dir).unwrap();
         wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
@@ -563,12 +546,6 @@ mod tests {
         wal.append(&WalRecord::Reported { id: 1, report: Box::new(report.clone()) });
         let state = wal.load().unwrap().expect("recovered");
         assert_eq!(state.jobs[0].report.as_deref(), Some(&report));
-
-        // A job written before reports were replicated has none.
-        let mut old = serde_json::to_value(sample_job(2)).unwrap();
-        assert!(old.as_object_mut().unwrap().remove("report").is_some());
-        let back: PersistedJob = serde_json::from_value(old).unwrap();
-        assert_eq!(back, sample_job(2));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -588,67 +565,6 @@ mod tests {
         let state = wal.load().unwrap().expect("recovered");
         assert_eq!(state.jobs[0].spec.checkpoint, None, "the report supersedes the checkpoint");
         assert_eq!(state.jobs[0].report.as_deref(), Some(&report));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// State from a coordinator that logged its replicas: a snapshot and a
-    /// `routed` record whose job carries `checkpoint`, then `checkpoint`
-    /// records. It loads, every record after a `checkpoint` record
-    /// applies, and each job's old checkpoint lands in its spec.
-    #[test]
-    fn state_that_logged_replicas_loads() {
-        let dir = tempdir("legacy");
-        let (checkpoint, _) = paused_checkpoint();
-        // Sets `key` in a JSON object, as the older coordinator wrote it.
-        let with = |mut value: serde_json::Value, key: &str, field: serde_json::Value| {
-            value.as_object_mut().unwrap().insert(key.into(), field);
-            value
-        };
-        let ckpt = serde_json::to_value(&checkpoint).unwrap();
-        let old_job =
-            |id| with(serde_json::to_value(sample_job(id)).unwrap(), "checkpoint", ckpt.clone());
-        let snapshot = with(
-            serde_json::to_value(CoordState::default()).unwrap(),
-            "jobs",
-            serde_json::Value::Array(vec![old_job(1)]),
-        );
-        let snapshot = with(snapshot, "next_id", 1.into());
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(SNAPSHOT), serde_json::to_vec(&snapshot).unwrap()).unwrap();
-
-        let record = |record: WalRecord| serde_json::to_value(record).unwrap();
-        let routed =
-            with(record(WalRecord::Routed { job: Box::new(sample_job(2)) }), "job", old_job(2));
-        let replica = |id| with(record(WalRecord::Checkpoint { id }), "checkpoint", ckpt.clone());
-        let lines = [
-            routed,
-            replica(1),
-            replica(2),
-            record(WalRecord::Observed { id: 1, state: JobState::Running, status: None }),
-            record(WalRecord::Moved { id: 2, node: 1, node_job_id: 99, detours_added: 0 }),
-        ];
-        let log: String =
-            lines.iter().map(|line| serde_json::to_string(line).unwrap() + "\n").collect();
-        fs::write(dir.join(LOG), log).unwrap();
-
-        let mut wal = WalStore::open(&dir).unwrap();
-        let state = wal.load().unwrap().expect("old state loads");
-        let stats = state.routing_stats();
-        assert_eq!((state.last_id(), stats.jobs_routed, stats.jobs_resumed), (2, 2, 1));
-        let (job1, job2) = (&state.jobs[0], &state.jobs[1]);
-        assert_eq!(job1.state, JobState::Running);
-        assert_eq!((job2.node, job2.node_job_id, job2.resumes), (1, 99, 1));
-        for job in &state.jobs {
-            assert_eq!(job.spec.checkpoint.as_ref(), Some(&checkpoint), "job {}", job.id);
-            assert_eq!(job.legacy_checkpoint, None);
-        }
-
-        // Written back, the checkpoint is in the spec only.
-        wal.compact(&state).unwrap();
-        let written: serde_json::Value =
-            serde_json::from_slice(&fs::read(dir.join(SNAPSHOT)).unwrap()).unwrap();
-        assert!(written["jobs"][0].get("checkpoint").is_none());
-        assert_eq!(wal.load().unwrap(), Some(state));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -697,68 +613,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A snapshot that stored the id counter and all nine routing
-    /// counters, under a log of progress-only `observed` records: it
-    /// loads to the same job table and the same counters, folded.
-    #[test]
-    fn state_that_stored_counters_and_progress_loads() {
-        let dir = tempdir("stored-counters");
-        let (mut done, mut running) = (sample_job(1), sample_job(2));
-        done.state = JobState::Done;
-        (done.detours, running.resumes) = (1, 1);
-        let status = |evals| RunStatus {
-            evals,
-            best_cost: 1.0,
-            elapsed_ms: evals,
-            cache: Default::default(),
-        };
-        let snapshot = serde_json::json!({
-            "next_id": 2,
-            "jobs": [done, running],
-            "counters": {
-                "jobs_routed": 2, "reroutes": 2, "node_deaths": 1, "jobs_resumed": 1,
-                "jobs_done": 1, "jobs_failed": 0, "jobs_timed_out": 0, "jobs_cancelled": 0,
-                "node_revivals": 1
-            },
-            "dead_nodes": []
-        });
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(SNAPSHOT), serde_json::to_vec(&snapshot).unwrap()).unwrap();
-        let progress = |evals| WalRecord::Observed {
-            id: 2,
-            state: JobState::Running,
-            status: Some(status(evals)),
-        };
-        let log: String = [progress(8), progress(16)]
-            .iter()
-            .map(|record| serde_json::to_string(record).unwrap() + "\n")
-            .collect();
-        fs::write(dir.join(LOG), log).unwrap();
-
-        let state = WalStore::open(&dir).unwrap().load().unwrap().expect("old state loads");
-        running.state = JobState::Running;
-        running.status = Some(status(16));
-        assert_eq!(state.jobs, vec![done, running]);
-        assert_eq!(state.last_id(), 2);
-        let stats = state.routing_stats();
-        assert_eq!(
-            [
-                stats.jobs_routed,
-                stats.reroutes,
-                stats.node_deaths,
-                stats.jobs_resumed,
-                stats.jobs_done,
-                stats.jobs_failed,
-                stats.jobs_timed_out,
-                stats.jobs_cancelled,
-                stats.node_revivals,
-            ],
-            [2, 2, 1, 1, 1, 0, 0, 0, 1]
-        );
-        assert_eq!(stats.jobs_inflight, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn torn_trailing_line_ends_replay_cleanly() {
         let dir = tempdir("torn");
@@ -773,6 +627,84 @@ mod tests {
         let state = wal.load().unwrap().expect("recovered");
         assert_eq!(state.jobs.len(), 2, "the torn record is dropped, not fatal");
         assert_eq!(state.routing_stats().jobs_routed, 2);
+
+        // The next append replaces the torn tail instead of landing
+        // behind it.
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(3)) });
+        let state = wal.load().unwrap().expect("recovered");
+        assert_eq!(state.last_id(), 3);
+        assert_eq!(state.jobs.len(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An append that fails part-way leaves no partial line for the next
+    /// one to land behind.
+    #[test]
+    fn a_failed_append_is_cut_off_the_log() {
+        let dir = tempdir("failed-append");
+        let mut wal = WalStore::open(&dir).unwrap();
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
+        // What a short write leaves, through a handle that then refuses
+        // the rest.
+        let mut log = OpenOptions::new().append(true).open(dir.join(LOG)).unwrap();
+        log.write_all(b"{\"op\":\"routed\",\"job\":{\"id\":2").unwrap();
+        wal.log = Some(File::open(dir.join(LOG)).unwrap());
+        assert!(wal.try_append(&WalRecord::Routed { job: Box::new(sample_job(2)) }).is_err());
+
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(3)) });
+        let state = wal.load().unwrap().expect("recovered");
+        assert_eq!(state.jobs.iter().map(|job| job.id).collect::<Vec<_>>(), [1, 3]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Only the last line may be torn: a line that does not parse
+    /// anywhere before it is corruption, and every record after it would
+    /// be lost, so `load` refuses the log.
+    #[test]
+    fn a_corrupt_line_mid_log_is_refused() {
+        let dir = tempdir("mid-log");
+        let mut wal = WalStore::open(&dir).unwrap();
+        for id in 1..=3 {
+            wal.append(&WalRecord::Routed { job: Box::new(sample_job(id)) });
+        }
+        let mut log = fs::read(dir.join(LOG)).unwrap();
+        let middle = log.iter().position(|&b| b == b'\n').unwrap() + 1;
+        log[middle] ^= 1;
+        fs::write(dir.join(LOG), log).unwrap();
+
+        let err = wal.load().expect_err("a corrupt line mid-log");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("line 2"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// State of another format is refused, not migrated: a snapshot with
+    /// another `format`, and a log line with none.
+    #[test]
+    fn state_of_another_format_is_refused() {
+        let dir = tempdir("format");
+        let mut wal = WalStore::open(&dir).unwrap();
+        wal.append(&WalRecord::Routed { job: Box::new(sample_job(1)) });
+        let state = wal.load().unwrap().expect("state");
+        wal.compact(&state).unwrap();
+        let mut snapshot: serde_json::Value =
+            serde_json::from_slice(&fs::read(dir.join(SNAPSHOT)).unwrap()).unwrap();
+        assert_eq!(snapshot["format"], u64::from(FORMAT));
+        snapshot.as_object_mut().unwrap().insert("format".into(), (FORMAT + 1).into());
+        fs::write(dir.join(SNAPSHOT), serde_json::to_vec(&snapshot).unwrap()).unwrap();
+        let err = wal.load().expect_err("another format");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let message = err.to_string();
+        assert!(message.contains(&format!("found format {}", FORMAT + 1)), "{message}");
+        assert!(message.contains(&format!("reads format {FORMAT}")), "{message}");
+
+        fs::remove_file(dir.join(SNAPSHOT)).unwrap();
+        let mut line = serde_json::to_value(WalRecord::NodeDead { node: 0 }).unwrap();
+        line.as_object_mut().unwrap().insert("seq".into(), 1.into());
+        fs::write(dir.join(LOG), serde_json::to_string(&line).unwrap() + "\n").unwrap();
+        let err = wal.load().expect_err("no format");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("found no format"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -247,6 +247,30 @@ fn coordinator_routes_jobs_and_aggregates_stats() {
     teardown(nodes);
 }
 
+/// A task no node can resolve is refused by the node the submission is
+/// forwarded to, and its 400 reaches the client as the same
+/// [`ServeError::BadRequest`]; nothing is routed.
+#[test]
+fn an_unresolvable_task_is_a_bad_request_end_to_end() {
+    let _serial = serial();
+    let (nodes, addrs) = fleet(2);
+    let coordinator = Coordinator::start(addrs, ClusterConfig::default());
+    let handle = coordinator.handle();
+
+    let mut spec = job(1, 60, 16);
+    spec.task = TaskSpec::benchmark("no_such_circuit", 7);
+    match handle.submit(spec) {
+        Err(ServeError::BadRequest { reason }) => assert!(reason.contains("no_such_circuit")),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    let stats = handle.stats();
+    assert_eq!((stats.jobs_routed, stats.reroutes), (0, 0));
+    assert!(handle.inspect().is_empty());
+
+    coordinator.shutdown();
+    teardown(nodes);
+}
+
 /// Each node's bounded queue is the cluster's backpressure valve: when a
 /// submission's first-choice node is full, its 429 reaches the client as
 /// the node's own [`ServeError::QueueFull`]. The submission takes no
@@ -838,7 +862,7 @@ fn a_resumed_submission_logs_its_checkpoint_once() {
     let routed: serde_json::Value =
         serde_json::from_str(log.lines().next().expect("a routed record")).expect("json");
     assert_eq!(routed["op"], "routed");
-    assert_eq!(routed["job"]["spec"]["checkpoint"]["evals"], ckpt.evals);
+    assert_eq!(routed["job"]["spec"]["checkpoint"]["tracker"]["evals"], ckpt.tracker.evals);
     assert!(routed["job"].get("checkpoint").is_none(), "the job holds a second copy");
 
     let done = handle.wait(id, Duration::from_secs(120)).expect("job settles");
@@ -879,7 +903,7 @@ fn a_double_fault_resumes_every_job_from_its_spec() {
     else {
         panic!("the first slice should pause");
     };
-    ckpt.tracker.max_evals = ckpt.evals + 120;
+    ckpt.tracker.max_evals = ckpt.tracker.evals + 120;
     edited.checkpoint = Some(ckpt.clone());
     // Cluster id 1 routes to node 0 and ids 2 and 3 to node 1, so a short
     // first job puts the two under test on one node.
@@ -890,8 +914,8 @@ fn a_double_fault_resumes_every_job_from_its_spec() {
     // it was submitted with.
     let replicated = || {
         let exports = handle.export_jobs();
-        let evals = |i: usize| exports[i].checkpoint.as_ref().map_or(0, |c| c.evals);
-        evals(1) > 0 && evals(2) > ckpt.evals
+        let evals = |i: usize| exports[i].checkpoint.as_ref().map_or(0, |c| c.tracker.evals);
+        evals(1) > 0 && evals(2) > ckpt.tracker.evals
     };
     assert!(poll_until(Duration::from_secs(30), replicated), "{:?}", handle.export_jobs());
     let home = handle.inspect()[1].node;
@@ -903,7 +927,7 @@ fn a_double_fault_resumes_every_job_from_its_spec() {
     drop(hold);
     let handle = coordinator.handle();
     let directs = [direct_report(&plain), direct_resume(&edited, &ckpt)];
-    assert_eq!(directs[1].evaluations, ckpt.evals + 120, "the edited budget holds");
+    assert_eq!(directs[1].evaluations, ckpt.tracker.evals + 120, "the edited budget holds");
     for (&id, direct) in ids.iter().zip(&directs) {
         let done = handle.wait(id, Duration::from_secs(120)).expect("job settles");
         assert!(matches!(done.state, JobState::Done), "{:?}", done.state);

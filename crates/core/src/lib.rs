@@ -68,7 +68,7 @@ pub use optimizer::{Optimizer, OptimizerStatus, Proposal};
 pub use portfolio::{run_portfolio, MethodSpec};
 pub use qtable::{AgentTable, QTable};
 pub use report::RunReport;
-pub use runner::{Budget, Driver, RunCheckpoint, SliceOutcome};
+pub use runner::{Budget, Driver, RunCheckpoint, SliceOutcome, FORMAT};
 pub use task::PlacementTask;
 
 // The vocabulary callers need alongside this crate.

@@ -15,6 +15,9 @@
 //! and the final [`RunReport`] assembly; the method only proposes moves
 //! and observes verdicts. The `run_*` functions below are thin wrappers
 //! over the driver.
+//!
+//! A checkpoint leaves the process, so it carries the [`FORMAT`] that wrote
+//! it, and resume refuses any other number rather than migrate it.
 
 use std::time::Instant;
 
@@ -118,6 +121,9 @@ impl Budget {
 
 // --------------------------------------------------------- the checkpoint
 
+/// The format of every persisted byte: checkpoints and coordinator state.
+pub const FORMAT: u32 = 1;
+
 /// A resumable snapshot of an in-flight driver run, taken when a
 /// [slice](Driver::run_slice) pauses at a quiescent point (between an
 /// observation and the next proposal).
@@ -129,10 +135,10 @@ impl Budget {
 /// that never stopped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunCheckpoint {
+    /// The [`FORMAT`] that wrote it; resume refuses any other.
+    pub format: u32,
     /// Method label of the interrupted run.
     pub method: String,
-    /// Oracle queries spent so far.
-    pub evals: u64,
     /// Wall-clock milliseconds spent so far (accumulated across resumes).
     pub elapsed_ms: u64,
     /// Budget/best/trajectory bookkeeping.
@@ -155,8 +161,8 @@ impl RunCheckpoint {
             reason: format!("optimizer state not serialisable: {e}"),
         })?;
         Ok(RunCheckpoint {
+            format: FORMAT,
             method: method.to_string(),
-            evals: tracker.evals,
             elapsed_ms,
             tracker: tracker.clone(),
             placement: env.placement().clone(),
@@ -217,23 +223,21 @@ fn setup_with(
     Ok(Setup { env, evaluator, counter, cache, initial_metrics, objective })
 }
 
-/// Rejects a checkpoint whose tracker no `RunTracker` could have written:
-/// an empty trajectory, an eval count that disagrees with the
-/// checkpoint's, a best cost that is not the trajectory's last, or a best
-/// placement `env` would refuse to install. Resuming one would report a
-/// wrong initial or best cost with no error.
+/// Rejects a checkpoint of another [`FORMAT`], and one whose tracker no
+/// `RunTracker` could have written: an empty trajectory, a best cost that
+/// is not the trajectory's last, or a best placement `env` would refuse
+/// to install. Resuming one would report a wrong initial or best cost
+/// with no error.
 fn check_tracker(ckpt: &RunCheckpoint, env: &LayoutEnv) -> Result<(), PlaceError> {
     let bad = |reason: String| PlaceError::BadConfig { reason };
+    if ckpt.format != FORMAT {
+        let found = ckpt.format;
+        return Err(bad(format!("checkpoint format {found}, this build reads format {FORMAT}")));
+    }
     let tracker = &ckpt.tracker;
     let Some(&(_, last_cost)) = tracker.trajectory.last() else {
         return Err(bad("checkpoint tracker has an empty trajectory".into()));
     };
-    if tracker.evals != ckpt.evals {
-        return Err(bad(format!(
-            "checkpoint tracker counts {} evals, the checkpoint {}",
-            tracker.evals, ckpt.evals
-        )));
-    }
     if tracker.best_cost.to_bits() != last_cost.to_bits() {
         return Err(bad(format!(
             "checkpoint best cost {} is not its trajectory's last cost {last_cost}",
@@ -392,11 +396,11 @@ impl Driver {
     ///
     /// # Errors
     ///
-    /// As [`Driver::run`], plus [`PlaceError::BadConfig`] on a snapshot
-    /// that does not match the optimizer, or on a tracker with an empty
-    /// trajectory, an eval count other than the checkpoint's, a best cost
-    /// other than the trajectory's last, or a best placement that does
-    /// not install.
+    /// As [`Driver::run`], plus [`PlaceError::BadConfig`] on a checkpoint
+    /// of another [`FORMAT`], a snapshot that does not match the
+    /// optimizer, or a tracker with an empty trajectory, a best cost other
+    /// than the trajectory's last, or a best placement that does not
+    /// install.
     pub fn resume<O: Optimizer + ?Sized>(
         &self,
         task: &PlacementTask,
@@ -971,9 +975,8 @@ mod tests {
         for (k, c) in checkpoints.iter().enumerate() {
             assert_eq!(c.method, "mlma-q");
             // The initial evaluation, then 25 more per slice.
-            assert_eq!(c.evals, 1 + 25 * (k as u64 + 1));
-            assert_eq!(c.evals, c.tracker.evals);
-            assert!(c.evals <= report.evaluations);
+            assert_eq!(c.tracker.evals, 1 + 25 * (k as u64 + 1));
+            assert!(c.tracker.evals <= report.evaluations);
             // The snapshot is valid JSON state, not a placeholder.
             assert!(c.optimizer.as_object().is_some());
         }
@@ -1028,7 +1031,7 @@ mod tests {
             assert!(matches!(sliced, Err(PlaceError::BadConfig { .. })), "{what}: {sliced:?}");
         };
         rejects("empty trajectory", |c| c.tracker.trajectory.clear());
-        rejects("eval count", |c| c.tracker.evals += 1);
+        rejects("format", |c| c.format += 1);
         rejects("best cost", |c| c.tracker.best_cost *= 0.5);
         rejects("best placement", |c| {
             c.tracker.best_placement = Placement::from_positions(Vec::new()).unwrap();

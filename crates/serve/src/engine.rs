@@ -108,8 +108,8 @@ impl Default for ServeConfig {
 
 /// Everything the registry tracks about one job. Each job owns a private
 /// cache + counter pair so its simulation/cache accounting is exact and
-/// job-local; the server-wide `/stats` view is the sum of the per-job
-/// snapshots.
+/// job-local. The cache goes when the job settles, its final snapshot
+/// kept in `settled`; `/stats` sums the per-job snapshots.
 #[derive(Debug)]
 struct JobRecord {
     spec: JobSpec,
@@ -126,8 +126,9 @@ struct JobRecord {
     /// Set by a cancel while the job runs; its worker reads it at the next
     /// slice boundary.
     cancel: bool,
-    cache: EvalCache,
+    cache: Option<EvalCache>,
     counter: SimCounter,
+    settled: StatsSnapshot,
     /// When the job reached a terminal state — the retention clock.
     terminal_at: Option<Instant>,
 }
@@ -148,10 +149,16 @@ impl JobRecord {
             report: None,
             checkpoint,
             cancel: false,
-            cache: EvalCache::default(),
+            cache: Some(EvalCache::default()),
             counter: SimCounter::new(),
+            settled: StatsSnapshot::default(),
             terminal_at: None,
         }
+    }
+
+    /// The job's cache accounting: live until it settles, folded after.
+    fn cache_stats(&self) -> StatsSnapshot {
+        self.cache.as_ref().map_or(self.settled, |cache| cache.snapshot(&self.counter))
     }
 
     fn response(&self, id: JobId) -> StatusResponse {
@@ -247,7 +254,7 @@ impl Shared {
         }
         for id in doomed {
             if let Some(job) = reg.jobs.remove(&id) {
-                reg.stats.cache = reg.stats.cache.merged(job.cache.snapshot(&job.counter));
+                reg.stats.cache = reg.stats.cache.merged(job.cache_stats());
                 reg.stats.jobs_retired += 1;
             }
         }
@@ -259,10 +266,11 @@ impl Shared {
     /// requeue (→ `Queued`, at the queue front) and every terminal state.
     /// It keeps the queue holding exactly the queued jobs, counts a
     /// terminal outcome in its `/stats` counter, stamps the retention
-    /// clock (dropping the resolved task), and wakes waiters, all in the caller's critical section, so
-    /// a waiter that sees a state also sees it counted. Nothing is evicted
-    /// here: the next submission or `stats()` beat applies the retention
-    /// policy, so the waiters read the state first. The latest checkpoint
+    /// clock (folding the cache's accounting, then dropping it and the
+    /// resolved task), and wakes waiters, all in the caller's critical
+    /// section, so a waiter that sees a state also sees it counted. Nothing
+    /// is evicted here: the next submission or `stats()` beat applies the
+    /// retention policy, so the waiters read the state first. The latest checkpoint
     /// is deliberately retained for cancelled, timed-out and failed jobs —
     /// that is what makes them resumable. A done job's is dropped: its
     /// report supersedes it, and nothing resumes a finished run.
@@ -294,7 +302,8 @@ impl Shared {
         }
         if state.is_terminal() {
             job.terminal_at = Some(self.clock.now());
-            job.task = None;
+            job.settled = job.cache_stats();
+            (job.task, job.cache) = (None, None);
         }
         if let Some((report, status)) = completion {
             job.report = Some(report);
@@ -519,13 +528,11 @@ impl ServeHandle {
         // A stats poll is also a retention beat, so an idle server's TTL
         // takes effect without waiting for the next submission.
         self.shared.evict_terminal(&mut reg);
-        let live = reg.jobs.values().fold(StatsSnapshot::default(), |acc, job| {
-            acc.merged(job.cache.snapshot(&job.counter))
-        });
+        let live = reg.jobs.values().map(JobRecord::cache_stats);
         ServerStats {
             queue_depth: reg.queue.len(),
             uptime_ms: self.uptime_ms(),
-            cache: reg.stats.cache.merged(live),
+            cache: live.fold(reg.stats.cache, StatsSnapshot::merged),
             ..reg.stats.clone()
         }
     }
@@ -653,9 +660,9 @@ fn run_job<'a>(
 ) -> MutexGuard<'a, Registry> {
     shared.transition(&mut reg, id, JobState::Running, None);
     let job = &reg.jobs[&id];
-    let task = job.task.clone().expect("only an unsettled job is claimed");
-    let (spec, cache, counter, mut checkpoint) =
-        (job.spec.clone(), job.cache.clone(), job.counter.clone(), job.checkpoint.clone());
+    let (task, cache, counter) = (job.task.clone(), job.cache.clone(), job.counter.clone());
+    let (task, cache) = task.zip(cache).expect("only an unsettled job is claimed");
+    let (spec, mut checkpoint) = (job.spec.clone(), job.checkpoint.clone());
     drop(reg);
     let end = |mut reg: MutexGuard<'a, Registry>, state, completion| {
         shared.transition(&mut reg, id, state, completion);
@@ -749,7 +756,7 @@ fn run_job<'a>(
             Ok(Ok(SliceOutcome::Paused(ckpt))) => {
                 if let Some(job) = reg.jobs.get_mut(&id) {
                     job.status = Some(RunStatus {
-                        evals: ckpt.evals,
+                        evals: ckpt.tracker.evals,
                         best_cost: ckpt.tracker.best_cost,
                         elapsed_ms: ckpt.elapsed_ms,
                         cache: cache.snapshot(&counter),
@@ -771,5 +778,51 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::TaskSpec;
+    use breaksym_core::{MethodSpec, MlmaConfig};
+
+    /// A settled job keeps its cache accounting, not its cache, and
+    /// `/stats` reads the same whether retention has dropped the record
+    /// or not.
+    #[test]
+    fn a_settled_job_holds_no_cache() {
+        let engine = ServeEngine::start(ServeConfig {
+            workers: 1,
+            slice_evals: 25,
+            retain_max: 1,
+            ..ServeConfig::default()
+        });
+        let handle = engine.handle();
+        let cfg = MlmaConfig {
+            episodes: 4,
+            steps_per_episode: 10,
+            max_evals: 120,
+            seed: 9,
+            ..MlmaConfig::default()
+        };
+        let spec = JobSpec::new(TaskSpec::benchmark("cm", 7), MethodSpec::Mlma(cfg));
+        let first = handle.submit(spec.clone()).unwrap();
+        assert_eq!(handle.wait(first, Duration::from_secs(120)).unwrap().state, JobState::Done);
+        let one = handle.stats();
+        assert!(one.cache.entries > 0 && one.cache.sims > 0, "{one:?}");
+        assert!(
+            engine.shared.lock().jobs[&first.0].cache.is_none(),
+            "the cache outlived its job"
+        );
+
+        // The same job again: settling it puts the first past the cap, so
+        // the next stats beat retires that one.
+        let second = handle.submit(spec).unwrap();
+        assert_eq!(handle.wait(second, Duration::from_secs(120)).unwrap().state, JobState::Done);
+        let two = handle.stats();
+        assert_eq!(two.jobs_retired, 1);
+        assert_eq!(two.cache, one.cache.merged(one.cache));
+        engine.shutdown();
     }
 }

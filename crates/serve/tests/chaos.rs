@@ -69,7 +69,7 @@ fn first_slice_longer_than_the_timeout_still_times_out() {
         other => panic!("expected TimedOut, got {other:?}"),
     }
     let ckpt = handle.checkpoint(id).unwrap().expect("timed-out job keeps its checkpoint");
-    assert!(ckpt.evals > 0);
+    assert!(ckpt.tracker.evals > 0);
     // The checkpoint's elapsed time is exactly the virtual advance —
     // deterministic, where real time would wobble.
     assert_eq!(ckpt.elapsed_ms, 200);
@@ -110,7 +110,7 @@ fn slice_panic_becomes_a_failed_job_and_the_worker_survives() {
     // The panic is terminal but not destructive: the last slice-boundary
     // checkpoint is still fetchable.
     let ckpt = handle.checkpoint(id).unwrap().expect("panicked job keeps its checkpoint");
-    assert!(ckpt.evals >= 20);
+    assert!(ckpt.tracker.evals >= 20);
     let stats = handle.stats();
     assert_eq!(stats.jobs_failed, 1);
     assert_eq!(stats.jobs_panicked, 1);

@@ -160,7 +160,7 @@ fn cancel_mid_run_leaves_a_resumable_checkpoint() {
     );
 
     let ckpt = handle.checkpoint(id).unwrap().expect("cancelled mid-run keeps its checkpoint");
-    assert!(ckpt.evals >= 20);
+    assert!(ckpt.tracker.evals >= 20);
     engine.shutdown();
 
     // The checkpoint is genuinely resumable: cap the run 40 evaluations
@@ -169,13 +169,13 @@ fn cancel_mid_run_leaves_a_resumable_checkpoint() {
     let task = TaskSpec::benchmark("diff_pair", 7).resolve().unwrap();
     let mut opt = MethodSpec::Mlma(long_cfg().with_seed(3)).build(&task).unwrap();
     let mut capped = ckpt.clone();
-    capped.tracker.max_evals = ckpt.evals + 40;
+    capped.tracker.max_evals = ckpt.tracker.evals + 40;
     let outcome = Driver::new(Budget::evals(capped.tracker.max_evals))
         .resume_slice(&task, opt.as_mut(), &capped, u64::MAX)
         .unwrap();
     match outcome {
         SliceOutcome::Finished(report) => {
-            assert_eq!(report.evaluations, ckpt.evals + 40);
+            assert_eq!(report.evaluations, ckpt.tracker.evals + 40);
             assert!(report.best_cost <= ckpt.tracker.best_cost);
         }
         SliceOutcome::Paused(_) => panic!("a capped resume must finish, not pause"),
@@ -197,7 +197,7 @@ fn graceful_drain_requeues_running_jobs_with_checkpoints() {
     let status = handle.status(id).unwrap();
     assert!(matches!(status.state, JobState::Queued), "{:?}", status.state);
     let ckpt = handle.checkpoint(id).unwrap().expect("drained job keeps its checkpoint");
-    assert!(ckpt.evals >= 15);
+    assert!(ckpt.tracker.evals >= 15);
     // The requeue is not an outcome: the worker's one job is counted, and
     // no terminal counter moves.
     let stats = handle.stats();
@@ -737,6 +737,35 @@ fn a_checkpoint_with_an_inconsistent_tracker_fails_its_job() {
         JobState::Failed { error } => assert!(error.contains("empty trajectory"), "{error}"),
         other => panic!("expected Failed, got {other:?}"),
     }
+    engine.shutdown();
+}
+
+/// A checkpoint carries the format that wrote it. One without a `format`
+/// key was written by an older build, and its submission is refused at
+/// the door rather than resumed.
+#[test]
+fn a_submitted_checkpoint_without_a_format_is_a_bad_request() {
+    let engine = ServeEngine::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let mut server = HttpServer::bind(engine.handle(), "127.0.0.1:0").unwrap();
+    let mut spec = JobSpec::new(TaskSpec::benchmark("diff_pair", 7), MethodSpec::Mlma(quick_cfg()));
+    let task = spec.task.resolve().unwrap();
+    let mut opt = spec.method.build(&task).unwrap();
+    let Ok(SliceOutcome::Paused(ckpt)) =
+        Driver::new(spec.method.budget()).run_slice(&task, opt.as_mut(), 25)
+    else {
+        panic!("a 120-eval run pauses after a 25-eval slice");
+    };
+    spec.checkpoint = Some(ckpt);
+    let mut body = serde_json::to_value(&spec).unwrap();
+    let fields = body.as_object_mut().unwrap();
+    let checkpoint = fields.get_mut("checkpoint").and_then(|c| c.as_object_mut()).unwrap();
+    assert!(checkpoint.remove("format").is_some());
+
+    let (status, v) = http_request(server.addr(), "POST", "/jobs", &body.to_string());
+    assert_eq!(status, 400, "{v}");
+    assert!(v.to_string().contains("format"), "{v}");
+    assert_eq!(engine.handle().stats().jobs_submitted, 0);
+    server.stop();
     engine.shutdown();
 }
 

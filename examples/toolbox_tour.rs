@@ -108,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\ndriver: checkpoint at eval {} ({} bytes of JSON); resumed best {:.4} vs direct {:.4} (bit-identical)",
-        ckpt.evals,
+        ckpt.tracker.evals,
         json.len(),
         resumed.best_cost,
         report.best_cost

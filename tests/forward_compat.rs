@@ -1,10 +1,13 @@
 //! Forward/backward compatibility of the serialized wire formats.
 //!
-//! Every field added to a persisted or wire struct after its first
-//! release carries `#[serde(default)]` (or is an `Option`, which serde
-//! already treats as omittable). That makes a concrete promise: JSON
-//! written by an older build — equivalently, today's JSON with those
-//! keys deleted — must deserialize to the same value. The property tests here
+//! The wire stays additive: every field added to a wire struct after its
+//! first release carries `#[serde(default)]` (or is an `Option`, which
+//! serde already treats as omittable). That makes a concrete promise:
+//! JSON written by an older build — equivalently, today's JSON with those
+//! keys deleted — must deserialize to the same value. Persisted state is
+//! versioned instead: a checkpoint and a coordinator's state directory
+//! carry `breaksym_core::FORMAT`, which is never optional, and readers
+//! refuse another number rather than migrate it. The property tests here
 //! delete *random subsets* of the deletable keys rather than one fixed
 //! set, and for run checkpoints go further: the stripped checkpoint must
 //! resume to a bit-identical report.
@@ -117,7 +120,7 @@ fn fixture() -> &'static Fixture {
             panic!("a 120-eval run pauses after a 50-eval slice");
         };
         // The initial evaluation plus the slice's 50.
-        assert_eq!(checkpoint.evals, 51);
+        assert_eq!(checkpoint.tracker.evals, 51);
         let checkpoint = *checkpoint;
         let mut fresh = MultiLevelPlacer::new(&task.initial_env().unwrap(), cfg);
         let baseline = Driver::new(Budget::from_mlma(&cfg))
@@ -579,7 +582,7 @@ fn node_exports_that_still_carry_cache_entries_parse_at_the_coordinator() {
         id: JobId(3),
         state: JobState::Running,
         status: Some(RunStatus {
-            evals: fx.checkpoint.evals,
+            evals: fx.checkpoint.tracker.evals,
             best_cost: fx.checkpoint.tracker.best_cost,
             elapsed_ms: 12,
             cache: StatsSnapshot { hits: 4, misses: 47, entries: 47, sims: 47 },

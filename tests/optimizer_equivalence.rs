@@ -162,7 +162,7 @@ fn checkpoint_roundtrip_resumes_bit_identically() {
         panic!("a 120-eval run pauses after a 50-eval slice");
     };
     // The initial evaluation plus the slice's 50.
-    assert_eq!(ckpt.evals, 51);
+    assert_eq!(ckpt.tracker.evals, 51);
 
     // Serialise, parse, resume with a *fresh* placer.
     let json = ckpt.to_json().unwrap();
@@ -170,7 +170,7 @@ fn checkpoint_roundtrip_resumes_bit_identically() {
     // Serde-skipped placement indices are rebuilt by `resume`, so the
     // parsed checkpoint only matches field-wise on the serialised state.
     assert_eq!(parsed.method, ckpt.method);
-    assert_eq!(parsed.evals, ckpt.evals);
+    assert_eq!(parsed.tracker.evals, ckpt.tracker.evals);
     assert_eq!(parsed.tracker.trajectory, ckpt.tracker.trajectory);
     assert_eq!(parsed.optimizer, ckpt.optimizer);
     let mut fresh = MultiLevelPlacer::new(&task.initial_env().unwrap(), cfg);
